@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 
+#include <math.h>  // lgamma_r: a glibc/BSD extension <cmath> does not declare
+
 #include "futurerand/common/macros.h"
 
 namespace futurerand {
@@ -20,14 +22,26 @@ int Log2Exact(uint64_t x) {
   return Log2Floor(x);
 }
 
+namespace {
+
+// ln|Gamma(x)| without touching the global `signgam` that std::lgamma
+// writes, so concurrent callers (e.g. specs built on several threads) do
+// not race. Same value as std::lgamma.
+double LogGamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
+
+}  // namespace
+
 double LogBinomial(int64_t n, int64_t i) {
   FR_CHECK(n >= 0 && i >= 0 && i <= n);
   if (i == 0 || i == n) {
     return 0.0;
   }
-  return std::lgamma(static_cast<double>(n) + 1.0) -
-         std::lgamma(static_cast<double>(i) + 1.0) -
-         std::lgamma(static_cast<double>(n - i) + 1.0);
+  return LogGamma(static_cast<double>(n) + 1.0) -
+         LogGamma(static_cast<double>(i) + 1.0) -
+         LogGamma(static_cast<double>(n - i) + 1.0);
 }
 
 double LogAddExp(double a, double b) {

@@ -222,76 +222,100 @@ void Server::EvictBehindWindow(BoundaryBitmap* bitmap,
   bitmap->base_word = keep_word;
 }
 
-Status Server::CheckAndRecordReport(int64_t client_id, int64_t time,
-                                    int8_t report, int* level_out,
-                                    ReportAction* action) {
+Status Server::RejectionStatus(ReportCheck check) {
+  switch (check) {
+    case ReportCheck::kBadValue:
+      return Status::InvalidArgument("reports must be -1 or +1");
+    case ReportCheck::kUnregistered:
+      return Status::NotFound("client not registered");
+    case ReportCheck::kTimeOutOfRange:
+      return Status::OutOfRange("report time outside [1..d]");
+    case ReportCheck::kMisaligned:
+      return Status::InvalidArgument(
+          "level-h clients report only at multiples of 2^h");
+    case ReportCheck::kStale:
+      return Status::InvalidArgument("duplicate or out-of-order report");
+    case ReportCheck::kApply:
+    case ReportCheck::kAbsorb:
+      break;
+  }
+  return Status::Internal("accepted report has no rejection status");
+}
+
+Server::ReportCheck Server::RecordBoundary(BoundaryBitmap* seen,
+                                           int64_t boundary) {
+  const int64_t word = boundary >> 6;
+  if (boundary > seen->frontier && dedup_window_.bounded()) {
+    // This report is about to advance the frontier: evict against the new
+    // frontier first, so the resize below only materializes words inside
+    // the window (a boundary above the frontier can never be a duplicate,
+    // so the report is guaranteed to land).
+    EvictBehindWindow(seen, boundary);
+  }
+  if (word < seen->base_word) {
+    // Evicted horizon: the bit is gone, so a first delivery and a
+    // retransmission are indistinguishable. Refuse to guess.
+    ++out_of_window_dropped_;
+    return ReportCheck::kAbsorb;
+  }
+  const auto slot = static_cast<size_t>(word - seen->base_word);
+  if (slot >= seen->words.size()) {
+    seen->words.resize(slot + 1, 0);
+  }
+  const uint64_t bit = uint64_t{1} << (boundary & 63);
+  if ((seen->words[slot] & bit) != 0) {
+    ++duplicates_dropped_;
+    return ReportCheck::kAbsorb;
+  }
+  seen->words[slot] |= bit;
+  if (boundary > seen->frontier) {
+    seen->frontier = boundary;
+  }
+  return ReportCheck::kApply;
+}
+
+// Defined inline ahead of its two callers: the strict path is a handful of
+// compares, and a call per record would cost as much as the checks.
+inline Server::ReportCheck Server::CheckAndRecordReport(int64_t client_id,
+                                                        int64_t time,
+                                                        int8_t report,
+                                                        int* level_out) {
   if (report != -1 && report != 1) {
-    return Status::InvalidArgument("reports must be -1 or +1");
+    return ReportCheck::kBadValue;
   }
   const int32_t client_slot = clients_.Find(client_id);
   if (client_slot < 0) {
-    return Status::NotFound("client not registered");
+    return ReportCheck::kUnregistered;
   }
   const int level = client_levels_[static_cast<size_t>(client_slot)];
-  const int64_t interval_length = int64_t{1} << level;
   if (time < 1 || time > num_periods_) {
-    return Status::OutOfRange("report time outside [1..d]");
+    return ReportCheck::kTimeOutOfRange;
   }
-  if (time % interval_length != 0) {
-    return Status::InvalidArgument(
-        "level-h clients report only at multiples of 2^h");
+  // time >= 1 here, so the mask test is the divisibility test.
+  if ((time & ((int64_t{1} << level) - 1)) != 0) {
+    return ReportCheck::kMisaligned;
   }
   *level_out = level;
-  *action = ReportAction::kApply;
   if (dedup_policy_ == DedupPolicy::kIdempotent) {
-    BoundaryBitmap& seen = seen_boundaries_[static_cast<size_t>(client_slot)];
-    const int64_t boundary = (time >> level) - 1;
-    const int64_t word = boundary >> 6;
-    if (boundary > seen.frontier && dedup_window_.bounded()) {
-      // This report is about to advance the frontier: evict against the
-      // new frontier first, so the resize below only materializes words
-      // inside the window (a boundary above the frontier can never be a
-      // duplicate, so the report is guaranteed to land).
-      EvictBehindWindow(&seen, boundary);
-    }
-    if (word < seen.base_word) {
-      // Evicted horizon: the bit is gone, so a first delivery and a
-      // retransmission are indistinguishable. Refuse to guess.
-      ++out_of_window_dropped_;
-      *action = ReportAction::kAbsorb;
-      return Status::OK();
-    }
-    const auto slot = static_cast<size_t>(word - seen.base_word);
-    if (slot >= seen.words.size()) {
-      seen.words.resize(slot + 1, 0);
-    }
-    const uint64_t bit = uint64_t{1} << (boundary & 63);
-    if ((seen.words[slot] & bit) != 0) {
-      ++duplicates_dropped_;
-      *action = ReportAction::kAbsorb;
-      return Status::OK();
-    }
-    seen.words[slot] |= bit;
-    if (boundary > seen.frontier) {
-      seen.frontier = boundary;
-    }
-  } else {
-    int64_t& last_time = last_report_time_[static_cast<size_t>(client_slot)];
-    if (time <= last_time) {
-      return Status::InvalidArgument("duplicate or out-of-order report");
-    }
-    last_time = time;
+    return RecordBoundary(&seen_boundaries_[static_cast<size_t>(client_slot)],
+                          (time >> level) - 1);
   }
-  return Status::OK();
+  int64_t& last_time = last_report_time_[static_cast<size_t>(client_slot)];
+  if (time <= last_time) {
+    return ReportCheck::kStale;
+  }
+  last_time = time;
+  return ReportCheck::kApply;
 }
 
 Status Server::SubmitReport(int64_t client_id, int64_t time, int8_t report) {
   int level = 0;
-  ReportAction action = ReportAction::kAbsorb;
-  FR_RETURN_NOT_OK(
-      CheckAndRecordReport(client_id, time, report, &level, &action));
-  if (action == ReportAction::kApply) {
+  const ReportCheck check =
+      CheckAndRecordReport(client_id, time, report, &level);
+  if (check == ReportCheck::kApply) {
     sums_->Add(level, time >> level, report);
+  } else if (check != ReportCheck::kAbsorb) {
+    return RejectionStatus(check);
   }
   return Status::OK();
 }
@@ -329,7 +353,7 @@ Status Server::IngestRecords(std::span<const ReportMessage> batch,
     pending_time = 0;
   };
   int64_t done = 0;
-  Status status;
+  ReportCheck rejection = ReportCheck::kApply;
   for (size_t i = 0; i < count; ++i) {
     const ReportMessage& record =
         batch[indices == nullptr ? i : indices[i]];
@@ -337,15 +361,15 @@ Status Server::IngestRecords(std::span<const ReportMessage> batch,
       flush();
     }
     int level = 0;
-    ReportAction action = ReportAction::kAbsorb;
-    status = CheckAndRecordReport(record.client_id, record.time, record.value,
-                                  &level, &action);
-    if (!status.ok()) {
-      break;
-    }
-    if (action == ReportAction::kApply) {
+    const ReportCheck check =
+        CheckAndRecordReport(record.client_id, record.time, record.value,
+                             &level);
+    if (check == ReportCheck::kApply) {
       pending_time = record.time;
       level_accum[static_cast<size_t>(level)] += record.value;
+    } else if (check != ReportCheck::kAbsorb) {
+      rejection = check;
+      break;
     }
     ++done;
   }
@@ -353,7 +377,8 @@ Status Server::IngestRecords(std::span<const ReportMessage> batch,
   if (accepted != nullptr) {
     *accepted = done;
   }
-  return status;
+  return rejection == ReportCheck::kApply ? Status::OK()
+                                          : RejectionStatus(rejection);
 }
 
 Result<double> Server::EstimateAt(int64_t t) const {

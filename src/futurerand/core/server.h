@@ -302,18 +302,34 @@ class Server {
   void AddSums(const Server& other);
   Status RegisterClientStrict(int64_t client_id, int level);
 
-  /// What SubmitReport should do with a checked record.
-  enum class ReportAction {
-    kApply,   // add the report to the interval sums
-    kAbsorb,  // counted drop (duplicate / out-of-window); sums untouched
+  /// CheckAndRecordReport's verdict on one record. The first two accept
+  /// it; every other value rejects it, and RejectionStatus spells that
+  /// rejection as the Status callers see. A plain enum keeps the per-record
+  /// path free of Status construction; only a failing record builds one.
+  enum class ReportCheck : uint8_t {
+    kApply,           // add the report to the interval sums
+    kAbsorb,          // counted drop (duplicate / out-of-window)
+    kBadValue,        // value not -1 or +1
+    kUnregistered,    // unknown client id
+    kTimeOutOfRange,  // time outside [1..d]
+    kMisaligned,      // time not a multiple of 2^level
+    kStale,           // kStrict: duplicate or out-of-order time
   };
+
+  /// The Status of a rejecting verdict (check > kAbsorb).
+  static Status RejectionStatus(ReportCheck check);
 
   /// All of SubmitReport except the aggregate update, in the exact check
   /// order of the scalar path: value, registration, range, alignment,
-  /// dedup. On OK, *level_out is the client's level and *action says
-  /// whether the report lands in the sums; dedup state has been recorded.
-  Status CheckAndRecordReport(int64_t client_id, int64_t time, int8_t report,
-                              int* level_out, ReportAction* action);
+  /// dedup. On kApply or kAbsorb, *level_out is the client's level and
+  /// dedup state has been recorded; a rejection mutates nothing.
+  ReportCheck CheckAndRecordReport(int64_t client_id, int64_t time,
+                                   int8_t report, int* level_out);
+
+  /// The kIdempotent dedup step of CheckAndRecordReport: records
+  /// `boundary` (0-based, in units of the client's level) in `seen`, or
+  /// absorbs it as a retransmission or an out-of-window straggler.
+  ReportCheck RecordBoundary(BoundaryBitmap* seen, int64_t boundary);
 
   /// Shared body of both SubmitReports overloads: applies
   /// batch[indices ? indices[i] : i] for i in [0..count).

@@ -25,7 +25,7 @@ Result<uint64_t> GetFixed64(std::string_view* bytes) {
   return value;
 }
 
-void PutVarint64(uint64_t value, std::string* out) {
+void PutVarint64MultiByte(uint64_t value, std::string* out) {
   while (value >= 0x80) {
     out->push_back(static_cast<char>((value & 0x7f) | 0x80));
     value >>= 7;
@@ -33,7 +33,7 @@ void PutVarint64(uint64_t value, std::string* out) {
   out->push_back(static_cast<char>(value));
 }
 
-Result<uint64_t> GetVarint64(std::string_view* bytes) {
+Result<uint64_t> GetVarint64MultiByte(std::string_view* bytes) {
   uint64_t value = 0;
   int shift = 0;
   for (int i = 0; i < 10; ++i) {
@@ -49,16 +49,6 @@ Result<uint64_t> GetVarint64(std::string_view* bytes) {
     shift += 7;
   }
   return Status::InvalidArgument("overlong varint");
-}
-
-uint64_t ZigZagEncode(int64_t value) {
-  return (static_cast<uint64_t>(value) << 1) ^
-         static_cast<uint64_t>(value >> 63);
-}
-
-int64_t ZigZagDecode(uint64_t value) {
-  return static_cast<int64_t>(value >> 1) ^
-         -static_cast<int64_t>(value & 1);
 }
 
 namespace {
@@ -150,7 +140,12 @@ using wire_internal::kKindRegistrationV2;
 using wire_internal::kKindReport;
 using wire_internal::kKindReportV2;
 
+// Reserves the usual size of a transport batch before appending its
+// header: header, the count varint (at most 10 bytes), two bytes per record
+// (one-byte id and time deltas, the common case) and the v2 trailer. A
+// batch with wider deltas still grows as needed.
 void AppendBatchHeader(char kind, size_t count, std::string* out) {
+  out->reserve(wire_internal::kHeaderSize + 10 + 2 * count + 8);
   wire_internal::AppendHeader(kind, out);
   PutVarint64(count, out);
 }

@@ -176,16 +176,43 @@ void PutFixed64(uint64_t value, std::string* out);
 /// Reads 8 little-endian bytes from the front of `bytes`, advancing it.
 Result<uint64_t> GetFixed64(std::string_view* bytes);
 
-/// Appends an unsigned LEB128 varint.
-void PutVarint64(uint64_t value, std::string* out);
+/// The out-of-line general cases of PutVarint64/GetVarint64 (any length,
+/// and for the reader every error). Call the inline wrappers below.
+void PutVarint64MultiByte(uint64_t value, std::string* out);
+Result<uint64_t> GetVarint64MultiByte(std::string_view* bytes);
+
+/// Appends an unsigned LEB128 varint. Report and registration records
+/// are mostly one-byte deltas, so that case stays inline.
+inline void PutVarint64(uint64_t value, std::string* out) {
+  if (value < 0x80) {
+    out->push_back(static_cast<char>(value));
+    return;
+  }
+  PutVarint64MultiByte(value, out);
+}
 
 /// Reads a varint from the front of `bytes`, advancing it. Fails on
 /// truncation or encodings longer than 10 bytes.
-Result<uint64_t> GetVarint64(std::string_view* bytes);
+inline Result<uint64_t> GetVarint64(std::string_view* bytes) {
+  if (!bytes->empty()) {
+    const auto byte = static_cast<uint8_t>(bytes->front());
+    if (byte < 0x80) {
+      bytes->remove_prefix(1);
+      return uint64_t{byte};
+    }
+  }
+  return GetVarint64MultiByte(bytes);
+}
 
 /// ZigZag transforms for signed deltas.
-uint64_t ZigZagEncode(int64_t value);
-int64_t ZigZagDecode(uint64_t value);
+inline uint64_t ZigZagEncode(int64_t value) {
+  return (static_cast<uint64_t>(value) << 1) ^
+         static_cast<uint64_t>(value >> 63);
+}
+inline int64_t ZigZagDecode(uint64_t value) {
+  return static_cast<int64_t>(value >> 1) ^
+         -static_cast<int64_t>(value & 1);
+}
 
 /// FNV-1a 64-bit hash, the integrity checksum of the snapshot blobs and
 /// the v2 transport batches.

@@ -1,11 +1,14 @@
 #include "futurerand/core/server.h"
 
 #include <cmath>
+#include <numeric>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "futurerand/common/math.h"
+#include "futurerand/core/aggregator.h"
 #include "futurerand/randomizer/randomizer.h"
 
 namespace futurerand::core {
@@ -317,6 +320,137 @@ TEST(ServerStoreTest, SketchServerEstimatesExactlyInTheWideRegime) {
         << "t=" << t;
   }
 }
+
+// The batch-ingest error contract: a batch whose record j is invalid
+// rejects with exactly the Status a single SubmitReport of that record
+// gives, accepts exactly the first j records, and leaves the estimates of
+// ingesting just that j-record prefix. Every per-record rejection is
+// injected at every index, through both SubmitReports overloads and the
+// aggregator's IngestReports.
+class BatchErrorContractTest : public ::testing::TestWithParam<DedupPolicy> {
+ protected:
+  static constexpr int64_t kPeriods = 16;
+
+  struct BadRecord {
+    const char* name;
+    ReportMessage record;
+    StatusCode code;
+    bool strict_only;  // a stale time is a counted duplicate under kIdempotent
+  };
+
+  static std::vector<BadRecord> BadRecords() {
+    return {
+        {"value not +-1", ReportMessage{1, 8, 0}, StatusCode::kInvalidArgument,
+         false},
+        {"unregistered client", ReportMessage{99, 8, 1}, StatusCode::kNotFound,
+         false},
+        {"time beyond d", ReportMessage{1, kPeriods + 1, 1},
+         StatusCode::kOutOfRange, false},
+        {"time zero", ReportMessage{1, 0, 1}, StatusCode::kOutOfRange, false},
+        {"time not aligned to the level", ReportMessage{3, 6, 1},
+         StatusCode::kInvalidArgument, false},
+        {"stale time", ReportMessage{1, 2, 1}, StatusCode::kInvalidArgument,
+         true},
+    };
+  }
+
+  // Six clients at levels 0, 1, 2, 0, 1, 2; client 1 already reported at
+  // t=2, so a second report at t=2 is stale under kStrict.
+  Server PreparedServer() const {
+    Server server =
+        Server::WithScales(kPeriods, {1.0, 2.0, 3.0, 4.0, 5.0}, GetParam())
+            .ValueOrDie();
+    for (int64_t id = 1; id <= 6; ++id) {
+      FR_CHECK(server.RegisterClient(id, static_cast<int>((id - 1) % 3)).ok());
+    }
+    FR_CHECK(server.SubmitReport(1, 2, 1).ok());
+    return server;
+  }
+
+  ShardedAggregator PreparedAggregator() const {
+    ShardedAggregator aggregator =
+        ShardedAggregator::WithScales(kPeriods, {1.0, 2.0, 3.0, 4.0, 5.0},
+                                      /*num_shards=*/1, GetParam())
+            .ValueOrDie();
+    std::vector<RegistrationMessage> registrations;
+    for (int64_t id = 1; id <= 6; ++id) {
+      registrations.push_back({id, static_cast<int>((id - 1) % 3)});
+    }
+    FR_CHECK(aggregator.IngestRegistrations(registrations).ok());
+    const std::vector<ReportMessage> warmup = {ReportMessage{1, 2, 1}};
+    FR_CHECK(aggregator.IngestReports(warmup).ok());
+    return aggregator;
+  }
+
+  // Twelve valid records: every client at t=4, then every client at t=8.
+  static std::vector<ReportMessage> ValidRecords() {
+    std::vector<ReportMessage> records;
+    for (int64_t t : {int64_t{4}, int64_t{8}}) {
+      for (int64_t id = 1; id <= 6; ++id) {
+        records.push_back({id, t, static_cast<int8_t>(id % 2 == 0 ? 1 : -1)});
+      }
+    }
+    return records;
+  }
+};
+
+TEST_P(BatchErrorContractTest, RejectsAtTheFailingRecordLikeSubmitReport) {
+  const std::vector<ReportMessage> valid = ValidRecords();
+  for (const BadRecord& bad : BadRecords()) {
+    if (bad.strict_only && GetParam() != DedupPolicy::kStrict) {
+      continue;
+    }
+    for (size_t j = 0; j <= valid.size(); ++j) {
+      SCOPED_TRACE(std::string(bad.name) + " at index " + std::to_string(j));
+      const std::span<const ReportMessage> prefix(valid.data(), j);
+      std::vector<ReportMessage> batch(prefix.begin(), prefix.end());
+      batch.push_back(bad.record);
+      batch.insert(batch.end(), valid.begin() + static_cast<int64_t>(j),
+                   valid.end());
+
+      // Reference: the prefix alone, then the bad record on its own.
+      Server reference = PreparedServer();
+      int64_t reference_accepted = 0;
+      ASSERT_TRUE(reference.SubmitReports(prefix, &reference_accepted).ok());
+      ASSERT_EQ(reference_accepted, static_cast<int64_t>(j));
+      const std::vector<double> expected = reference.EstimateAll().ValueOrDie();
+      const Status single = reference.SubmitReport(
+          bad.record.client_id, bad.record.time, bad.record.value);
+      ASSERT_EQ(single.code(), bad.code) << single.ToString();
+
+      Server contiguous = PreparedServer();
+      int64_t accepted = -1;
+      const Status status = contiguous.SubmitReports(batch, &accepted);
+      EXPECT_EQ(status, single);
+      EXPECT_EQ(accepted, static_cast<int64_t>(j));
+      EXPECT_EQ(contiguous.EstimateAll().ValueOrDie(), expected);
+      EXPECT_EQ(contiguous.duplicates_dropped(),
+                reference.duplicates_dropped());
+
+      Server indexed = PreparedServer();
+      std::vector<size_t> indices(batch.size());
+      std::iota(indices.begin(), indices.end(), size_t{0});
+      accepted = -1;
+      EXPECT_EQ(indexed.SubmitReports(batch, indices, &accepted), single);
+      EXPECT_EQ(accepted, static_cast<int64_t>(j));
+      EXPECT_EQ(indexed.EstimateAll().ValueOrDie(), expected);
+
+      ShardedAggregator aggregator = PreparedAggregator();
+      IngestOutcome outcome;
+      EXPECT_EQ(aggregator.IngestReports(batch, nullptr, &outcome), single);
+      EXPECT_EQ(outcome.applied + outcome.deduped + outcome.out_of_window,
+                static_cast<int64_t>(j));
+      EXPECT_EQ(aggregator.EstimateAll().ValueOrDie(), expected);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, BatchErrorContractTest,
+                         ::testing::Values(DedupPolicy::kStrict,
+                                           DedupPolicy::kIdempotent),
+                         [](const auto& info) {
+                           return std::string(DedupPolicyToString(info.param));
+                         });
 
 }  // namespace
 }  // namespace futurerand::core

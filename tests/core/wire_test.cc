@@ -313,5 +313,143 @@ TEST(WireValidationTest, RejectsNonPositiveDecodedTime) {
   EXPECT_FALSE(DecodeReportBatch(bytes).ok());
 }
 
+// Zigzagged deltas at both sides of the one-, two- and three-byte varint
+// boundaries, plus small ones, so every batch below mixes one-byte and
+// multi-byte records.
+constexpr uint64_t kBoundaryZigZags[] = {0,   2,    63,    64,
+                                         127, 128, 16383, 16384};
+
+// Bytes of the LEB128 encoding of `value`, computed independently of the
+// codec under test.
+size_t VarintBytes(uint64_t value) {
+  size_t bytes = 1;
+  for (; value >= 0x80; value >>= 7) {
+    ++bytes;
+  }
+  return bytes;
+}
+
+// A report batch whose id varints and time varints each walk through every
+// boundary value (the time varint is the zigzagged time delta shifted left
+// by one over the value bit). Also returns, per record, the byte offset
+// right after its id varint, counted from the end of the header and count.
+std::vector<ReportMessage> BoundaryReportBatch(
+    std::vector<size_t>* mid_record_offsets, size_t* payload_bytes) {
+  std::vector<ReportMessage> batch;
+  int64_t id = 100000;
+  int64_t time = 100000;
+  for (const uint64_t id_varint : kBoundaryZigZags) {
+    for (const uint64_t time_varint : kBoundaryZigZags) {
+      id += ZigZagDecode(id_varint);
+      time += ZigZagDecode(time_varint >> 1);
+      batch.push_back({id, time, (time_varint & 1) ? int8_t{1} : int8_t{-1}});
+    }
+  }
+  // Byte accounting from the deltas as encoded (the first against zero).
+  int64_t previous_id = 0;
+  int64_t previous_time = 0;
+  size_t offset = 0;
+  for (const ReportMessage& record : batch) {
+    offset += VarintBytes(ZigZagEncode(record.client_id - previous_id));
+    mid_record_offsets->push_back(offset);
+    offset += VarintBytes(ZigZagEncode(record.time - previous_time) << 1 |
+                          (record.value == 1 ? 1u : 0u));
+    previous_id = record.client_id;
+    previous_time = record.time;
+  }
+  *payload_bytes = offset;
+  return batch;
+}
+
+TEST(WireBoundaryTest, ReportBatchesMixOneAndMultiByteVarints) {
+  std::vector<size_t> mid_record;
+  size_t payload = 0;
+  const std::vector<ReportMessage> batch =
+      BoundaryReportBatch(&mid_record, &payload);
+  const size_t prefix = wire_internal::kHeaderSize + VarintBytes(batch.size());
+  for (const WireVersion version : {WireVersion::kV1, WireVersion::kV2}) {
+    const auto bytes = EncodeReportBatch(batch, version);
+    ASSERT_TRUE(bytes.ok());
+    EXPECT_EQ(bytes->size(),
+              prefix + payload + (version == WireVersion::kV2 ? 8 : 0));
+    const auto decoded = DecodeReportBatch(*bytes);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(*decoded, batch);
+  }
+}
+
+TEST(WireBoundaryTest, RegistrationBatchesMixOneAndMultiByteVarints) {
+  std::vector<RegistrationMessage> batch;
+  size_t payload = 0;
+  int64_t id = 0;
+  int level = 0;
+  for (const uint64_t id_varint : kBoundaryZigZags) {
+    id += ZigZagDecode(id_varint);
+    batch.push_back({id, level});
+    payload += VarintBytes(id_varint) + 1;
+    level = level == 0 ? 62 : 0;
+  }
+  const size_t prefix = wire_internal::kHeaderSize + VarintBytes(batch.size());
+  for (const WireVersion version : {WireVersion::kV1, WireVersion::kV2}) {
+    const std::string bytes = EncodeRegistrationBatch(batch, version);
+    EXPECT_EQ(bytes.size(),
+              prefix + payload + (version == WireVersion::kV2 ? 8 : 0));
+    const auto decoded = DecodeRegistrationBatch(bytes);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(*decoded, batch);
+  }
+}
+
+TEST(WireBoundaryTest, TruncationBetweenARecordsVarintsIsRejected) {
+  // Cutting a batch right after one record's id varint: v1 has no trailer,
+  // so the decoder runs out of bytes mid-record (kInvalidArgument); v2's
+  // trailer no longer matches (kDataLoss) before any record is parsed.
+  std::vector<size_t> mid_record;
+  size_t payload = 0;
+  const std::vector<ReportMessage> reports =
+      BoundaryReportBatch(&mid_record, &payload);
+  const size_t prefix =
+      wire_internal::kHeaderSize + VarintBytes(reports.size());
+  const std::string v1 = *EncodeReportBatch(reports, WireVersion::kV1);
+  const std::string v2 = *EncodeReportBatch(reports, WireVersion::kV2);
+  for (const size_t offset : mid_record) {
+    SCOPED_TRACE(offset);
+    EXPECT_EQ(DecodeReportBatch(v1.substr(0, prefix + offset)).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(DecodeReportBatch(v2.substr(0, prefix + offset)).status().code(),
+              StatusCode::kDataLoss);
+  }
+
+  // Registrations: a three-byte id varint, then the one-byte level.
+  const std::vector<RegistrationMessage> registrations = {{1, 0}, {8193, 5}};
+  const std::string r1 =
+      EncodeRegistrationBatch(registrations, WireVersion::kV1);
+  const std::string r2 =
+      EncodeRegistrationBatch(registrations, WireVersion::kV2);
+  const size_t cut = r1.size() - 1;  // drop the last record's level byte
+  EXPECT_EQ(DecodeRegistrationBatch(r1.substr(0, cut)).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(DecodeRegistrationBatch(r2.substr(0, cut)).status().code(),
+            StatusCode::kDataLoss);
+}
+
+TEST(WireGoldenTest, V2BatchBytesAreFixed) {
+  // Normative layout (docs/FORMATS.md): header, count, per record the
+  // zigzagged id delta then the zigzagged time delta shifted over the
+  // value bit, then the FNV-1a 64 trailer, little-endian.
+  const auto reports = EncodeReportBatch(
+      {{1, 1, 1}, {2, 1, -1}, {300, 2, 1}}, WireVersion::kV2);
+  ASSERT_TRUE(reports.ok());
+  EXPECT_EQ(*reports,
+            std::string("FRW\x02\x07\x03\x02\x05\x02\x00\xd4\x04\x05"
+                        "\x60\x6d\x6a\x7a\x05\x2c\xce\x2c",
+                        21));
+  EXPECT_EQ(EncodeRegistrationBatch({{1, 0}, {2, 3}, {300, 1}},
+                                    WireVersion::kV2),
+            std::string("FRW\x02\x06\x03\x02\x00\x02\x03\xd4\x04\x01"
+                        "\xf5\x5a\x94\x75\x49\x62\x19\xdf",
+                        21));
+}
+
 }  // namespace
 }  // namespace futurerand::core
