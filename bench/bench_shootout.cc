@@ -35,34 +35,6 @@ namespace {
 
 using namespace futurerand;
 
-// The pipelines with a batch wire transport to measure (RunProtocol's
-// `hierarchical` set): dyadic kinds first, longitudinal kinds last.
-constexpr sim::ProtocolKind kShootoutProtocols[] = {
-    sim::ProtocolKind::kFutureRand, sim::ProtocolKind::kIndependent,
-    sim::ProtocolKind::kBun,        sim::ProtocolKind::kAdaptive,
-    sim::ProtocolKind::kLGrr,       sim::ProtocolKind::kLOlh,
-    sim::ProtocolKind::kLoloha,
-};
-
-rand::RandomizerKind RandomizerFor(sim::ProtocolKind kind) {
-  switch (kind) {
-    case sim::ProtocolKind::kIndependent:
-      return rand::RandomizerKind::kIndependent;
-    case sim::ProtocolKind::kBun:
-      return rand::RandomizerKind::kBun;
-    case sim::ProtocolKind::kAdaptive:
-      return rand::RandomizerKind::kAdaptive;
-    case sim::ProtocolKind::kLGrr:
-      return rand::RandomizerKind::kLGrr;
-    case sim::ProtocolKind::kLOlh:
-      return rand::RandomizerKind::kLOlh;
-    case sim::ProtocolKind::kLoloha:
-      return rand::RandomizerKind::kLoloha;
-    default:
-      return rand::RandomizerKind::kFutureRand;
-  }
-}
-
 // One measured end-to-end run, accumulated over `reps` repetitions.
 struct Measured {
   double mean_max_error = 0.0;
@@ -78,7 +50,7 @@ Result<Measured> RunOnce(sim::ProtocolKind protocol,
                          const sim::WorkloadConfig& workload_config,
                          int reps, uint64_t seed) {
   core::ProtocolConfig config = base;
-  config.randomizer = RandomizerFor(protocol);
+  FR_ASSIGN_OR_RETURN(config.randomizer, sim::RandomizerForProtocol(protocol));
   FR_RETURN_NOT_OK(config.Validate());
   const int64_t n = workload_config.num_users;
   Measured total;
@@ -217,7 +189,12 @@ int Run(int argc, char** argv) {
                    workload_config.status().ToString().c_str());
       return 2;
     }
-    for (const sim::ProtocolKind protocol : kShootoutProtocols) {
+    // Every pipeline with a batch wire transport to measure: dyadic kinds
+    // first, longitudinal kinds last (enum order).
+    for (const sim::ProtocolKind protocol : sim::AllProtocolKinds()) {
+      if (!sim::RandomizerForProtocol(protocol).ok()) {
+        continue;
+      }
       core::ProtocolConfig config =
           bench::MakeConfig(point.d, k, point.eps);
       config.longitudinal_alpha = alpha;

@@ -212,7 +212,7 @@ int Run(int argc, char** argv) {
   parser.AddDouble("eps", &eps, "privacy budget");
   parser.AddString("randomizer", &randomizer_name,
                    "sequence randomizer driving the fleet (future_rand | "
-                   "independent | bun | adaptive)");
+                   "independent | bun | adaptive | lgrr | lolh | loloha)");
   parser.AddString("protocol", &protocol_name,
                    "optionally also time one full RunProtocol sim pass of "
                    "this protocol kind");

@@ -128,4 +128,46 @@ Status DeliverEncodedOverStream(StreamClient& client,
   return sim::RetransmitLoop(retransmit_budget, attempt, delivery);
 }
 
+
+StreamSink::StreamSink(std::span<StreamClient> clients,
+                       const sim::FaultOptions& faults)
+    : clients_(clients),
+      wire_version_(faults.wire_version),
+      retransmit_budget_(faults.retransmit_budget) {}
+
+Status StreamSink::Register(
+    const std::vector<core::RegistrationMessage>& registrations,
+    int64_t tick) {
+  // Registrations ship pristine (the channel only faults report batches)
+  // and their outcome is not counted, matching the in-process sink.
+  FR_ASSIGN_OR_RETURN(
+      const Reply reply,
+      clients_[0].Call(
+          core::EncodeRegistrationBatch(registrations, wire_version_)));
+  if (reply.verdict == Verdict::kAck) {
+    return Status::OK();
+  }
+  const std::string code = StatusCodeToString(reply.status);
+  if (tick == 0) {
+    return Status::FailedPrecondition("registration rejected by server (" +
+                                      code +
+                                      ") — do the protocol flags match "
+                                      "frserve's?");
+  }
+  return Status::FailedPrecondition(
+      std::string("re-registration at t=") + std::to_string(tick) +
+      " rejected by server (" + code + ") — is frserve running with --dedup?");
+}
+
+Status StreamSink::Deliver(const core::ReportBatch& batch, int64_t batch_index,
+                           sim::ChannelModel* channel,
+                           sim::DeliveryMetrics* delivery) {
+  FR_ASSIGN_OR_RETURN(const std::string pristine,
+                      core::EncodeReportBatch(batch, wire_version_));
+  StreamClient& client =
+      clients_[static_cast<size_t>(batch_index) % clients_.size()];
+  return DeliverEncodedOverStream(client, pristine, channel, wire_version_,
+                                  retransmit_budget_, delivery);
+}
+
 }  // namespace futurerand::net

@@ -12,6 +12,7 @@
 #define FUTURERAND_NET_CLIENT_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "futurerand/net/socket.h"
 #include "futurerand/sim/channel.h"
 #include "futurerand/sim/metrics.h"
+#include "futurerand/sim/pipeline.h"
 
 namespace futurerand::net {
 
@@ -90,6 +92,30 @@ Status DeliverEncodedOverStream(StreamClient& client,
                                 core::WireVersion wire_version,
                                 int64_t retransmit_budget,
                                 sim::DeliveryMetrics* delivery);
+
+/// The network sink of sim::RunPipeline: the same period loop as the
+/// in-process run, with every batch shipped to an IngestServer. Report
+/// batch i goes out on clients[i mod N] through DeliverEncodedOverStream;
+/// delivery stays synchronous per batch, so the channel's draw order — and
+/// with it every estimate and counter — is independent of N.
+/// Registrations go out on clients[0] by Call and must be acked.
+class StreamSink final : public sim::ReportSink {
+ public:
+  /// `clients` must be non-empty and outlive the sink. Only the wire
+  /// version and retransmit budget of `faults` are read.
+  StreamSink(std::span<StreamClient> clients, const sim::FaultOptions& faults);
+
+  Status Register(const std::vector<core::RegistrationMessage>& registrations,
+                  int64_t tick) override;
+  Status Deliver(const core::ReportBatch& batch, int64_t batch_index,
+                 sim::ChannelModel* channel,
+                 sim::DeliveryMetrics* delivery) override;
+
+ private:
+  std::span<StreamClient> clients_;
+  core::WireVersion wire_version_;
+  int64_t retransmit_budget_;
+};
 
 }  // namespace futurerand::net
 

@@ -1,9 +1,7 @@
 #include "futurerand/sim/runner.h"
 
 #include <atomic>
-#include <memory>
 #include <mutex>
-#include <optional>
 #include <utility>
 
 #include "futurerand/central/tree_mechanism.h"
@@ -12,10 +10,10 @@
 #include "futurerand/common/timer.h"
 #include "futurerand/core/aggregator.h"
 #include "futurerand/core/erlingsson.h"
-#include "futurerand/core/fleet.h"
 #include "futurerand/core/naive_rr.h"
 #include "futurerand/core/reference.h"
 #include "futurerand/core/wire.h"
+#include "futurerand/sim/pipeline.h"
 
 namespace futurerand::sim {
 
@@ -52,210 +50,29 @@ class FirstError {
   Status first_;
 };
 
-// Runs Algorithms 1+2 with the sequence randomizer selected in `config`:
-// a ClientFleet advances every user one period per tick and the resulting
-// report batches stream into a ShardedAggregator — through a lossy
-// ChannelModel and periodic checkpoint/restore round-trips when `faults`
-// asks for them.
+// Runs a fleet pipeline (Algorithms 1+2, or a memoized longitudinal kind)
+// with the sequence randomizer selected in `config`: the shared period loop
+// (RunPipeline) streams every tick's batch into a local ShardedAggregator —
+// through a lossy ChannelModel and periodic checkpoint/restore round-trips
+// when `faults` asks for them.
 Result<RunResult> RunHierarchical(const core::ProtocolConfig& config,
                                   const Workload& workload, uint64_t seed,
                                   ThreadPool* pool, int num_shards,
                                   const FaultOptions& faults) {
-  const int64_t n = workload.num_users();
-  const int shards = EffectiveShards(pool, num_shards);
-  FR_ASSIGN_OR_RETURN(core::ClientFleet fleet,
-                      core::ClientFleet::Create(config, n, seed, pool));
   FR_ASSIGN_OR_RETURN(
-      core::ShardedAggregator aggregator,
-      core::ShardedAggregator::ForProtocol(config, shards, faults.dedup,
-                                           faults.dedup_window));
-  FR_RETURN_NOT_OK(
-      aggregator.IngestRegistrations(fleet.registrations(), pool));
-
-  std::optional<ChannelModel> channel;
-  if (faults.channel.enabled()) {
-    channel.emplace(faults.channel, ChannelSeedForRun(seed));
-  }
-
+      InProcessSink sink,
+      InProcessSink::Create(config, EffectiveShards(pool, num_shards), faults,
+                            pool));
   RunResult result;
-
-  // Churn workloads carry per-user presence windows: a joiner (join > 1)
-  // re-registers over the wire at its join tick, exactly as a device coming
-  // online mid-collection would. The duplicate registration is absorbed by
-  // kIdempotent dedup (under kStrict it would be an ingest error, so the
-  // replay only runs there), and it rides the v-versioned registration
-  // framing but NOT the lossy channel — registration is control-plane
-  // traffic with its own reliable path, and keeping it off the channel
-  // leaves the channel's RNG stream untouched, which is what makes a churn
-  // run bit-identical to its truncated-trace twin.
-  std::vector<std::vector<int64_t>> joiners_by_tick;
-  const bool replay_joins = workload.has_presence() &&
-                            faults.dedup == core::DedupPolicy::kIdempotent;
-  if (replay_joins) {
-    joiners_by_tick.resize(static_cast<size_t>(config.num_periods) + 1);
-    const std::vector<PresenceWindow>& presence = workload.presence();
-    for (int64_t u = 0; u < n; ++u) {
-      const int64_t join = presence[static_cast<size_t>(u)].join;
-      if (join > 1) {
-        joiners_by_tick[static_cast<size_t>(join)].push_back(u);
-      }
-    }
-  }
-
-  // Ships one delivered batch over the real wire encoding through the
-  // shared NACK retransmission loop (DeliverEncodedWithRetransmission).
-  auto deliver = [&](const core::ReportBatch& delivered) -> Status {
-    FR_ASSIGN_OR_RETURN(
-        const std::string pristine,
-        core::EncodeReportBatch(delivered, faults.wire_version));
-    return DeliverEncodedWithRetransmission(
-        aggregator, pristine, &*channel, faults.wire_version,
-        faults.retransmit_budget, pool, &result.delivery);
-  };
-
-  // The workload stores per-user change times; play them as a sequence of
-  // state vectors, one tick at a time.
-  std::vector<int8_t> states(static_cast<size_t>(n), 0);
-  std::vector<size_t> next_change(static_cast<size_t>(n), 0);
-  core::ReportBatch batch;
-  core::ReportBatch delivered;
-  int64_t reports = 0;
-  // The durable checkpoint chain a crashed collector would replay: the
-  // last full (compaction) blob plus every delta taken since.
-  std::string checkpoint_base;
-  std::vector<std::string> checkpoint_deltas;
-  for (int64_t t = 1; t <= config.num_periods; ++t) {
-    auto update_states = [&](int64_t begin, int64_t end) {
-      for (int64_t u = begin; u < end; ++u) {
-        const auto i = static_cast<size_t>(u);
-        const std::vector<int64_t>& changes =
-            workload.trace(u).change_times;
-        if (next_change[i] < changes.size() &&
-            changes[next_change[i]] == t) {
-          states[i] = static_cast<int8_t>(1 - states[i]);
-          ++next_change[i];
-        }
-      }
-    };
-    if (pool != nullptr && n > 1) {
-      pool->ParallelFor(n, update_states);
-    } else {
-      update_states(0, n);
-    }
-    if (replay_joins && !joiners_by_tick[static_cast<size_t>(t)].empty()) {
-      // This tick's joiners announce themselves before their first report.
-      std::vector<core::RegistrationMessage> reregistrations;
-      for (const int64_t u : joiners_by_tick[static_cast<size_t>(t)]) {
-        reregistrations.push_back(
-            fleet.registrations()[static_cast<size_t>(u)]);
-      }
-      const std::string encoded =
-          core::EncodeRegistrationBatch(reregistrations, faults.wire_version);
-      core::IngestOutcome outcome;
-      FR_RETURN_NOT_OK(aggregator.IngestEncoded(encoded, pool, &outcome));
-      result.delivery.registrations_replayed +=
-          static_cast<int64_t>(reregistrations.size());
-    }
-    FR_RETURN_NOT_OK(fleet.AdvanceTick(states, &batch));
-    reports += static_cast<int64_t>(batch.size());
-
-    if (channel.has_value()) {
-      // Faulty transport: records pass the channel, then the batch rides
-      // the real wire encoding so in-flight corruption hits actual bytes
-      // and the receiver's checksum verdict drives the retry.
-      channel->Transmit(batch, &delivered);
-      FR_RETURN_NOT_OK(deliver(delivered));
-    } else {
-      core::IngestOutcome outcome;
-      FR_RETURN_NOT_OK(aggregator.IngestReports(batch, pool, &outcome));
-      result.delivery.records_applied += outcome.applied;
-      result.delivery.records_deduped += outcome.deduped;
-      result.delivery.records_out_of_window += outcome.out_of_window;
-    }
-
-    if (faults.checkpoint_every > 0 && t % faults.checkpoint_every == 0) {
-      // Extend the durable chain: a full compaction blob every
-      // checkpoint_compact_every checkpoints (always, under kFull mode and
-      // for the very first checkpoint), a delta of the dirtied shards
-      // otherwise.
-      const bool full =
-          faults.checkpoint_mode == core::CheckpointMode::kFull ||
-          checkpoint_base.empty() ||
-          result.delivery.checkpoints_taken %
-                  faults.checkpoint_compact_every ==
-              0;
-      if (full) {
-        FR_ASSIGN_OR_RETURN(
-            checkpoint_base,
-            aggregator.Checkpoint(core::CheckpointMode::kFull));
-        checkpoint_deltas.clear();
-        result.delivery.checkpoint_bytes +=
-            static_cast<int64_t>(checkpoint_base.size());
-      } else {
-        FR_ASSIGN_OR_RETURN(
-            std::string delta,
-            aggregator.Checkpoint(core::CheckpointMode::kDelta));
-        result.delivery.checkpoint_bytes +=
-            static_cast<int64_t>(delta.size());
-        result.delivery.delta_checkpoint_bytes +=
-            static_cast<int64_t>(delta.size());
-        ++result.delivery.delta_checkpoints_taken;
-        checkpoint_deltas.push_back(std::move(delta));
-      }
-      ++result.delivery.checkpoints_taken;
-      // Simulated crash/restart: rebuild from scratch and replay the whole
-      // chain — base blob first, then every delta in order. The restored
-      // aggregator adopts the chain position, so subsequent deltas keep
-      // extending it.
-      FR_ASSIGN_OR_RETURN(
-          core::ShardedAggregator restored,
-          core::ShardedAggregator::ForProtocol(config, shards, faults.dedup,
-                                               faults.dedup_window));
-      FR_RETURN_NOT_OK(restored.Restore(checkpoint_base));
-      for (const std::string& delta : checkpoint_deltas) {
-        FR_RETURN_NOT_OK(restored.Restore(delta));
-      }
-      aggregator = std::move(restored);
-    }
-  }
-
-  if (channel.has_value() && faults.channel.delay_rate > 0.0) {
-    // Records still lagging in the channel after the final tick: deliver
-    // them now (late, out of order — kIdempotent absorbs the skew) so
-    // latency never silently loses mass.
-    channel->FlushDelayed(&delivered);
-    if (!delivered.empty()) {
-      FR_RETURN_NOT_OK(deliver(delivered));
-    }
-  }
-
-  if (channel.has_value()) {
-    const DeliveryMetrics& channel_stats = channel->stats();
-    result.delivery.records_sent = channel_stats.records_sent;
-    result.delivery.records_dropped = channel_stats.records_dropped;
-    result.delivery.records_outage_dropped =
-        channel_stats.records_outage_dropped;
-    result.delivery.records_duplicated = channel_stats.records_duplicated;
-    result.delivery.records_delayed = channel_stats.records_delayed;
-    result.delivery.records_delivered = channel_stats.records_delivered;
-    result.delivery.batches_sent = channel_stats.batches_sent;
-    result.delivery.batches_reordered = channel_stats.batches_reordered;
-    result.delivery.batches_corrupted = channel_stats.batches_corrupted;
-    result.delivery.batches_in_burst = channel_stats.batches_in_burst;
-    result.delivery.client_outages = channel_stats.client_outages;
-  } else {
-    result.delivery.records_sent = reports;
-    result.delivery.records_delivered = reports;
-    result.delivery.batches_sent = config.num_periods;
-  }
-
+  FR_ASSIGN_OR_RETURN(result.delivery,
+                      RunPipeline(config, workload, seed, pool, faults, sink));
   if (config.consistent_estimation) {
     FR_ASSIGN_OR_RETURN(result.estimates,
-                        aggregator.EstimateAllConsistent());
+                        sink.aggregator().EstimateAllConsistent());
   } else {
-    FR_ASSIGN_OR_RETURN(result.estimates, aggregator.EstimateAll());
+    FR_ASSIGN_OR_RETURN(result.estimates, sink.aggregator().EstimateAll());
   }
-  result.reports_submitted = reports;
+  result.reports_submitted = result.delivery.records_sent;
   return result;
 }
 
@@ -589,6 +406,35 @@ Result<ProtocolKind> ParseProtocolKind(const std::string& name) {
   return Status::InvalidArgument("unknown protocol: " + name);
 }
 
+Result<rand::RandomizerKind> RandomizerForProtocol(ProtocolKind kind) {
+  switch (kind) {
+    case ProtocolKind::kFutureRand:
+      return rand::RandomizerKind::kFutureRand;
+    case ProtocolKind::kIndependent:
+      return rand::RandomizerKind::kIndependent;
+    case ProtocolKind::kBun:
+      return rand::RandomizerKind::kBun;
+    case ProtocolKind::kAdaptive:
+      return rand::RandomizerKind::kAdaptive;
+    case ProtocolKind::kLGrr:
+      return rand::RandomizerKind::kLGrr;
+    case ProtocolKind::kLOlh:
+      return rand::RandomizerKind::kLOlh;
+    case ProtocolKind::kLoloha:
+      return rand::RandomizerKind::kLoloha;
+    case ProtocolKind::kErlingsson:
+    case ProtocolKind::kNaiveRR:
+    case ProtocolKind::kCentralTree:
+    case ProtocolKind::kNonPrivate:
+      break;
+  }
+  std::string message = ProtocolKindToString(kind);
+  message +=
+      " has no sequence randomizer; the fleet pipelines are future_rand | "
+      "independent | bun | adaptive | lgrr | lolh | loloha";
+  return Status::InvalidArgument(std::move(message));
+}
+
 Result<RunResult> RunProtocol(ProtocolKind kind,
                               const core::ProtocolConfig& config,
                               const Workload& workload, uint64_t seed,
@@ -605,73 +451,38 @@ Result<RunResult> RunProtocol(ProtocolKind kind,
   // The longitudinal pipelines ride the same fleet -> wire -> aggregator
   // path as the dyadic ones (every client at level 0), so they inherit the
   // whole fault-injection surface for free.
-  const bool hierarchical =
-      kind == ProtocolKind::kFutureRand || kind == ProtocolKind::kIndependent ||
-      kind == ProtocolKind::kBun || kind == ProtocolKind::kAdaptive ||
-      kind == ProtocolKind::kLGrr || kind == ProtocolKind::kLOlh ||
-      kind == ProtocolKind::kLoloha;
-  if (faults.active() && !hierarchical) {
+  const Result<rand::RandomizerKind> randomizer = RandomizerForProtocol(kind);
+  if (faults.active() && !randomizer.ok()) {
     return Status::InvalidArgument(
         "fault injection is only supported on the hierarchical pipelines");
   }
 
-  core::ProtocolConfig effective = config;
-  switch (kind) {
-    case ProtocolKind::kFutureRand:
-      effective.randomizer = rand::RandomizerKind::kFutureRand;
-      break;
-    case ProtocolKind::kIndependent:
-      effective.randomizer = rand::RandomizerKind::kIndependent;
-      break;
-    case ProtocolKind::kBun:
-      effective.randomizer = rand::RandomizerKind::kBun;
-      break;
-    case ProtocolKind::kAdaptive:
-      effective.randomizer = rand::RandomizerKind::kAdaptive;
-      break;
-    case ProtocolKind::kLGrr:
-      effective.randomizer = rand::RandomizerKind::kLGrr;
-      break;
-    case ProtocolKind::kLOlh:
-      effective.randomizer = rand::RandomizerKind::kLOlh;
-      break;
-    case ProtocolKind::kLoloha:
-      effective.randomizer = rand::RandomizerKind::kLoloha;
-      break;
-    default:
-      break;
-  }
-
   WallTimer timer;
   Result<RunResult> outcome = Status::Internal("unreachable");
-  switch (kind) {
-    case ProtocolKind::kFutureRand:
-    case ProtocolKind::kIndependent:
-    case ProtocolKind::kBun:
-    case ProtocolKind::kAdaptive:
-    case ProtocolKind::kLGrr:
-    case ProtocolKind::kLOlh:
-    case ProtocolKind::kLoloha:
-      outcome = RunHierarchical(effective, workload, seed, pool, num_shards,
-                                faults);
-      break;
-    case ProtocolKind::kErlingsson:
-      outcome = RunErlingsson(effective, workload, seed, pool, num_shards);
-      break;
-    case ProtocolKind::kNaiveRR:
-      outcome = RunNaiveRR(effective, workload, seed, pool, num_shards);
-      break;
-    case ProtocolKind::kCentralTree:
-      outcome = RunCentralTree(effective, workload, seed);
-      break;
-    case ProtocolKind::kNonPrivate:
-      outcome = RunNonPrivate(effective, workload);
-      break;
+  if (randomizer.ok()) {
+    core::ProtocolConfig effective = config;
+    effective.randomizer = *randomizer;
+    outcome =
+        RunHierarchical(effective, workload, seed, pool, num_shards, faults);
+  } else {
+    switch (kind) {
+      case ProtocolKind::kErlingsson:
+        outcome = RunErlingsson(config, workload, seed, pool, num_shards);
+        break;
+      case ProtocolKind::kNaiveRR:
+        outcome = RunNaiveRR(config, workload, seed, pool, num_shards);
+        break;
+      case ProtocolKind::kCentralTree:
+        outcome = RunCentralTree(config, workload, seed);
+        break;
+      case ProtocolKind::kNonPrivate:
+        outcome = RunNonPrivate(config, workload);
+        break;
+      default:  // the fleet pipelines, handled above
+        break;
+    }
   }
-  if (!outcome.ok()) {
-    return outcome.status();
-  }
-  RunResult result = std::move(outcome).ValueOrDie();
+  FR_ASSIGN_OR_RETURN(RunResult result, std::move(outcome));
   result.wall_seconds = timer.ElapsedSeconds();
   result.metrics =
       ComputeErrorMetrics(result.estimates, workload.ground_truth());

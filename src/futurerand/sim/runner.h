@@ -66,12 +66,19 @@ const char* ProtocolKindToString(ProtocolKind kind);
 /// shares.
 Result<ProtocolKind> ParseProtocolKind(const std::string& name);
 
+/// The sequence randomizer a fleet pipeline runs: the one
+/// ProtocolKind -> RandomizerKind mapping, shared by RunProtocol, frload
+/// and the benches. The baselines that run no ClientFleet (erlingsson,
+/// naive_rr, central_tree, non_private) fail with kInvalidArgument.
+Result<rand::RandomizerKind> RandomizerForProtocol(ProtocolKind kind);
+
 /// Fault-tolerance knobs for a protocol run: a lossy channel between the
 /// fleet and the aggregator, the aggregator's dedup policy, and periodic
 /// checkpoint/restore round-trips. Defaults model the paper's ideal
 /// transport (perfect channel, strict dedup, no checkpoints). Only the
-/// hierarchical pipelines (FutureRand / Independent / Bun / Adaptive)
-/// support non-default options — the baselines bypass the batch transport.
+/// fleet pipelines (the kinds RandomizerForProtocol maps: FutureRand /
+/// Independent / Bun / Adaptive / L-GRR / L-OLH / LOLOHA) support
+/// non-default options — the baselines bypass the batch transport.
 struct FaultOptions {
   ChannelConfig channel;
   /// Wire framing of the report batches the fleet ships through the

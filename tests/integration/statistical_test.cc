@@ -175,20 +175,11 @@ TEST(SketchStatisticalTest, WideSketchAgreesWithDenseBitForBit) {
 // gap) must hold on the same style of seeded grid, with the same
 // too-accurate degeneracy check.
 
-rand::RandomizerKind RandomizerFor(ProtocolKind kind) {
-  switch (kind) {
-    case ProtocolKind::kLGrr:
-      return rand::RandomizerKind::kLGrr;
-    case ProtocolKind::kLOlh:
-      return rand::RandomizerKind::kLOlh;
-    default:
-      return rand::RandomizerKind::kLoloha;
-  }
-}
-
 double LongitudinalBound(ProtocolKind kind, double eps, int64_t d, int64_t n,
                          int64_t k) {
-  const double gap = rand::ExactCGap(RandomizerFor(kind), k, eps).ValueOrDie();
+  const double gap =
+      rand::ExactCGap(RandomizerForProtocol(kind).ValueOrDie(), k, eps)
+          .ValueOrDie();
   analysis::BoundParams params;
   params.n = static_cast<double>(n);
   params.d = static_cast<double>(d);

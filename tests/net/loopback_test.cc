@@ -12,11 +12,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <mutex>
+#include <ostream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "futurerand/common/threadpool.h"
 #include "futurerand/core/aggregator.h"
 #include "futurerand/core/config.h"
 #include "futurerand/core/wire.h"
@@ -25,6 +28,9 @@
 #include "futurerand/net/server.h"
 #include "futurerand/sim/channel.h"
 #include "futurerand/sim/metrics.h"
+#include "futurerand/sim/pipeline.h"
+#include "futurerand/sim/runner.h"
+#include "futurerand/sim/workload.h"
 
 namespace futurerand::net {
 namespace {
@@ -399,6 +405,132 @@ TEST(LoopbackShutdownTest, ShutdownAckIsTheLastFrameThenEof) {
   second->RequestStop();
   EXPECT_TRUE(second->Join().ok());
 }
+
+// ---------------------------------------------------------------------------
+// frload's path against the in-process run: sim::RunPipeline into a
+// StreamSink over several connections must leave the server's aggregator
+// bit-identical to sim::RunProtocol under the same FaultOptions, with every
+// delivery counter equal — through churn re-registrations, delayed-record
+// flushes, Gilbert-Elliott bursts and client outages.
+
+struct FaultMix {
+  const char* name;
+  sim::WorkloadKind workload;
+  sim::ChannelConfig channel;
+};
+
+void PrintTo(const FaultMix& mix, std::ostream* os) { *os << mix.name; }
+
+FaultMix ChurnDelayMix() {
+  FaultMix mix{"ChurnDelay", sim::WorkloadKind::kChurn, {}};
+  mix.channel.corrupt_rate = 0.05;
+  mix.channel.duplicate_rate = 0.01;
+  mix.channel.delay_rate = 0.2;
+  mix.channel.delay_ticks_max = 3;
+  return mix;
+}
+
+FaultMix BurstOutageMix() {
+  FaultMix mix{"BurstOutage", sim::WorkloadKind::kUniformChanges, {}};
+  mix.channel.burst_enter_rate = 0.2;
+  mix.channel.burst_exit_rate = 0.3;
+  mix.channel.burst_drop_rate = 0.3;
+  mix.channel.burst_corrupt_rate = 0.3;
+  mix.channel.outage_enter_rate = 0.01;
+  mix.channel.outage_exit_rate = 0.2;
+  return mix;
+}
+
+using PipelineParam = std::tuple<sim::ProtocolKind, FaultMix>;
+
+class PipelineLoopbackTest : public ::testing::TestWithParam<PipelineParam> {
+};
+
+TEST_P(PipelineLoopbackTest, PipelineOverStreamMatchesRunProtocol) {
+  const auto& [kind, mix] = GetParam();
+  core::ProtocolConfig protocol = Protocol();
+  protocol.num_periods = 32;
+  protocol.randomizer = sim::RandomizerForProtocol(kind).ValueOrDie();
+
+  sim::WorkloadConfig workload_config;
+  workload_config.kind = mix.workload;
+  workload_config.num_users = 300;
+  workload_config.num_periods = protocol.num_periods;
+  workload_config.max_changes = protocol.max_changes;
+  const sim::Workload workload =
+      sim::Workload::Generate(workload_config, 3).ValueOrDie();
+
+  sim::FaultOptions faults;
+  faults.channel = mix.channel;
+  faults.dedup = core::DedupPolicy::kIdempotent;
+  ASSERT_TRUE(faults.Validate().ok());
+
+  TempDir dir;
+  const std::string sock = dir.path + "/fr.sock";
+  ServiceConfig config;
+  config.protocol = protocol;
+  config.num_workers = 2;
+  config.dedup = faults.dedup;
+  auto server = IngestServer::Create(config).ValueOrDie();
+  ASSERT_TRUE(server->AddUnixListener(sock).ok());
+  ASSERT_TRUE(server->Start().ok());
+
+  std::vector<StreamClient> clients;
+  for (int c = 0; c < 3; ++c) {
+    clients.push_back(StreamClient::ConnectUnix(sock).ValueOrDie());
+  }
+  StreamSink sink(clients, faults);
+  ThreadPool pool(2);
+  const uint64_t seed = 7;
+  const sim::DeliveryMetrics remote =
+      sim::RunPipeline(protocol, workload, seed, &pool, faults, sink)
+          .ValueOrDie();
+  ASSERT_TRUE(clients[0].SendControl(ControlOp::kShutdown).ok());
+  ASSERT_TRUE(server->Join().ok());
+
+  const sim::RunResult local =
+      sim::RunProtocol(kind, protocol, workload, seed, nullptr, 0, faults)
+          .ValueOrDie();
+  EXPECT_EQ(server->aggregator().EstimateAll().ValueOrDie(), local.estimates);
+
+  // The counters frload --verify compares, then everything else.
+  const sim::DeliveryMetrics& in_process = local.delivery;
+  EXPECT_EQ(remote.records_sent, in_process.records_sent);
+  EXPECT_EQ(remote.records_dropped, in_process.records_dropped);
+  EXPECT_EQ(remote.records_duplicated, in_process.records_duplicated);
+  EXPECT_EQ(remote.records_delayed, in_process.records_delayed);
+  EXPECT_EQ(remote.records_delivered, in_process.records_delivered);
+  EXPECT_EQ(remote.records_applied, in_process.records_applied);
+  EXPECT_EQ(remote.records_deduped, in_process.records_deduped);
+  EXPECT_EQ(remote.records_out_of_window, in_process.records_out_of_window);
+  EXPECT_EQ(remote.batches_sent, in_process.batches_sent);
+  EXPECT_EQ(remote.batches_corrupted, in_process.batches_corrupted);
+  EXPECT_EQ(remote.batches_checksum_rejected,
+            in_process.batches_checksum_rejected);
+  EXPECT_EQ(remote.batches_retransmitted, in_process.batches_retransmitted);
+  EXPECT_EQ(remote.registrations_replayed, in_process.registrations_replayed);
+  EXPECT_EQ(remote.ToString(), in_process.ToString());
+
+  // Each mix must actually exercise the paths it is named for.
+  EXPECT_GT(remote.batches_retransmitted, 0);
+  if (mix.workload == sim::WorkloadKind::kChurn) {
+    EXPECT_GT(remote.registrations_replayed, 0);
+    EXPECT_GT(remote.records_delayed, 0);
+  } else {
+    EXPECT_GT(remote.batches_in_burst, 0);
+    EXPECT_GT(remote.client_outages, 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ProtocolsByFaultMix, PipelineLoopbackTest,
+    ::testing::Combine(::testing::Values(sim::ProtocolKind::kFutureRand,
+                                         sim::ProtocolKind::kLOlh),
+                       ::testing::Values(ChurnDelayMix(), BurstOutageMix())),
+    [](const ::testing::TestParamInfo<PipelineParam>& info) {
+      return std::string(sim::ProtocolKindToString(std::get<0>(info.param))) +
+             "_" + std::get<1>(info.param).name;
+    });
 
 }  // namespace
 }  // namespace futurerand::net

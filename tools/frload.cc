@@ -5,14 +5,10 @@
 //          --corrupt-rate=0.05 --drop-rate=0.02 --dedup
 //          --checkpoint=/tmp/fr.ckpt --verify --json
 //
-// Replays exactly what sim::RunProtocol's hierarchical path does — same
-// workload, same fleet seeded with the protocol seed, same channel seeded
-// with ChannelSeedForRun(seed), same per-tick delivery order — except each
-// encoded batch rides an FRS stream to frserve instead of a local
-// IngestEncoded, with the server's ack/NACK verdicts driving the shared
-// retransmit policy (net::DeliverEncodedOverStream). Ticks round-robin
-// over --connections sockets; delivery is synchronous per batch, so the
-// channel's random-draw order is identical to the in-process run.
+// Runs sim::RunPipeline, the period loop sim::RunProtocol runs, with the
+// same workload and seeds, into a net::StreamSink: each encoded batch
+// rides an FRS stream to frserve, round-robin over --connections sockets,
+// and the server's ack/NACK verdicts drive the shared retransmit policy.
 //
 // --verify closes the loop: after the kShutdown ack (which guarantees the
 // server's final quiesced full checkpoint exists), it restores the
@@ -23,18 +19,16 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "futurerand/common/flags.h"
 #include "futurerand/common/json.h"
 #include "futurerand/common/threadpool.h"
-#include "futurerand/core/fleet.h"
 #include "futurerand/core/wire.h"
 #include "futurerand/net/client.h"
 #include "futurerand/net/server.h"
-#include "futurerand/sim/channel.h"
+#include "futurerand/sim/pipeline.h"
 #include "futurerand/sim/runner.h"
 #include "futurerand/sim/workload.h"
 #include "futurerand/sim/workload_flags.h"
@@ -42,32 +36,6 @@
 namespace {
 
 using namespace futurerand;
-
-// The hierarchical pipelines are the only ones with a batch transport to
-// load-test; maps each to the randomizer RunProtocol would select, so the
-// fleet here and the in-process verify run draw identical randomness.
-Result<rand::RandomizerKind> RandomizerFor(sim::ProtocolKind kind) {
-  switch (kind) {
-    case sim::ProtocolKind::kFutureRand:
-      return rand::RandomizerKind::kFutureRand;
-    case sim::ProtocolKind::kIndependent:
-      return rand::RandomizerKind::kIndependent;
-    case sim::ProtocolKind::kBun:
-      return rand::RandomizerKind::kBun;
-    case sim::ProtocolKind::kAdaptive:
-      return rand::RandomizerKind::kAdaptive;
-    case sim::ProtocolKind::kLGrr:
-      return rand::RandomizerKind::kLGrr;
-    case sim::ProtocolKind::kLOlh:
-      return rand::RandomizerKind::kLOlh;
-    case sim::ProtocolKind::kLoloha:
-      return rand::RandomizerKind::kLoloha;
-    default:
-      return Status::InvalidArgument(
-          "frload drives the hierarchical pipelines only (future_rand | "
-          "independent | bun | adaptive | lgrr | lolh | loloha)");
-  }
-}
 
 #define FRLOAD_REQUIRE_OK(expr)                                  \
   do {                                                           \
@@ -78,18 +46,27 @@ Result<rand::RandomizerKind> RandomizerFor(sim::ProtocolKind kind) {
     }                                                            \
   } while (false)
 
-// One counter mismatch report line; returns whether the pair agreed.
-bool CheckCounter(const char* name, int64_t remote, int64_t local,
-                  bool* all_ok) {
-  if (remote == local) {
-    return true;
-  }
-  std::fprintf(stderr, "verify mismatch: %s remote=%lld in-process=%lld\n",
-               name, static_cast<long long>(remote),
-               static_cast<long long>(local));
-  *all_ok = false;
-  return false;
-}
+// The delivery counters --verify requires to equal the in-process run's.
+struct VerifiedCounter {
+  const char* name;
+  int64_t sim::DeliveryMetrics::*field;
+};
+constexpr VerifiedCounter kVerifiedCounters[] = {
+    {"records_sent", &sim::DeliveryMetrics::records_sent},
+    {"records_dropped", &sim::DeliveryMetrics::records_dropped},
+    {"records_duplicated", &sim::DeliveryMetrics::records_duplicated},
+    {"records_delayed", &sim::DeliveryMetrics::records_delayed},
+    {"records_delivered", &sim::DeliveryMetrics::records_delivered},
+    {"records_applied", &sim::DeliveryMetrics::records_applied},
+    {"records_deduped", &sim::DeliveryMetrics::records_deduped},
+    {"records_out_of_window", &sim::DeliveryMetrics::records_out_of_window},
+    {"batches_sent", &sim::DeliveryMetrics::batches_sent},
+    {"batches_corrupted", &sim::DeliveryMetrics::batches_corrupted},
+    {"batches_checksum_rejected",
+     &sim::DeliveryMetrics::batches_checksum_rejected},
+    {"batches_retransmitted", &sim::DeliveryMetrics::batches_retransmitted},
+    {"registrations_replayed", &sim::DeliveryMetrics::registrations_replayed},
+};
 
 int Run(int argc, char** argv) {
   std::string uds;
@@ -136,7 +113,8 @@ int Run(int argc, char** argv) {
                   "stays synchronous per batch, so the fault sequence is "
                   "connection-count independent)");
   parser.AddString("protocol", &protocol_name,
-                   "future_rand | independent | bun | adaptive");
+                   "future_rand | independent | bun | adaptive | lgrr | "
+                   "lolh | loloha");
   workload_flags.Register(&parser);
   parser.AddInt64("n", &n, "number of users");
   parser.AddInt64("d", &d, "time periods (power of two; must match frserve)");
@@ -236,7 +214,7 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", protocol.status().ToString().c_str());
     return 2;
   }
-  const auto randomizer = RandomizerFor(*protocol);
+  const auto randomizer = sim::RandomizerForProtocol(*protocol);
   if (!randomizer.ok()) {
     std::fprintf(stderr, "%s\n", randomizer.status().ToString().c_str());
     return 2;
@@ -286,18 +264,10 @@ int Run(int argc, char** argv) {
   }
   const auto workload = sim::Workload::Generate(
       *workload_config, static_cast<uint64_t>(workload_seed));
-  if (!workload.ok()) {
-    std::fprintf(stderr, "%s\n", workload.status().ToString().c_str());
-    return 1;
-  }
+  FRLOAD_REQUIRE_OK(workload.status());
 
   ThreadPool pool(static_cast<int>(threads));
   const auto protocol_seed = static_cast<uint64_t>(seed);
-  auto fleet = core::ClientFleet::Create(config, n, protocol_seed, &pool);
-  if (!fleet.ok()) {
-    std::fprintf(stderr, "%s\n", fleet.status().ToString().c_str());
-    return 1;
-  }
 
   // Connect the socket pool.
   std::vector<net::StreamClient> clients;
@@ -306,151 +276,16 @@ int Run(int argc, char** argv) {
                       ? net::StreamClient::ConnectTcp(
                             host, static_cast<int>(port))
                       : net::StreamClient::ConnectUnix(uds);
-    if (!client.ok()) {
-      std::fprintf(stderr, "%s\n", client.status().ToString().c_str());
-      return 1;
-    }
+    FRLOAD_REQUIRE_OK(client.status());
     clients.push_back(std::move(*client));
   }
 
   const auto start = std::chrono::steady_clock::now();
-
-  // Registrations ship pristine (the simulator's channel also only faults
-  // report batches) and their outcome is not counted, matching the runner.
-  {
-    const std::string reg = core::EncodeRegistrationBatch(
-        fleet->registrations(), faults.wire_version);
-    const auto reply = clients[0].Call(reg);
-    if (!reply.ok()) {
-      std::fprintf(stderr, "%s\n", reply.status().ToString().c_str());
-      return 1;
-    }
-    if (reply->verdict != net::Verdict::kAck) {
-      std::fprintf(stderr,
-                   "registration rejected by server (%s) — do the "
-                   "protocol flags match frserve's?\n",
-                   StatusCodeToString(reply->status));
-      return 1;
-    }
-  }
-
-  std::optional<sim::ChannelModel> channel;
-  if (faults.channel.enabled()) {
-    channel.emplace(faults.channel, sim::ChannelSeedForRun(protocol_seed));
-  }
-  sim::DeliveryMetrics delivery;
-
-  // Churn workloads: joiners re-register at their join tick, exactly as
-  // RunHierarchical replays them — pristine (no channel traversal, so the
-  // fault sequence stays identical) and only under idempotent ingest,
-  // where the server absorbs the duplicate registration.
-  std::vector<std::vector<int64_t>> joiners_by_tick;
-  const bool replay_joins = workload->has_presence() &&
-                            faults.dedup == core::DedupPolicy::kIdempotent;
-  if (replay_joins) {
-    joiners_by_tick.resize(static_cast<size_t>(d) + 1);
-    for (int64_t u = 0; u < n; ++u) {
-      const int64_t join = workload->presence()[static_cast<size_t>(u)].join;
-      if (join > 1) {
-        joiners_by_tick[static_cast<size_t>(join)].push_back(u);
-      }
-    }
-  }
-
-  auto deliver = [&](const core::ReportBatch& batch,
-                     int64_t tick) -> Status {
-    FR_ASSIGN_OR_RETURN(const std::string pristine,
-                        core::EncodeReportBatch(batch, faults.wire_version));
-    net::StreamClient& client =
-        clients[static_cast<size_t>(tick % connections)];
-    return net::DeliverEncodedOverStream(
-        client, pristine, channel.has_value() ? &*channel : nullptr,
-        faults.wire_version, faults.retransmit_budget, &delivery);
-  };
-
-  // The tick loop below mirrors RunHierarchical line for line; any drift
-  // breaks --verify, which is the point.
-  std::vector<int8_t> states(static_cast<size_t>(n), 0);
-  std::vector<size_t> next_change(static_cast<size_t>(n), 0);
-  core::ReportBatch batch;
-  core::ReportBatch delivered;
-  int64_t reports = 0;
-  for (int64_t t = 1; t <= d; ++t) {
-    auto update_states = [&](int64_t begin, int64_t end) {
-      for (int64_t u = begin; u < end; ++u) {
-        const auto i = static_cast<size_t>(u);
-        const std::vector<int64_t>& changes =
-            workload->trace(u).change_times;
-        if (next_change[i] < changes.size() &&
-            changes[next_change[i]] == t) {
-          states[i] = static_cast<int8_t>(1 - states[i]);
-          ++next_change[i];
-        }
-      }
-    };
-    if (n > 1) {
-      pool.ParallelFor(n, update_states);
-    } else {
-      update_states(0, n);
-    }
-    if (replay_joins && !joiners_by_tick[static_cast<size_t>(t)].empty()) {
-      std::vector<core::RegistrationMessage> reregistrations;
-      for (const int64_t u : joiners_by_tick[static_cast<size_t>(t)]) {
-        reregistrations.push_back(
-            fleet->registrations()[static_cast<size_t>(u)]);
-      }
-      const std::string encoded = core::EncodeRegistrationBatch(
-          reregistrations, faults.wire_version);
-      const auto reply = clients[0].Call(encoded);
-      if (!reply.ok()) {
-        std::fprintf(stderr, "%s\n", reply.status().ToString().c_str());
-        return 1;
-      }
-      if (reply->verdict != net::Verdict::kAck) {
-        std::fprintf(stderr,
-                     "re-registration at t=%lld rejected by server (%s) — "
-                     "is frserve running with --dedup?\n",
-                     static_cast<long long>(t),
-                     StatusCodeToString(reply->status));
-        return 1;
-      }
-      delivery.registrations_replayed +=
-          static_cast<int64_t>(reregistrations.size());
-    }
-    FRLOAD_REQUIRE_OK(fleet->AdvanceTick(states, &batch));
-    reports += static_cast<int64_t>(batch.size());
-    if (channel.has_value()) {
-      channel->Transmit(batch, &delivered);
-      FRLOAD_REQUIRE_OK(deliver(delivered, t - 1));
-    } else {
-      FRLOAD_REQUIRE_OK(deliver(batch, t - 1));
-    }
-  }
-  if (channel.has_value() && faults.channel.delay_rate > 0.0) {
-    channel->FlushDelayed(&delivered);
-    if (!delivered.empty()) {
-      FRLOAD_REQUIRE_OK(deliver(delivered, d));
-    }
-  }
-
-  if (channel.has_value()) {
-    const sim::DeliveryMetrics& channel_stats = channel->stats();
-    delivery.records_sent = channel_stats.records_sent;
-    delivery.records_dropped = channel_stats.records_dropped;
-    delivery.records_outage_dropped = channel_stats.records_outage_dropped;
-    delivery.records_duplicated = channel_stats.records_duplicated;
-    delivery.records_delayed = channel_stats.records_delayed;
-    delivery.records_delivered = channel_stats.records_delivered;
-    delivery.batches_sent = channel_stats.batches_sent;
-    delivery.batches_reordered = channel_stats.batches_reordered;
-    delivery.batches_corrupted = channel_stats.batches_corrupted;
-    delivery.batches_in_burst = channel_stats.batches_in_burst;
-    delivery.client_outages = channel_stats.client_outages;
-  } else {
-    delivery.records_sent = reports;
-    delivery.records_delivered = reports;
-    delivery.batches_sent = d;
-  }
+  net::StreamSink sink(clients, faults);
+  const auto run = sim::RunPipeline(config, *workload, protocol_seed, &pool,
+                                    faults, sink);
+  FRLOAD_REQUIRE_OK(run.status());
+  const sim::DeliveryMetrics& delivery = *run;
 
   if (do_shutdown) {
     // The ack arrives after the drain and the final quiesced full
@@ -467,25 +302,15 @@ int Run(int argc, char** argv) {
     const auto local = sim::RunProtocol(*protocol, config, *workload,
                                         protocol_seed, &pool,
                                         /*num_shards=*/0, faults);
-    if (!local.ok()) {
-      std::fprintf(stderr, "%s\n", local.status().ToString().c_str());
-      return 1;
-    }
+    FRLOAD_REQUIRE_OK(local.status());
     auto restored = core::ShardedAggregator::ForProtocol(
         config, /*num_shards=*/1, faults.dedup, faults.dedup_window);
-    if (!restored.ok()) {
-      std::fprintf(stderr, "%s\n", restored.status().ToString().c_str());
-      return 1;
-    }
+    FRLOAD_REQUIRE_OK(restored.status());
     FRLOAD_REQUIRE_OK(net::RestoreFromCheckpointFile(checkpoint, &*restored));
     const auto remote_estimates = config.consistent_estimation
                                       ? restored->EstimateAllConsistent()
                                       : restored->EstimateAll();
-    if (!remote_estimates.ok()) {
-      std::fprintf(stderr, "%s\n",
-                   remote_estimates.status().ToString().c_str());
-      return 1;
-    }
+    FRLOAD_REQUIRE_OK(remote_estimates.status());
     if (remote_estimates->size() != local->estimates.size()) {
       std::fprintf(stderr, "verify mismatch: estimate lengths differ\n");
       all_ok = false;
@@ -501,34 +326,17 @@ int Run(int argc, char** argv) {
         }
       }
     }
-    const sim::DeliveryMetrics& lhs = delivery;
-    const sim::DeliveryMetrics& rhs = local->delivery;
-    CheckCounter("records_sent", lhs.records_sent, rhs.records_sent,
-                 &all_ok);
-    CheckCounter("records_dropped", lhs.records_dropped,
-                 rhs.records_dropped, &all_ok);
-    CheckCounter("records_duplicated", lhs.records_duplicated,
-                 rhs.records_duplicated, &all_ok);
-    CheckCounter("records_delayed", lhs.records_delayed,
-                 rhs.records_delayed, &all_ok);
-    CheckCounter("records_delivered", lhs.records_delivered,
-                 rhs.records_delivered, &all_ok);
-    CheckCounter("records_applied", lhs.records_applied,
-                 rhs.records_applied, &all_ok);
-    CheckCounter("records_deduped", lhs.records_deduped,
-                 rhs.records_deduped, &all_ok);
-    CheckCounter("records_out_of_window", lhs.records_out_of_window,
-                 rhs.records_out_of_window, &all_ok);
-    CheckCounter("batches_sent", lhs.batches_sent, rhs.batches_sent,
-                 &all_ok);
-    CheckCounter("batches_corrupted", lhs.batches_corrupted,
-                 rhs.batches_corrupted, &all_ok);
-    CheckCounter("batches_checksum_rejected", lhs.batches_checksum_rejected,
-                 rhs.batches_checksum_rejected, &all_ok);
-    CheckCounter("batches_retransmitted", lhs.batches_retransmitted,
-                 rhs.batches_retransmitted, &all_ok);
-    CheckCounter("registrations_replayed", lhs.registrations_replayed,
-                 rhs.registrations_replayed, &all_ok);
+    for (const auto& [name, field] : kVerifiedCounters) {
+      const int64_t remote = delivery.*field;
+      const int64_t in_process = local->delivery.*field;
+      if (remote != in_process) {
+        std::fprintf(stderr,
+                     "verify mismatch: %s remote=%lld in-process=%lld\n",
+                     name, static_cast<long long>(remote),
+                     static_cast<long long>(in_process));
+        all_ok = false;
+      }
+    }
     verify_result = all_ok ? 1 : 0;
   }
 
@@ -553,7 +361,8 @@ int Run(int argc, char** argv) {
         .Add("batches_retransmitted", delivery.batches_retransmitted)
         .Add("wall_seconds", wall)
         .Add("records_per_sec",
-             wall > 0.0 ? static_cast<double>(reports) / wall : 0.0)
+             wall > 0.0 ? static_cast<double>(delivery.records_sent) / wall
+                        : 0.0)
         .Add("verify", static_cast<int64_t>(verify_result));
     std::printf("%s\n", line.Str().c_str());
   } else {
