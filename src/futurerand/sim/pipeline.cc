@@ -4,8 +4,6 @@
 #include <utility>
 
 #include "futurerand/common/macros.h"
-#include "futurerand/core/fleet.h"
-#include "futurerand/core/wire.h"
 
 namespace futurerand::sim {
 

@@ -18,7 +18,8 @@
 #include "futurerand/common/threadpool.h"
 #include "futurerand/core/aggregator.h"
 #include "futurerand/core/config.h"
-#include "futurerand/core/server.h"
+#include "futurerand/core/fleet.h"
+#include "futurerand/core/wire.h"
 #include "futurerand/sim/channel.h"
 #include "futurerand/sim/metrics.h"
 #include "futurerand/sim/runner.h"
