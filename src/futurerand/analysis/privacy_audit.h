@@ -42,10 +42,13 @@ struct AuditResult {
 /// Exact audit of one sequence-randomizer construction for (k, epsilon)
 /// using its closed-form law. Supports kFutureRand, kBun and kIndependent
 /// (kAdaptive audits as whichever construction it selects). The
-/// longitudinal kinds audit their whole-sequence eps_perm certificate at
-/// the given `alpha` split: every report is fresh-noise post-processing of
-/// the memoized first round, so the sequence ratio is exactly the first
-/// round's ln(p1/q1). The dyadic kinds ignore `alpha`.
+/// longitudinal kinds audit their eps_perm certificate at the given
+/// `alpha` split, which covers any number of reports of one *unchanged*
+/// value: each such report is fresh-noise post-processing of the memoized
+/// first round, so the ratio is exactly the first round's ln(p1/q1). It
+/// does not cover the paper's k-change neighbour relation: after a change
+/// the replayed memo leaks through per-tick noise, so the sequence-level
+/// loss grows with d. The dyadic kinds ignore `alpha`.
 Result<AuditResult> AuditRandomizer(rand::RandomizerKind kind,
                                     int64_t max_support, double epsilon,
                                     double alpha = 0.5);

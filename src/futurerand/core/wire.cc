@@ -82,7 +82,7 @@ Result<char> CheckHeader(std::string_view bytes) {
     return Status::DataLoss("unsupported wire version");
   }
   const char kind = bytes[4];
-  if (kind < kKindRegistration || kind > kKindFleetLongState) {
+  if (kind < kKindServerState || kind > kKindFleetLongState) {
     return Status::DataLoss("unknown batch kind");
   }
   if (version != KindWireVersion(kind)) {
@@ -135,14 +135,12 @@ using wire_internal::GetVarint64;
 using wire_internal::PutVarint64;
 using wire_internal::ZigZagDecode;
 using wire_internal::ZigZagEncode;
-using wire_internal::kKindRegistration;
 using wire_internal::kKindRegistrationV2;
-using wire_internal::kKindReport;
 using wire_internal::kKindReportV2;
 
 // Reserves the usual size of a transport batch before appending its
 // header: header, the count varint (at most 10 bytes), two bytes per record
-// (one-byte id and time deltas, the common case) and the v2 trailer. A
+// (one-byte id and time deltas, the common case) and the trailer. A
 // batch with wider deltas still grows as needed.
 void AppendBatchHeader(char kind, size_t count, std::string* out) {
   out->reserve(wire_internal::kHeaderSize + 10 + 2 * count + 8);
@@ -150,19 +148,16 @@ void AppendBatchHeader(char kind, size_t count, std::string* out) {
   PutVarint64(count, out);
 }
 
-// Strips a validated transport header whose kind must be the v1 or v2
-// variant of one message type; for v2 the FNV-1a trailer is verified and
-// removed FIRST, so no record of a corrupted batch is ever parsed. On
-// success `*bytes` holds exactly the record payload (count varint first).
-Status ConsumeTransportHeader(char v1_kind, char v2_kind,
-                              std::string_view* bytes) {
+// Strips a validated transport header of `expected_kind`; the FNV-1a
+// trailer is verified and removed FIRST, so no record of a corrupted batch
+// is ever parsed. On success `*bytes` holds exactly the record payload
+// (count varint first).
+Status ConsumeTransportHeader(char expected_kind, std::string_view* bytes) {
   FR_ASSIGN_OR_RETURN(const char kind, wire_internal::CheckHeader(*bytes));
-  if (kind != v1_kind && kind != v2_kind) {
+  if (kind != expected_kind) {
     return Status::InvalidArgument("unexpected batch kind");
   }
-  if (kind == v2_kind) {
-    FR_RETURN_NOT_OK(wire_internal::ConsumeChecksum(bytes));
-  }
+  FR_RETURN_NOT_OK(wire_internal::ConsumeChecksum(bytes));
   bytes->remove_prefix(wire_internal::kHeaderSize);
   return Status::OK();
 }
@@ -172,10 +167,6 @@ Status ConsumeTransportHeader(char v1_kind, char v2_kind,
 Result<WireBatchKind> PeekBatchKind(std::string_view bytes) {
   FR_ASSIGN_OR_RETURN(const char kind, wire_internal::CheckHeader(bytes));
   switch (kind) {
-    case wire_internal::kKindRegistration:
-      return WireBatchKind::kRegistration;
-    case wire_internal::kKindReport:
-      return WireBatchKind::kReport;
     case wire_internal::kKindServerState:
       return WireBatchKind::kServerState;
     case wire_internal::kKindAggregatorState:
@@ -196,27 +187,22 @@ Result<WireBatchKind> PeekBatchKind(std::string_view bytes) {
 }
 
 std::string EncodeRegistrationBatch(
-    const std::vector<RegistrationMessage>& batch, WireVersion version) {
+    const std::vector<RegistrationMessage>& batch) {
   std::string out;
-  AppendBatchHeader(version == WireVersion::kV2 ? kKindRegistrationV2
-                                                : kKindRegistration,
-                    batch.size(), &out);
+  AppendBatchHeader(kKindRegistrationV2, batch.size(), &out);
   int64_t previous_id = 0;
   for (const RegistrationMessage& message : batch) {
     PutVarint64(ZigZagEncode(message.client_id - previous_id), &out);
     PutVarint64(static_cast<uint64_t>(message.level), &out);
     previous_id = message.client_id;
   }
-  if (version == WireVersion::kV2) {
-    wire_internal::AppendChecksum(&out);
-  }
+  wire_internal::AppendChecksum(&out);
   return out;
 }
 
 Result<std::vector<RegistrationMessage>> DecodeRegistrationBatch(
     std::string_view bytes) {
-  FR_RETURN_NOT_OK(
-      ConsumeTransportHeader(kKindRegistration, kKindRegistrationV2, &bytes));
+  FR_RETURN_NOT_OK(ConsumeTransportHeader(kKindRegistrationV2, &bytes));
   FR_ASSIGN_OR_RETURN(uint64_t count, GetVarint64(&bytes));
   std::vector<RegistrationMessage> batch;
   // A record costs >= 2 bytes, so a count claiming more than the remaining
@@ -244,11 +230,9 @@ Result<std::vector<RegistrationMessage>> DecodeRegistrationBatch(
 }
 
 Result<std::string> EncodeReportBatch(
-    const std::vector<ReportMessage>& batch, WireVersion version) {
+    const std::vector<ReportMessage>& batch, WireVersion /*version*/) {
   std::string out;
-  AppendBatchHeader(version == WireVersion::kV2 ? kKindReportV2
-                                                : kKindReport,
-                    batch.size(), &out);
+  AppendBatchHeader(kKindReportV2, batch.size(), &out);
   int64_t previous_id = 0;
   int64_t previous_time = 0;
   for (const ReportMessage& message : batch) {
@@ -265,14 +249,12 @@ Result<std::string> EncodeReportBatch(
     previous_id = message.client_id;
     previous_time = message.time;
   }
-  if (version == WireVersion::kV2) {
-    wire_internal::AppendChecksum(&out);
-  }
+  wire_internal::AppendChecksum(&out);
   return out;
 }
 
 Result<std::vector<ReportMessage>> DecodeReportBatch(std::string_view bytes) {
-  FR_RETURN_NOT_OK(ConsumeTransportHeader(kKindReport, kKindReportV2, &bytes));
+  FR_RETURN_NOT_OK(ConsumeTransportHeader(kKindReportV2, &bytes));
   FR_ASSIGN_OR_RETURN(uint64_t count, GetVarint64(&bytes));
   std::vector<ReportMessage> batch;
   batch.reserve(static_cast<size_t>(

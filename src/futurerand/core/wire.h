@@ -4,19 +4,15 @@
 // reports at dyadic boundaries. This module defines a compact, versioned,
 // validated binary encoding for batches of both message types:
 //
-//   [magic 'F','R','W'][version][kind][varint count][records...]
+//   [magic 'F','R','W'][version 2][kind 6|7][varint count][records...]
+//   [FNV-1a 64 trailer over every preceding byte]
 //
-// Two container versions coexist on the wire:
-//
-//   v1 (kinds 1-2)  the original transport batches: no integrity trailer.
-//                   A bit flip that still decodes injects plausible records
-//                   silently; only decode failures are detectable.
-//   v2 (kinds 6-7)  the same record payload followed by an FNV-1a 64
-//                   trailer over every preceding byte (the snapshot
-//                   convention), so a receiver *detects* in-flight
-//                   corruption — every single-bit flip is rejected with
-//                   StatusCode::kDataLoss and the sender can retransmit
-//                   (NACK-style) instead of trusting an oracle.
+// The trailer (the snapshot convention) lets a receiver *detect* in-flight
+// corruption: every single-bit flip is rejected with StatusCode::kDataLoss
+// and the sender retransmits (NACK-style). Kinds 1-2, the unchecksummed v1
+// transport batches, are retired: they are rejected with kDataLoss like
+// any other undefined version/kind pair, and the kind bytes are never
+// reused.
 //
 // Records are delta-encoded: client ids and times are sorted-friendly
 // (consecutive ids/time steps cost one byte each), values pack into the
@@ -68,22 +64,15 @@ struct ReportMessage {
   friend bool operator==(const ReportMessage&, const ReportMessage&) = default;
 };
 
-/// The container version a batch is encoded with. Decoders accept both
-/// transparently (mixed fleets); encoders pick one:
-///   kV1 — compact, no integrity trailer (legacy senders).
-///   kV2 — +8 bytes per batch for an FNV-1a trailer; receivers detect
-///         every in-flight bit flip (kDataLoss) instead of ingesting
-///         poison records or relying on the simulator's oracle.
-enum class WireVersion { kV1 = 1, kV2 = 2 };
+/// The container version of the transport batches. v2 (an FNV-1a
+/// trailer on every batch) is the only one.
+enum class WireVersion { kV2 = 2 };
 
 /// The payloads the wire format carries. Registration and report batches
-/// are the transport messages (v1 unchecksummed, v2 checksummed); server
-/// and aggregator state are the checkpoint blobs of core/snapshot.h,
-/// sharing the same header scheme so one peek routes any FutureRand byte
-/// stream.
+/// are the transport messages; server and aggregator state are the
+/// checkpoint blobs of core/snapshot.h, sharing the same header scheme so
+/// one peek routes any FutureRand byte stream.
 enum class WireBatchKind {
-  kRegistration,       // v1 transport, no checksum
-  kReport,             // v1 transport, no checksum
   kServerState,        // one dense-store Server (core/snapshot.h)
   kAggregatorState,    // all ShardedAggregator shards (core/snapshot.h)
   kAggregatorDelta,    // only the shards dirtied since the last checkpoint
@@ -102,36 +91,33 @@ enum class WireBatchKind {
 Result<WireBatchKind> PeekBatchKind(std::string_view bytes);
 
 /// Serializes a registration batch. Any ordering is accepted; batches
-/// sorted by client id encode smallest. kV2 appends the FNV-1a trailer.
+/// sorted by client id encode smallest.
 std::string EncodeRegistrationBatch(
-    const std::vector<RegistrationMessage>& batch,
-    WireVersion version = WireVersion::kV1);
+    const std::vector<RegistrationMessage>& batch);
 
-/// Parses a registration batch, v1 or v2 (detected from the header);
-/// rejects malformed input. For v2 the trailer is verified before any
-/// record is decoded, so a corrupted batch fails atomically with
-/// kDataLoss — no prefix of it is ever visible to the caller.
+/// Parses a registration batch; rejects malformed input. The trailer is
+/// verified before any record is decoded, so a corrupted batch fails
+/// atomically with kDataLoss — no prefix of it is ever visible to the
+/// caller.
 Result<std::vector<RegistrationMessage>> DecodeRegistrationBatch(
     std::string_view bytes);
 
-/// Serializes a report batch. Values must be -1 or +1 (checked). kV2
-/// appends the FNV-1a trailer.
+/// Serializes a report batch. Values must be -1 or +1 (checked). The
+/// `version` argument is kept for perfbench's call sites.
 Result<std::string> EncodeReportBatch(
     const std::vector<ReportMessage>& batch,
-    WireVersion version = WireVersion::kV1);
+    WireVersion version = WireVersion::kV2);
 
-/// Parses a report batch, v1 or v2 (detected from the header); rejects
-/// malformed input. Same v2 atomicity and kDataLoss contract as
-/// DecodeRegistrationBatch.
+/// Parses a report batch; rejects malformed input. Same atomicity and
+/// kDataLoss contract as DecodeRegistrationBatch.
 Result<std::vector<ReportMessage>> DecodeReportBatch(std::string_view bytes);
 
 namespace wire_internal {
 
 /// The raw kind bytes of the FRW header, one per WireBatchKind, each
 /// annotated with the container version that frames it. The assignments
-/// are normative (docs/FORMATS.md) — never renumber, only append.
-inline constexpr char kKindRegistration = 1;      // FRW v1
-inline constexpr char kKindReport = 2;            // FRW v1
+/// are normative (docs/FORMATS.md) — never renumber, only append. Kinds
+/// 1-2 (the retired v1 transport batches) are never reused.
 inline constexpr char kKindServerState = 3;       // FRW v1
 inline constexpr char kKindAggregatorState = 4;   // FRW v1
 inline constexpr char kKindAggregatorDelta = 5;   // FRW v1
@@ -147,8 +133,8 @@ inline constexpr char kWireVersion2 = 2;
 
 /// The version byte that frames `kind` (every kind belongs to exactly one
 /// container version). Kinds are append-only, so the mapping is explicit:
-/// only the v2 transport batches are framed by version 2 — later kinds
-/// (the sketch snapshot) went back to the v1 container.
+/// only the transport batches are framed by version 2 — later kinds (the
+/// sketch snapshot) went back to the v1 container.
 constexpr char KindWireVersion(char kind) {
   return kind == kKindRegistrationV2 || kind == kKindReportV2
              ? kWireVersion2
@@ -215,7 +201,7 @@ inline int64_t ZigZagDecode(uint64_t value) {
 }
 
 /// FNV-1a 64-bit hash, the integrity checksum of the snapshot blobs and
-/// the v2 transport batches.
+/// the transport batches.
 uint64_t Fnv1a64(std::string_view bytes);
 
 /// Appends Fnv1a64 of everything currently in `*out` as 8 little-endian

@@ -78,7 +78,7 @@ Status StreamClient::SendControl(ControlOp op) {
 Status DeliverEncodedOverStream(StreamClient& client,
                                 const std::string& pristine,
                                 sim::ChannelModel* channel,
-                                core::WireVersion wire_version,
+                                core::WireVersion /*wire_version*/,
                                 int64_t retransmit_budget,
                                 sim::DeliveryMetrics* delivery) {
   const bool can_corrupt =
@@ -86,14 +86,13 @@ Status DeliverEncodedOverStream(StreamClient& client,
   // Mirrors the attempt body of sim::DeliverEncodedWithRetransmission,
   // with the server's reply standing in for the local ingest Status.
   auto attempt = [&]() -> Result<bool> {
-    bool oracle_corrupted = false;
     const std::string* to_send = &pristine;
     std::string bytes;
     if (can_corrupt) {
       // Corruption mutates a copy so the pristine bytes stay available
       // for a retransmission; skip the copy when no fault can occur.
       bytes = pristine;
-      oracle_corrupted = channel->MaybeCorrupt(&bytes);
+      channel->MaybeCorrupt(&bytes);
       to_send = &bytes;
     }
     Reply reply;
@@ -112,17 +111,12 @@ Status DeliverEncodedOverStream(StreamClient& client,
     if (reply.verdict == Verdict::kAck) {
       return true;
     }
-    if (reply.status == StatusCode::kDataLoss) {
-      ++delivery->batches_checksum_rejected;
-    }
-    const bool nack = wire_version == core::WireVersion::kV2
-                          ? reply.status == StatusCode::kDataLoss
-                          : oracle_corrupted;
-    if (!nack) {
+    if (reply.status != StatusCode::kDataLoss) {
       return Status(reply.status,
                     std::string("server rejected batch: ") +
                         StatusCodeToString(reply.status));
     }
+    ++delivery->batches_checksum_rejected;
     return false;
   };
   return sim::RetransmitLoop(retransmit_budget, attempt, delivery);
@@ -131,9 +125,7 @@ Status DeliverEncodedOverStream(StreamClient& client,
 
 StreamSink::StreamSink(std::span<StreamClient> clients,
                        const sim::FaultOptions& faults)
-    : clients_(clients),
-      wire_version_(faults.wire_version),
-      retransmit_budget_(faults.retransmit_budget) {}
+    : clients_(clients), retransmit_budget_(faults.retransmit_budget) {}
 
 Status StreamSink::Register(
     const std::vector<core::RegistrationMessage>& registrations,
@@ -142,8 +134,7 @@ Status StreamSink::Register(
   // and their outcome is not counted, matching the in-process sink.
   FR_ASSIGN_OR_RETURN(
       const Reply reply,
-      clients_[0].Call(
-          core::EncodeRegistrationBatch(registrations, wire_version_)));
+      clients_[0].Call(core::EncodeRegistrationBatch(registrations)));
   if (reply.verdict == Verdict::kAck) {
     return Status::OK();
   }
@@ -163,11 +154,12 @@ Status StreamSink::Deliver(const core::ReportBatch& batch, int64_t batch_index,
                            sim::ChannelModel* channel,
                            sim::DeliveryMetrics* delivery) {
   FR_ASSIGN_OR_RETURN(const std::string pristine,
-                      core::EncodeReportBatch(batch, wire_version_));
+                      core::EncodeReportBatch(batch));
   StreamClient& client =
       clients_[static_cast<size_t>(batch_index) % clients_.size()];
-  return DeliverEncodedOverStream(client, pristine, channel, wire_version_,
-                                  retransmit_budget_, delivery);
+  return DeliverEncodedOverStream(client, pristine, channel,
+                                  core::WireVersion::kV2, retransmit_budget_,
+                                  delivery);
 }
 
 }  // namespace futurerand::net

@@ -79,13 +79,14 @@ class StreamClient {
 /// transmissions on the wire too. Per attempt: corruption mutates a copy
 /// of `pristine` through `channel` (nullable = no corruption possible),
 /// the copy rides one Call, and the server's verdict drives the retry —
-/// kAck accepts, kNack retransmits the pristine bytes (kV2), kError under
-/// kV1 falls back to the channel's oracle flag exactly like the runner.
+/// kAck accepts, a kDataLoss rejection retransmits the pristine bytes, and
+/// any other rejection fails the delivery.
 /// A kOverload verdict resends the SAME bytes after a short backoff
 /// without a new channel draw (the server consumed nothing), so overload
 /// never perturbs the fault sequence. `delivery` accumulates the outcome
 /// counts from the replies, which therefore sum identically to an
-/// in-process run.
+/// in-process run. The `wire_version` argument is kept for perfbench's
+/// call sites.
 Status DeliverEncodedOverStream(StreamClient& client,
                                 const std::string& pristine,
                                 sim::ChannelModel* channel,
@@ -101,8 +102,8 @@ Status DeliverEncodedOverStream(StreamClient& client,
 /// Registrations go out on clients[0] by Call and must be acked.
 class StreamSink final : public sim::ReportSink {
  public:
-  /// `clients` must be non-empty and outlive the sink. Only the wire
-  /// version and retransmit budget of `faults` are read.
+  /// `clients` must be non-empty and outlive the sink. Only the
+  /// retransmit budget of `faults` is read.
   StreamSink(std::span<StreamClient> clients, const sim::FaultOptions& faults);
 
   Status Register(const std::vector<core::RegistrationMessage>& registrations,
@@ -113,7 +114,6 @@ class StreamSink final : public sim::ReportSink {
 
  private:
   std::span<StreamClient> clients_;
-  core::WireVersion wire_version_;
   int64_t retransmit_budget_;
 };
 

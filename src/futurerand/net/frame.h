@@ -25,7 +25,7 @@
 // Corruption model: the frame header and reply/control payloads carry no
 // checksum — the stream transport (TCP) is assumed byte-reliable, and the
 // fault simulation corrupts the FRW payload before framing, exactly where
-// a v2 batch's own FNV-1a trailer detects it (kDataLoss -> verdict kNack).
+// the batch's own FNV-1a trailer detects it (kDataLoss -> verdict kNack).
 //
 // docs/FORMATS.md §12 is the normative byte layout; the kFrs* constants
 // below are kept in lockstep with it by scripts/check_format_spec.sh.
@@ -101,7 +101,7 @@ struct Reply {
   StatusCode status = StatusCode::kOk;
   // The receiver's core::IngestOutcome for the answered batch. All zero
   // for kOverload (nothing was consumed) and for an atomically rejected
-  // v2 batch.
+  // batch.
   int64_t applied = 0;
   int64_t deduped = 0;
   int64_t out_of_window = 0;

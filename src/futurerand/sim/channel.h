@@ -15,7 +15,7 @@
 //   Gilbert-Elliott a hidden two-state good/bad chain. While bad, the
 //                  burst_* rates REPLACE the base drop/corrupt rates, so
 //                  losses and bit flips arrive clustered — the regime that
-//                  makes receiver-side corruption detection (v2 batches)
+//                  makes receiver-side corruption detection (the batch checksum)
 //                  worth having, since consecutive retransmissions fail
 //                  together;
 //   per-client     each client runs its own outage chain: while dark, all

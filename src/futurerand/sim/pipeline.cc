@@ -144,8 +144,7 @@ Status InProcessSink::Register(
   }
   // A mid-stream joiner re-registers over the wire framing, as it would
   // from a real device.
-  const std::string encoded =
-      core::EncodeRegistrationBatch(registrations, faults_.wire_version);
+  const std::string encoded = core::EncodeRegistrationBatch(registrations);
   core::IngestOutcome outcome;
   return aggregator_.IngestEncoded(encoded, pool_, &outcome);
 }
@@ -162,10 +161,10 @@ Status InProcessSink::Deliver(const core::ReportBatch& batch,
     return Status::OK();
   }
   FR_ASSIGN_OR_RETURN(const std::string pristine,
-                      core::EncodeReportBatch(batch, faults_.wire_version));
-  return DeliverEncodedWithRetransmission(
-      aggregator_, pristine, channel, faults_.wire_version,
-      faults_.retransmit_budget, pool_, delivery);
+                      core::EncodeReportBatch(batch));
+  return DeliverEncodedWithRetransmission(aggregator_, pristine, channel,
+                                          faults_.retransmit_budget, pool_,
+                                          delivery);
 }
 
 Status InProcessSink::EndTick(int64_t tick, DeliveryMetrics* delivery) {

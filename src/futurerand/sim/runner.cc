@@ -261,18 +261,14 @@ Result<RunResult> RunNonPrivate(const core::ProtocolConfig& config,
 
 }  // namespace
 
-// The retry trigger is the receiver's own verdict (NACK-style): under kV2
-// every in-flight garble — checksum or header — fails with kDataLoss and
-// nothing of the batch is applied, so a resend under any DedupPolicy is
-// exact. Under kV1 the receiver cannot reliably tell corruption from a
-// malformed batch, so the legacy oracle (the channel's corruption flag)
-// gates the retry instead, and a flip that still decodes poisons the
-// estimate — the measured gap kV2 closes. Every attempt re-traverses the
-// channel: a Gilbert-Elliott burst can reject attempts in a row.
+// The retry trigger is the receiver's own verdict (NACK-style): every
+// in-flight garble — checksum or header — fails with kDataLoss and nothing
+// of the batch is applied, so a resend under any DedupPolicy is exact.
+// Every attempt re-traverses the channel: a Gilbert-Elliott burst can
+// reject attempts in a row.
 Status DeliverEncodedWithRetransmission(core::ShardedAggregator& aggregator,
                                         const std::string& pristine,
                                         ChannelModel* channel,
-                                        core::WireVersion wire_version,
                                         int64_t retransmit_budget,
                                         ThreadPool* pool,
                                         DeliveryMetrics* delivery) {
@@ -281,12 +277,11 @@ Status DeliverEncodedWithRetransmission(core::ShardedAggregator& aggregator,
   auto attempt = [&]() -> Result<bool> {
     core::IngestOutcome outcome;
     Status ingested;
-    bool oracle_corrupted = false;
     if (can_corrupt) {
       // Corruption mutates a copy so the pristine bytes stay available
       // for a retransmission; skip the copy when no fault can occur.
       std::string bytes = pristine;
-      oracle_corrupted = channel->MaybeCorrupt(&bytes);
+      channel->MaybeCorrupt(&bytes);
       ingested = aggregator.IngestEncoded(bytes, pool, &outcome);
     } else {
       ingested = aggregator.IngestEncoded(pristine, pool, &outcome);
@@ -297,15 +292,10 @@ Status DeliverEncodedWithRetransmission(core::ShardedAggregator& aggregator,
     if (ingested.ok()) {
       return true;
     }
-    if (ingested.code() == StatusCode::kDataLoss) {
-      ++delivery->batches_checksum_rejected;
-    }
-    const bool nack = wire_version == core::WireVersion::kV2
-                          ? ingested.code() == StatusCode::kDataLoss
-                          : oracle_corrupted;
-    if (!nack) {
+    if (ingested.code() != StatusCode::kDataLoss) {
       return ingested;
     }
+    ++delivery->batches_checksum_rejected;
     return false;
   };
   return RetransmitLoop(retransmit_budget, attempt, delivery);
@@ -353,18 +343,6 @@ Status FaultOptions::Validate() const {
     return Status::InvalidArgument(
         "duplicate/delay faults require DedupPolicy::kIdempotent (both "
         "deliver a client's reports out of order or more than once)");
-  }
-  if (channel.can_corrupt() && wire_version == core::WireVersion::kV1 &&
-      dedup != core::DedupPolicy::kIdempotent) {
-    // Under kV1 a corrupted batch can decode partially valid records and
-    // apply a prefix before erroring, so the retransmission of the whole
-    // batch double-delivers that prefix; kV2's checksum rejects the batch
-    // before any record is decoded, which makes retransmission exact even
-    // under kStrict.
-    return Status::InvalidArgument(
-        "corrupt faults on v1 wire batches require "
-        "DedupPolicy::kIdempotent; use wire_version kV2 for "
-        "detection-driven retransmission under kStrict");
   }
   return Status::OK();
 }

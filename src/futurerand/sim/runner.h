@@ -81,15 +81,6 @@ Result<rand::RandomizerKind> RandomizerForProtocol(ProtocolKind kind);
 /// non-default options — the baselines bypass the batch transport.
 struct FaultOptions {
   ChannelConfig channel;
-  /// Wire framing of the report batches the fleet ships through the
-  /// channel. kV2 (default) carries an FNV-1a trailer, so the aggregator
-  /// itself detects in-flight corruption (kDataLoss) and the retransmit
-  /// loop runs off that verdict — NACK-style, no oracle. kV1 emulates a
-  /// legacy sender in a mixed fleet: payload corruption is undetectable
-  /// in general, so the retry falls back to the channel's oracle flag for
-  /// decode failures and a flip that still decodes lands in the estimate
-  /// (measured, not hidden).
-  core::WireVersion wire_version = core::WireVersion::kV2;
   /// Max TOTAL transmissions per batch before the run fails with kDataLoss
   /// (>= 1): a budget of N allows exactly N deliveries of one batch — the
   /// initial transmission plus up to N - 1 retransmissions (so N - 1 is
@@ -129,28 +120,23 @@ struct FaultOptions {
   /// Checks rates and cross-option consistency: duplicate faults require
   /// kIdempotent (under kStrict a duplicate is an ingest error), as do
   /// delayed records (they arrive out of order per client) and a bounded
-  /// dedup window. Corrupt faults (steady or burst) require kIdempotent
-  /// only under kV1, where a poisoned batch can partially apply before
-  /// the error and the retransmission double-delivers; under kV2 the
+  /// dedup window. Corrupt faults (steady or burst) need no dedup: the
   /// checksum rejects a corrupted batch atomically before any record is
-  /// decoded, so retransmission is safe even under kStrict.
+  /// decoded, so retransmission is exact even under kStrict.
   Status Validate() const;
 };
 
 /// Ships one encoded batch into `aggregator` with detection-driven
 /// (NACK-style) retransmission — the single copy of the delivery policy
 /// shared by RunProtocol and bench_throughput. Each attempt re-traverses
-/// `channel` (nullable = no corruption possible): under kV2 an attempt
-/// rejected with kDataLoss is retransmitted, under kV1 the channel's
-/// oracle flag gates the retry instead (payload corruption is
-/// undetectable there). Gives up after `retransmit_budget` attempts with
-/// kDataLoss. `delivery` (required) accumulates the applied/deduped/
+/// `channel` (nullable = no corruption possible), and an attempt the
+/// aggregator rejects with kDataLoss is retransmitted. Gives up after
+/// `retransmit_budget` attempts with kDataLoss. `delivery` (required) accumulates the applied/deduped/
 /// out-of-window record counts and the checksum-NACK/retransmission
 /// batch counters.
 Status DeliverEncodedWithRetransmission(core::ShardedAggregator& aggregator,
                                         const std::string& pristine,
                                         ChannelModel* channel,
-                                        core::WireVersion wire_version,
                                         int64_t retransmit_budget,
                                         ThreadPool* pool,
                                         DeliveryMetrics* delivery);

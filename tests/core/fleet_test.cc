@@ -277,15 +277,8 @@ TEST(FleetTest, EncodedConveniencesMatchSeparateCalls) {
       TestConfig(rand::RandomizerKind::kFutureRand, /*d=*/16, /*k=*/2);
   ClientFleet fleet = ClientFleet::Create(config, 12, 7).ValueOrDie();
   ClientFleet reference = ClientFleet::Create(config, 12, 7).ValueOrDie();
-  EXPECT_EQ(fleet.wire_version(), WireVersion::kV2);  // detection default
   EXPECT_EQ(fleet.EncodeRegistrations(),
-            EncodeRegistrationBatch(reference.registrations(),
-                                    WireVersion::kV2));
-  fleet.set_wire_version(WireVersion::kV1);
-  EXPECT_EQ(fleet.EncodeRegistrations(),
-            EncodeRegistrationBatch(reference.registrations(),
-                                    WireVersion::kV1));
-  fleet.set_wire_version(WireVersion::kV2);
+            EncodeRegistrationBatch(reference.registrations()));
   std::vector<int8_t> states(12, 0);
   for (int64_t t = 1; t <= 4; ++t) {
     for (int64_t u = 0; u < 12; ++u) {

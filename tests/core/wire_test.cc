@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "futurerand/common/random.h"
+#include "futurerand/core/aggregator.h"
 
 namespace futurerand::core {
 namespace {
@@ -14,6 +15,21 @@ using wire_internal::GetVarint64;
 using wire_internal::PutVarint64;
 using wire_internal::ZigZagDecode;
 using wire_internal::ZigZagEncode;
+
+// Replaces the FNV-1a trailer of an encoded batch with one over
+// `payload` — the batch minus its old trailer, after a mutation. A sealed
+// forgery is what a buggy or hostile sender produces: it passes the
+// checksum, so only the record-level checks stand between it and the
+// aggregator.
+std::string Sealed(std::string payload) {
+  wire_internal::AppendChecksum(&payload);
+  return payload;
+}
+
+// The bytes of an encoded batch without its 8-byte trailer.
+std::string Unsealed(const std::string& bytes) {
+  return bytes.substr(0, bytes.size() - 8);
+}
 
 TEST(VarintTest, RoundTripsRepresentativeValues) {
   for (uint64_t value :
@@ -157,34 +173,49 @@ TEST(WireValidationTest, RejectsKindConfusion) {
 }
 
 TEST(WireValidationTest, RejectsTruncation) {
+  // Truncated and then re-sealed, so the checksum passes and the record
+  // decoder itself runs out of bytes.
   const auto bytes = EncodeReportBatch({{1, 2, 1}, {1, 4, -1}});
   ASSERT_TRUE(bytes.ok());
-  for (size_t cut = 0; cut < bytes->size(); ++cut) {
-    EXPECT_FALSE(DecodeReportBatch(bytes->substr(0, cut)).ok())
-        << "cut=" << cut;
+  const std::string payload = Unsealed(*bytes);
+  for (size_t cut = 0; cut < payload.size(); ++cut) {
+    const Status status = DecodeReportBatch(Sealed(payload.substr(0, cut)))
+                              .status();
+    EXPECT_FALSE(status.ok()) << "cut=" << cut;
+    if (cut >= wire_internal::kHeaderSize) {
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << "cut=" << cut;
+    }
   }
 }
 
 TEST(WireValidationTest, RejectsTrailingBytes) {
   auto bytes = EncodeReportBatch({{1, 2, 1}});
   ASSERT_TRUE(bytes.ok());
-  *bytes += '\x00';
-  EXPECT_FALSE(DecodeReportBatch(*bytes).ok());
+  EXPECT_EQ(DecodeReportBatch(Sealed(Unsealed(*bytes) + '\x00'))
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(DecodeRegistrationBatch(
+                Sealed(Unsealed(EncodeRegistrationBatch({{1, 2}})) + '\x00'))
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(WireValidationTest, RejectsImplausibleLevel) {
   // Forge a registration with level 63.
-  std::string bytes = EncodeRegistrationBatch({{1, 62}});
+  std::string payload = Unsealed(EncodeRegistrationBatch({{1, 62}}));
   // The level is the last varint byte; bump it past the sanity bound.
-  bytes.back() = 63;
-  EXPECT_FALSE(DecodeRegistrationBatch(bytes).ok());
+  payload.back() = 63;
+  EXPECT_EQ(DecodeRegistrationBatch(Sealed(payload)).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(WireV2Test, RoundTripsBothMessageTypes) {
   const std::vector<RegistrationMessage> registrations = {
       {0, 3}, {1, 0}, {2, 7}, {100, 2}};
   const auto decoded_registrations = DecodeRegistrationBatch(
-      EncodeRegistrationBatch(registrations, WireVersion::kV2));
+      EncodeRegistrationBatch(registrations));
   ASSERT_TRUE(decoded_registrations.ok());
   EXPECT_EQ(*decoded_registrations, registrations);
 
@@ -197,27 +228,11 @@ TEST(WireV2Test, RoundTripsBothMessageTypes) {
   EXPECT_EQ(*decoded_reports, reports);
 }
 
-TEST(WireV2Test, CostsExactlyEightBytesOverV1) {
-  // Same records, same delta encoding: the trailer is the whole price.
-  const std::vector<ReportMessage> batch = {{1, 2, 1}, {3, 4, -1}};
-  const auto v1 = EncodeReportBatch(batch, WireVersion::kV1);
-  const auto v2 = EncodeReportBatch(batch, WireVersion::kV2);
-  ASSERT_TRUE(v1.ok());
-  ASSERT_TRUE(v2.ok());
-  EXPECT_EQ(v2->size(), v1->size() + 8);
-  EXPECT_EQ(EncodeRegistrationBatch({{1, 2}}, WireVersion::kV2).size(),
-            EncodeRegistrationBatch({{1, 2}}, WireVersion::kV1).size() + 8);
-}
-
 TEST(WireV2Test, PeekDistinguishesVersions) {
-  const auto v1 = EncodeReportBatch({{1, 2, 1}}, WireVersion::kV1);
   const auto v2 = EncodeReportBatch({{1, 2, 1}}, WireVersion::kV2);
-  ASSERT_TRUE(v1.ok());
   ASSERT_TRUE(v2.ok());
-  EXPECT_EQ(*PeekBatchKind(*v1), WireBatchKind::kReport);
   EXPECT_EQ(*PeekBatchKind(*v2), WireBatchKind::kReportV2);
-  EXPECT_EQ(*PeekBatchKind(EncodeRegistrationBatch({{1, 2}},
-                                                   WireVersion::kV2)),
+  EXPECT_EQ(*PeekBatchKind(EncodeRegistrationBatch({{1, 2}})),
             WireBatchKind::kRegistrationV2);
 }
 
@@ -230,10 +245,8 @@ Status ReceiverVerdict(const std::string& bytes) {
     return kind.status();
   }
   switch (*kind) {
-    case WireBatchKind::kRegistration:
     case WireBatchKind::kRegistrationV2:
       return DecodeRegistrationBatch(bytes).status();
-    case WireBatchKind::kReport:
     case WireBatchKind::kReportV2:
       return DecodeReportBatch(bytes).status();
     default:
@@ -251,7 +264,7 @@ TEST(WireV2Test, EveryBitFlipIsRejectedAsDataLoss) {
       {{0, 4, 1}, {0, 8, -1}, {5, 2, 1}, {9, 64, -1}}, WireVersion::kV2);
   ASSERT_TRUE(reports.ok());
   const std::string registrations =
-      EncodeRegistrationBatch({{0, 3}, {7, 1}, {50, 0}}, WireVersion::kV2);
+      EncodeRegistrationBatch({{0, 3}, {7, 1}, {50, 0}});
   for (const std::string* payload : {&*reports, &registrations}) {
     ASSERT_TRUE(ReceiverVerdict(*payload).ok());
     for (size_t byte = 0; byte < payload->size(); ++byte) {
@@ -276,9 +289,38 @@ TEST(WireV2Test, RejectsVersionKindMismatch) {
   forged[3] = 1;  // claim v1 framing of a v2 kind
   EXPECT_EQ(DecodeReportBatch(forged).status().code(),
             StatusCode::kDataLoss);
-  std::string v1 = *EncodeReportBatch({{1, 2, 1}}, WireVersion::kV1);
-  v1[3] = 2;  // claim v2 framing of a v1 kind
-  EXPECT_EQ(DecodeReportBatch(v1).status().code(), StatusCode::kDataLoss);
+  forged = *bytes;
+  forged[4] = 2;  // claim v2 framing of the retired v1 report kind
+  EXPECT_EQ(DecodeReportBatch(Sealed(Unsealed(forged))).status().code(),
+            StatusCode::kDataLoss);
+}
+
+TEST(WireV2Test, RetiredV1KindsAreRejected) {
+  // The exact bytes the retired unchecksummed v1 encoders emitted for the
+  // report {1,2,+1} and the registration {1,2}. Kinds 1-2 are undefined
+  // now: every entry point fails with kDataLoss and nothing is applied.
+  const std::string report("FRW\x01\x02\x01\x02\x09", 8);
+  const std::string registration("FRW\x01\x01\x01\x02\x02", 8);
+  for (const std::string* bytes : {&report, &registration}) {
+    EXPECT_EQ(PeekBatchKind(*bytes).status().code(), StatusCode::kDataLoss);
+    EXPECT_EQ(DecodeReportBatch(*bytes).status().code(),
+              StatusCode::kDataLoss);
+    EXPECT_EQ(DecodeRegistrationBatch(*bytes).status().code(),
+              StatusCode::kDataLoss);
+  }
+  ProtocolConfig config;
+  config.num_periods = 8;
+  config.max_changes = 1;
+  config.epsilon = 1.0;
+  ShardedAggregator aggregator =
+      ShardedAggregator::ForProtocol(config, 1).ValueOrDie();
+  for (const std::string* bytes : {&registration, &report}) {
+    IngestOutcome outcome;
+    EXPECT_EQ(aggregator.IngestEncoded(*bytes, nullptr, &outcome).code(),
+              StatusCode::kDataLoss);
+    EXPECT_EQ(outcome.applied, 0);
+  }
+  EXPECT_EQ(aggregator.num_clients(), 0);
 }
 
 TEST(WireV2Test, RejectsTruncationAtEveryOffset) {
@@ -301,16 +343,15 @@ TEST(WireV2Test, RejectsTrailingBytes) {
 }
 
 TEST(WireValidationTest, RejectsNonPositiveDecodedTime) {
-  // Craft a batch whose first time delta decodes to 0.
+  // Craft a sealed batch whose first time delta decodes to 0.
   std::string bytes;
-  bytes += "FRW";
-  bytes += static_cast<char>(1);  // version
-  bytes += static_cast<char>(2);  // kind: report
+  wire_internal::AppendHeader(wire_internal::kKindReportV2, &bytes);
   wire_internal::PutVarint64(1, &bytes);                       // count
   wire_internal::PutVarint64(wire_internal::ZigZagEncode(0), &bytes);  // id
   wire_internal::PutVarint64(wire_internal::ZigZagEncode(0) << 1 | 1,
                              &bytes);  // time delta 0 -> time 0
-  EXPECT_FALSE(DecodeReportBatch(bytes).ok());
+  EXPECT_EQ(DecodeReportBatch(Sealed(bytes)).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 // Zigzagged deltas at both sides of the one-, two- and three-byte varint
@@ -367,15 +408,12 @@ TEST(WireBoundaryTest, ReportBatchesMixOneAndMultiByteVarints) {
   const std::vector<ReportMessage> batch =
       BoundaryReportBatch(&mid_record, &payload);
   const size_t prefix = wire_internal::kHeaderSize + VarintBytes(batch.size());
-  for (const WireVersion version : {WireVersion::kV1, WireVersion::kV2}) {
-    const auto bytes = EncodeReportBatch(batch, version);
-    ASSERT_TRUE(bytes.ok());
-    EXPECT_EQ(bytes->size(),
-              prefix + payload + (version == WireVersion::kV2 ? 8 : 0));
-    const auto decoded = DecodeReportBatch(*bytes);
-    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    EXPECT_EQ(*decoded, batch);
-  }
+  const auto bytes = EncodeReportBatch(batch);
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_EQ(bytes->size(), prefix + payload + 8);
+  const auto decoded = DecodeReportBatch(*bytes);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(*decoded, batch);
 }
 
 TEST(WireBoundaryTest, RegistrationBatchesMixOneAndMultiByteVarints) {
@@ -390,31 +428,30 @@ TEST(WireBoundaryTest, RegistrationBatchesMixOneAndMultiByteVarints) {
     level = level == 0 ? 62 : 0;
   }
   const size_t prefix = wire_internal::kHeaderSize + VarintBytes(batch.size());
-  for (const WireVersion version : {WireVersion::kV1, WireVersion::kV2}) {
-    const std::string bytes = EncodeRegistrationBatch(batch, version);
-    EXPECT_EQ(bytes.size(),
-              prefix + payload + (version == WireVersion::kV2 ? 8 : 0));
-    const auto decoded = DecodeRegistrationBatch(bytes);
-    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    EXPECT_EQ(*decoded, batch);
-  }
+  const std::string bytes = EncodeRegistrationBatch(batch);
+  EXPECT_EQ(bytes.size(), prefix + payload + 8);
+  const auto decoded = DecodeRegistrationBatch(bytes);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(*decoded, batch);
 }
 
 TEST(WireBoundaryTest, TruncationBetweenARecordsVarintsIsRejected) {
-  // Cutting a batch right after one record's id varint: v1 has no trailer,
-  // so the decoder runs out of bytes mid-record (kInvalidArgument); v2's
-  // trailer no longer matches (kDataLoss) before any record is parsed.
+  // Cutting a batch right after one record's id varint: the trailer no
+  // longer matches (kDataLoss) before any record is parsed. Re-sealed after
+  // the cut, the batch passes the checksum and the decoder runs out of
+  // bytes mid-record (kInvalidArgument).
   std::vector<size_t> mid_record;
   size_t payload = 0;
   const std::vector<ReportMessage> reports =
       BoundaryReportBatch(&mid_record, &payload);
   const size_t prefix =
       wire_internal::kHeaderSize + VarintBytes(reports.size());
-  const std::string v1 = *EncodeReportBatch(reports, WireVersion::kV1);
   const std::string v2 = *EncodeReportBatch(reports, WireVersion::kV2);
   for (const size_t offset : mid_record) {
     SCOPED_TRACE(offset);
-    EXPECT_EQ(DecodeReportBatch(v1.substr(0, prefix + offset)).status().code(),
+    EXPECT_EQ(DecodeReportBatch(Sealed(v2.substr(0, prefix + offset)))
+                  .status()
+                  .code(),
               StatusCode::kInvalidArgument);
     EXPECT_EQ(DecodeReportBatch(v2.substr(0, prefix + offset)).status().code(),
               StatusCode::kDataLoss);
@@ -422,12 +459,10 @@ TEST(WireBoundaryTest, TruncationBetweenARecordsVarintsIsRejected) {
 
   // Registrations: a three-byte id varint, then the one-byte level.
   const std::vector<RegistrationMessage> registrations = {{1, 0}, {8193, 5}};
-  const std::string r1 =
-      EncodeRegistrationBatch(registrations, WireVersion::kV1);
-  const std::string r2 =
-      EncodeRegistrationBatch(registrations, WireVersion::kV2);
-  const size_t cut = r1.size() - 1;  // drop the last record's level byte
-  EXPECT_EQ(DecodeRegistrationBatch(r1.substr(0, cut)).status().code(),
+  const std::string r2 = EncodeRegistrationBatch(registrations);
+  // Drop the trailer and the last record's level byte.
+  const size_t cut = r2.size() - 8 - 1;
+  EXPECT_EQ(DecodeRegistrationBatch(Sealed(r2.substr(0, cut))).status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(DecodeRegistrationBatch(r2.substr(0, cut)).status().code(),
             StatusCode::kDataLoss);
@@ -444,8 +479,7 @@ TEST(WireGoldenTest, V2BatchBytesAreFixed) {
             std::string("FRW\x02\x07\x03\x02\x05\x02\x00\xd4\x04\x05"
                         "\x60\x6d\x6a\x7a\x05\x2c\xce\x2c",
                         21));
-  EXPECT_EQ(EncodeRegistrationBatch({{1, 0}, {2, 3}, {300, 1}},
-                                    WireVersion::kV2),
+  EXPECT_EQ(EncodeRegistrationBatch({{1, 0}, {2, 3}, {300, 1}}),
             std::string("FRW\x02\x06\x03\x02\x00\x02\x03\xd4\x04\x01"
                         "\xf5\x5a\x94\x75\x49\x62\x19\xdf",
                         21));

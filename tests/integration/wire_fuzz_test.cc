@@ -4,17 +4,20 @@
 // and kind-9 longitudinal fleet blobs), mutate them — truncation at every byte offset, single-bit flips at every
 // bit position, overlong varints, random multi-byte garbage — and assert
 // the decoders never crash, never loop, and never silently accept what the
-// format can detect. Snapshot blobs and v2 transport batches carry a
-// checksum, so for them "detectable" means every mutation; v1 batch
-// payloads have no checksum, so a payload-varint flip may legitimately
-// decode to a different well-formed batch — in that case the batch must
-// re-encode/decode cleanly.
+// format can detect. Snapshot blobs and transport batches carry a
+// checksum, so for them "detectable" means every mutation. Batches that
+// are mutated and then re-sealed with a fresh checksum (what a buggy or
+// hostile sender produces) reach the record-level checks: a payload-varint
+// flip may legitimately decode to a different well-formed batch — in that
+// case the batch must re-encode/decode cleanly.
 //
 // Seeded and FR_FUZZ_ROUNDS-scaled like tests/integration/fuzz_test.cc:
 //   FR_FUZZ_ROUNDS=5000 ctest -R wire_fuzz_test
 //   FR_FUZZ_SEEDS=64 ./build/tests/wire_fuzz_test
 
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -36,8 +39,6 @@ using testsupport::FuzzSeeds;
 
 // One of each valid payload kind, derived from the seed.
 struct ValidPayloads {
-  std::string registrations;
-  std::string reports;
   std::string registrations_v2;
   std::string reports_v2;
   std::string server_state;
@@ -134,12 +135,8 @@ ValidPayloads MakePayloads(uint64_t seed) {
   ValidPayloads payloads;
   payloads.server_state_direct = EncodeServerState(direct_server);
   payloads.fleet_long_state = fleet.EncodeLongitudinalState().ValueOrDie();
-  payloads.registrations = EncodeRegistrationBatch(registrations);
-  payloads.reports = EncodeReportBatch(reports).ValueOrDie();
-  payloads.registrations_v2 =
-      EncodeRegistrationBatch(registrations, WireVersion::kV2);
-  payloads.reports_v2 =
-      EncodeReportBatch(reports, WireVersion::kV2).ValueOrDie();
+  payloads.registrations_v2 = EncodeRegistrationBatch(registrations);
+  payloads.reports_v2 = EncodeReportBatch(reports).ValueOrDie();
   payloads.server_state = EncodeServerState(server);
   payloads.server_state_sketch = EncodeServerState(sketch_server);
   payloads.aggregator_state = EncodeAggregatorState(
@@ -173,13 +170,35 @@ void DecodeEverything(const std::string& bytes) {
   (void)fleet.RestoreLongitudinalState(bytes);
 }
 
+// `payload` with its trailer recomputed: a forgery the checksum accepts.
+std::string Sealed(std::string payload) {
+  wire_internal::AppendChecksum(&payload);
+  return payload;
+}
+
+// The code of the decoder the header routes `bytes` to, as
+// ShardedAggregator::IngestEncoded picks it.
+StatusCode RoutedCode(const std::string& bytes) {
+  const auto kind = PeekBatchKind(bytes);
+  if (!kind.ok()) {
+    return kind.status().code();
+  }
+  switch (*kind) {
+    case WireBatchKind::kRegistrationV2:
+      return DecodeRegistrationBatch(bytes).status().code();
+    case WireBatchKind::kReportV2:
+      return DecodeReportBatch(bytes).status().code();
+    default:
+      return StatusCode::kInvalidArgument;
+  }
+}
+
 class WireAdversaryTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(WireAdversaryTest, TruncationAtEveryOffsetIsRejected) {
   const ValidPayloads payloads = MakePayloads(GetParam());
   for (const std::string* payload :
-       {&payloads.registrations, &payloads.reports,
-        &payloads.registrations_v2, &payloads.reports_v2,
+       {&payloads.registrations_v2, &payloads.reports_v2,
         &payloads.server_state, &payloads.server_state_sketch,
         &payloads.server_state_direct, &payloads.aggregator_state,
         &payloads.aggregator_delta, &payloads.fleet_long_state}) {
@@ -201,26 +220,43 @@ TEST_P(WireAdversaryTest, TruncationAtEveryOffsetIsRejected) {
 TEST_P(WireAdversaryTest, BitFlippedBatchesNeverCrashAndStayWellFormed) {
   const ValidPayloads payloads = MakePayloads(GetParam());
   for (const std::string* payload :
-       {&payloads.registrations, &payloads.reports}) {
-    for (size_t byte = 0; byte < payload->size(); ++byte) {
+       {&payloads.registrations_v2, &payloads.reports_v2}) {
+    // Flip every bit before the trailer, then deliver the batch as is
+    // (the checksum catches it) and re-sealed (the record decoder must).
+    const std::string unsealed = payload->substr(0, payload->size() - 8);
+    for (size_t byte = 0; byte < unsealed.size(); ++byte) {
       for (int bit = 0; bit < 8; ++bit) {
+        SCOPED_TRACE(::testing::Message() << "byte " << byte << " bit " << bit);
         std::string corrupted = *payload;
         corrupted[byte] ^= static_cast<char>(1 << bit);
         DecodeEverything(corrupted);
+        EXPECT_EQ(RoutedCode(corrupted), StatusCode::kDataLoss);
+
+        std::string forged = unsealed;
+        forged[byte] ^= static_cast<char>(1 << bit);
+        forged = Sealed(forged);
+        DecodeEverything(forged);
         // If the flip lands in a payload varint the batch may still decode
         // — then it must be a well-formed batch that round-trips.
-        const auto registrations = DecodeRegistrationBatch(corrupted);
+        // Otherwise a record-level check rejects it; only a header flip
+        // (bad magic or version) may fail as kDataLoss.
+        const auto registrations = DecodeRegistrationBatch(forged);
         if (registrations.ok()) {
           const auto round_trip = DecodeRegistrationBatch(
               EncodeRegistrationBatch(*registrations));
           ASSERT_TRUE(round_trip.ok());
           EXPECT_EQ(*round_trip, *registrations);
+        } else if (byte >= wire_internal::kHeaderSize) {
+          EXPECT_EQ(registrations.status().code(),
+                    StatusCode::kInvalidArgument);
         }
-        const auto reports = DecodeReportBatch(corrupted);
+        const auto reports = DecodeReportBatch(forged);
         if (reports.ok()) {
           const auto encoded = EncodeReportBatch(*reports);
           ASSERT_TRUE(encoded.ok());
           EXPECT_EQ(*DecodeReportBatch(*encoded), *reports);
+        } else if (byte >= wire_internal::kHeaderSize) {
+          EXPECT_EQ(reports.status().code(), StatusCode::kInvalidArgument);
         }
       }
     }
@@ -316,16 +352,28 @@ TEST_P(WireAdversaryTest, EveryBitFlippedV2BatchIsRejected) {
 TEST_P(WireAdversaryTest, OverlongVarintsAreRejected) {
   // Replace the count varint with an 11-byte (overlong) encoding; also try
   // a 10-byte maximal varint as a count, which must be rejected as
-  // implausible rather than allocating.
+  // implausible rather than allocating. The transport kinds are re-sealed
+  // so the varint checks behind their checksum run.
   Rng rng(GetParam() * 7 + 3);
-  for (const char kind :
-       {char{1}, char{2}, char{3}, char{4}, char{5}, char{8}, char{9}}) {
-    std::string overlong = {'F', 'R', 'W', 1, kind};
+  for (const char kind : {wire_internal::kKindRegistrationV2,
+                          wire_internal::kKindReportV2, char{3}, char{4},
+                          char{5}, char{8}, char{9}}) {
+    const bool transport = wire_internal::KindWireVersion(kind) ==
+                           wire_internal::kWireVersion2;
+    const auto seal = [&](std::string bytes) {
+      return transport ? Sealed(std::move(bytes)) : bytes;
+    };
+    std::string overlong;
+    wire_internal::AppendHeader(kind, &overlong);
     for (int i = 0; i < 10; ++i) {
       overlong.push_back(static_cast<char>(0x80 | (rng.NextUint64() & 0x7f)));
     }
     overlong.push_back(1);
+    overlong = seal(overlong);
     DecodeEverything(overlong);
+    if (transport) {
+      EXPECT_EQ(RoutedCode(overlong), StatusCode::kInvalidArgument);
+    }
     EXPECT_FALSE(DecodeRegistrationBatch(overlong).ok());
     EXPECT_FALSE(DecodeReportBatch(overlong).ok());
     EXPECT_FALSE(DecodeServerState(overlong).ok());
@@ -334,13 +382,18 @@ TEST_P(WireAdversaryTest, OverlongVarintsAreRejected) {
     core::ClientFleet fleet = MakeColdFleet();
     EXPECT_FALSE(fleet.RestoreLongitudinalState(overlong).ok());
 
-    std::string huge_count = {'F', 'R', 'W', 1, kind};
+    std::string huge_count;
+    wire_internal::AppendHeader(kind, &huge_count);
     for (int i = 0; i < 9; ++i) {
       huge_count.push_back(static_cast<char>(0xff));
     }
     huge_count.push_back(0x7f);
     huge_count.append("abcdef");  // a few bytes of "records"
+    huge_count = seal(huge_count);
     DecodeEverything(huge_count);
+    if (transport) {
+      EXPECT_EQ(RoutedCode(huge_count), StatusCode::kInvalidArgument);
+    }
     EXPECT_FALSE(DecodeRegistrationBatch(huge_count).ok());
     EXPECT_FALSE(DecodeReportBatch(huge_count).ok());
     EXPECT_FALSE(fleet.RestoreLongitudinalState(huge_count).ok());
@@ -351,8 +404,7 @@ TEST_P(WireAdversaryTest, RandomMutationsNeverCrashTheDecoders) {
   const ValidPayloads payloads = MakePayloads(GetParam());
   Rng rng(GetParam() * 6364136223846793005ULL + 1442695040888963407ULL);
   const int64_t rounds = FuzzRounds(300);
-  const std::string* sources[] = {&payloads.registrations, &payloads.reports,
-                                  &payloads.registrations_v2,
+  const std::string* sources[] = {&payloads.registrations_v2,
                                   &payloads.reports_v2,
                                   &payloads.server_state,
                                   &payloads.server_state_sketch,
@@ -361,7 +413,7 @@ TEST_P(WireAdversaryTest, RandomMutationsNeverCrashTheDecoders) {
                                   &payloads.aggregator_delta,
                                   &payloads.fleet_long_state};
   for (int64_t round = 0; round < rounds; ++round) {
-    std::string mutated = *sources[rng.NextInt(10)];
+    std::string mutated = *sources[rng.NextInt(std::size(sources))];
     const uint64_t mutations = 1 + rng.NextInt(8);
     for (uint64_t m = 0; m < mutations; ++m) {
       switch (rng.NextInt(4)) {

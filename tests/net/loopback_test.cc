@@ -124,8 +124,8 @@ TEST_P(LoopbackTest, StreamIngestIsBitIdenticalToInProcess) {
   auto local = core::ShardedAggregator::ForProtocol(Protocol(), 1).ValueOrDie();
 
   const int64_t n = 64;
-  const std::string registrations = core::EncodeRegistrationBatch(
-      Registrations(n), core::WireVersion::kV2);
+  const std::string registrations =
+      core::EncodeRegistrationBatch(Registrations(n));
   StreamClient a = Connect();
   StreamClient b = Connect();
   const Reply reg_reply = a.Call(registrations).ValueOrDie();
@@ -173,8 +173,7 @@ TEST_P(LoopbackTest, LargeBatchSurvivesShortReadsAndPartialWrites) {
   const int64_t n = 100'000;
   StreamClient client = Connect();
   const Reply reg = client
-                        .Call(core::EncodeRegistrationBatch(
-                            Registrations(n), core::WireVersion::kV2))
+                        .Call(core::EncodeRegistrationBatch(Registrations(n)))
                         .ValueOrDie();
   ASSERT_EQ(reg.verdict, Verdict::kAck);
   const std::string bytes = EncodeReports(n, 3);
@@ -281,8 +280,8 @@ TEST(LoopbackCheckpointTest, DeltaFileAndShutdownCompactionBothRestore) {
   auto local = core::ShardedAggregator::ForProtocol(Protocol(), 1).ValueOrDie();
   const int64_t n = 32;
   StreamClient client = StreamClient::ConnectUnix(sock).ValueOrDie();
-  const std::string registrations = core::EncodeRegistrationBatch(
-      Registrations(n), core::WireVersion::kV2);
+  const std::string registrations =
+      core::EncodeRegistrationBatch(Registrations(n));
   ASSERT_EQ(client.Call(registrations).ValueOrDie().verdict, Verdict::kAck);
   ASSERT_TRUE(local.IngestEncoded(registrations).ok());
 
@@ -345,8 +344,7 @@ TEST(LoopbackDeliveryTest, StreamBudgetExhaustionMatchesInProcessContract) {
   ASSERT_TRUE(server->Start().ok());
   StreamClient client = StreamClient::ConnectUnix(sock).ValueOrDie();
   ASSERT_EQ(client
-                .Call(core::EncodeRegistrationBatch(Registrations(8),
-                                                    core::WireVersion::kV2))
+                .Call(core::EncodeRegistrationBatch(Registrations(8)))
                 .ValueOrDie()
                 .verdict,
             Verdict::kAck);

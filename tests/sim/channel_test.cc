@@ -425,26 +425,6 @@ TEST(RunnerFaultTest, DropsBiasTheEstimatesDown) {
   EXPECT_EQ(lossy.delivery.records_deduped, 0);
 }
 
-TEST(RunnerFaultTest, V1CorruptionSurvivesViaOracleRetransmitUnderDedup) {
-  // The legacy path: v1 batches carry no checksum, so the retry is gated
-  // by the channel's own corruption flag (oracle-assisted) and requires
-  // idempotent ingest because a poisoned batch can partially apply.
-  const Workload workload =
-      Workload::Generate(RunnerWorkload(), 19).ValueOrDie();
-  FaultOptions faults;
-  faults.wire_version = core::WireVersion::kV1;
-  faults.channel.corrupt_rate = 0.5;
-  faults.dedup = core::DedupPolicy::kIdempotent;
-  const RunResult run =
-      RunProtocol(ProtocolKind::kFutureRand, RunnerConfig(), workload, 23,
-                  nullptr, 0, faults)
-          .ValueOrDie();
-  EXPECT_GT(run.delivery.batches_corrupted, 0);
-  // Most single-bit corruptions break the decode and trigger the
-  // retransmit path; all of them leave the run alive.
-  EXPECT_GT(run.delivery.batches_retransmitted, 0);
-}
-
 TEST(RunnerFaultTest, V2ChecksumDetectionIsBitIdenticalUnderStrictDedup) {
   // The tentpole guarantee: with checksummed v2 batches, corruption —
   // including bursty corruption — is detected by the receiver, NACKed and
@@ -463,7 +443,6 @@ TEST(RunnerFaultTest, V2ChecksumDetectionIsBitIdenticalUnderStrictDedup) {
   faults.channel.burst_enter_rate = 0.2;
   faults.channel.burst_exit_rate = 0.4;
   faults.channel.burst_corrupt_rate = 0.9;
-  ASSERT_EQ(faults.wire_version, core::WireVersion::kV2);
   ASSERT_EQ(faults.dedup, core::DedupPolicy::kStrict);
   const RunResult recovered =
       RunProtocol(ProtocolKind::kFutureRand, RunnerConfig(), workload, 31,
@@ -568,17 +547,10 @@ TEST(RunnerFaultTest, ValidatesFaultCombinations) {
   EXPECT_FALSE(RunProtocol(ProtocolKind::kFutureRand, RunnerConfig(),
                            workload, 1, nullptr, 0, bad)
                    .ok());
-  // Corruption under legacy v1 framing needs idempotent ingest (the
-  // retransmission can double-deliver a partially applied batch); v2's
-  // atomic checksum rejection makes kStrict safe.
+  // Corruption needs no dedup: the atomic checksum rejection makes a
+  // retransmission under kStrict exact.
   FaultOptions corrupt;
   corrupt.channel.corrupt_rate = 0.1;
-  corrupt.wire_version = core::WireVersion::kV1;
-  EXPECT_FALSE(corrupt.Validate().ok());
-  corrupt.wire_version = core::WireVersion::kV2;
-  EXPECT_TRUE(corrupt.Validate().ok());
-  corrupt.wire_version = core::WireVersion::kV1;
-  corrupt.dedup = core::DedupPolicy::kIdempotent;
   EXPECT_TRUE(corrupt.Validate().ok());
   // Delayed records arrive out of order per client: kIdempotent only.
   FaultOptions delayed;
@@ -762,8 +734,8 @@ TEST(RetransmitBudgetTest, DeliveryChargesOneChannelTraversalPerAttempt) {
   ChannelModel channel(config, 3);
   DeliveryMetrics delivery;
   const Status exhausted = DeliverEncodedWithRetransmission(
-      aggregator, pristine, &channel, core::WireVersion::kV2,
-      /*retransmit_budget=*/3, nullptr, &delivery);
+      aggregator, pristine, &channel, /*retransmit_budget=*/3, nullptr,
+      &delivery);
   EXPECT_EQ(exhausted.code(), StatusCode::kDataLoss);
   EXPECT_EQ(channel.stats().batches_corrupted, 3);
   EXPECT_EQ(delivery.batches_checksum_rejected, 3);

@@ -25,7 +25,6 @@
 #include "futurerand/common/flags.h"
 #include "futurerand/common/json.h"
 #include "futurerand/common/threadpool.h"
-#include "futurerand/core/wire.h"
 #include "futurerand/net/client.h"
 #include "futurerand/net/server.h"
 #include "futurerand/sim/pipeline.h"
@@ -94,7 +93,6 @@ int Run(int argc, char** argv) {
   double outage_recovery_rate = 0.0;
   double delay_rate = 0.0;
   int64_t delay_max_ticks = 0;
-  int64_t wire_version = 2;
   int64_t retransmit_budget = 32;
   bool dedup = false;
   int64_t dedup_window = 0;
@@ -149,9 +147,6 @@ int Run(int argc, char** argv) {
                    "P(a delivered report is delayed into a later tick)");
   parser.AddInt64("delay-max-ticks", &delay_max_ticks,
                   "uniform delay bound in ticks");
-  parser.AddInt64("wire-version", &wire_version,
-                  "2 = checksummed batches (NACK-driven retransmit), "
-                  "1 = legacy (oracle-assisted retry)");
   parser.AddInt64("retransmit-budget", &retransmit_budget,
                   "max TOTAL transmissions per batch (N = initial + up to "
                   "N-1 resends), same contract as the simulator");
@@ -241,14 +236,6 @@ int Run(int argc, char** argv) {
   faults.channel.outage_exit_rate = outage_recovery_rate;
   faults.channel.delay_rate = delay_rate;
   faults.channel.delay_ticks_max = delay_max_ticks;
-  if (wire_version == 1) {
-    faults.wire_version = core::WireVersion::kV1;
-  } else if (wire_version == 2) {
-    faults.wire_version = core::WireVersion::kV2;
-  } else {
-    std::fprintf(stderr, "InvalidArgument: --wire-version must be 1 or 2\n");
-    return 2;
-  }
   faults.retransmit_budget = retransmit_budget;
   faults.dedup =
       dedup ? core::DedupPolicy::kIdempotent : core::DedupPolicy::kStrict;
@@ -350,7 +337,7 @@ int Run(int argc, char** argv) {
         .Add("k", k)
         .Add("eps", eps)
         .Add("connections", connections)
-        .Add("wire_version", wire_version)
+        .Add("wire_version", 2)
         .Add("records_sent", delivery.records_sent)
         .Add("records_delivered", delivery.records_delivered)
         .Add("records_applied", delivery.records_applied)

@@ -55,7 +55,6 @@ int Run(int argc, char** argv) {
   double outage_recovery_rate = 0.0;
   double delay_rate = 0.0;
   int64_t delay_max_ticks = 0;
-  int64_t wire_version = 2;
   int64_t retransmit_budget = 32;
   bool dedup = false;
   int64_t dedup_window = 0;
@@ -106,8 +105,7 @@ int Run(int argc, char** argv) {
   parser.AddDouble("reorder-rate", &reorder_rate,
                    "P(delivered batch arrives shuffled)");
   parser.AddDouble("corrupt-rate", &corrupt_rate,
-                   "P(one bit of the encoded batch flips); requires --dedup "
-                   "under --wire-version=1");
+                   "P(one bit of the encoded batch flips)");
   parser.AddDouble("burst-enter-rate", &burst_enter_rate,
                    "Gilbert-Elliott P(good->bad) per channel traversal; "
                    "enables the burst layer");
@@ -131,11 +129,6 @@ int Run(int argc, char** argv) {
   parser.AddInt64("delay-max-ticks", &delay_max_ticks,
                   "uniform delay bound in ticks (>= 1 when --delay-rate "
                   "is set)");
-  parser.AddInt64("wire-version", &wire_version,
-                  "report batch framing: 2 = checksummed (corruption is "
-                  "detected by the receiver and NACK-retransmitted), "
-                  "1 = legacy unchecksummed (oracle-assisted retry, "
-                  "undetected flips land in the estimate)");
   parser.AddInt64("retransmit-budget", &retransmit_budget,
                   "max delivery attempts per batch before the run fails "
                   "(size against the expected burst length)");
@@ -225,15 +218,6 @@ int Run(int argc, char** argv) {
   faults.channel.outage_exit_rate = outage_recovery_rate;
   faults.channel.delay_rate = delay_rate;
   faults.channel.delay_ticks_max = delay_max_ticks;
-  if (wire_version == 1) {
-    faults.wire_version = core::WireVersion::kV1;
-  } else if (wire_version == 2) {
-    faults.wire_version = core::WireVersion::kV2;
-  } else {
-    std::fprintf(stderr, "InvalidArgument: --wire-version must be 1 or 2\n%s",
-                 parser.Usage("frsim").c_str());
-    return 2;
-  }
   faults.retransmit_budget = retransmit_budget;
   faults.dedup = dedup ? core::DedupPolicy::kIdempotent
                        : core::DedupPolicy::kStrict;
