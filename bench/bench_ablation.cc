@@ -1,9 +1,10 @@
-// Ablation of the two library-level design choices DESIGN.md calls out on
-// top of the paper:
+// Ablation of three library-level choices made on top of the paper:
 //   (a) adaptive randomizer selection (max-c_gap certified construction)
 //       vs always-FutureRand, across the small-k crossover;
 //   (b) per-level support adaptation (min(k, L) instead of k at high
-//       levels) vs the paper-faithful constant-k parameterization.
+//       levels) vs the paper-faithful constant-k parameterization;
+//   (c) GLS consistency post-processing (the offline extension) vs the raw
+//       online estimates.
 
 #include <cstdio>
 #include <iostream>

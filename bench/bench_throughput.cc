@@ -317,7 +317,7 @@ int Run(int argc, char** argv) {
   }
 
   // Optional second measurement: the full simulation runner (workload
-  // generation excluded) for any of the eight protocol kinds.
+  // generation excluded) for any of the eleven protocol kinds.
   double sim_seconds = 0.0;
   if (!protocol_name.empty()) {
     const auto protocol = sim::ParseProtocolKind(protocol_name);

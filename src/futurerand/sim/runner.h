@@ -189,8 +189,8 @@ struct RepeatedRunStats {
 };
 
 /// Runs `repetitions` independent (workload, protocol) pairs and aggregates
-/// the error metrics. Repetition r uses workload seed base_seed*2r+1 and
-/// protocol seed base_seed*2r+2 (all derived deterministically).
+/// the error metrics. Repetition r uses workload seed base_seed + 2r + 1 and
+/// protocol seed base_seed + 2r + 2 (all derived deterministically).
 Result<RepeatedRunStats> RunRepeated(ProtocolKind kind,
                                      const core::ProtocolConfig& config,
                                      const WorkloadConfig& workload_config,

@@ -1,5 +1,5 @@
 // The one command-line surface for choosing a workload: every tool that
-// takes --workload (frsim, frload, bench_shootout, bench_workloads) binds
+// takes --workload (frsim, frload, bench_shootout) binds
 // this struct to its FlagParser instead of hand-rolling a kind list, so a
 // new WorkloadKind shows up everywhere by extending workload.{h,cc} alone.
 
