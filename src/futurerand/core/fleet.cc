@@ -1,10 +1,8 @@
 #include "futurerand/core/fleet.h"
 
-#include <atomic>
 #include <bit>
 #include <cstring>
 #include <limits>
-#include <mutex>
 #include <utility>
 
 #include "futurerand/common/macros.h"
@@ -38,20 +36,35 @@ Result<ClientFleet> ClientFleet::Create(const ProtocolConfig& config,
   fleet.randomizers_.resize(n);
   fleet.registrations_.resize(n);
 
+  // Resolve the randomizer construction once per distinct support before
+  // any client exists: at most log d + 1 of them (one for the longitudinal
+  // kinds, whose clients all sit at level 0). Supports never grow with the
+  // level, so levels sharing a support are adjacent and share one factory's
+  // parameters. Every error surfaces here; each client's creation below is
+  // one seeded draw that cannot fail.
+  const bool longitudinal = rand::IsLongitudinalKind(config.randomizer);
+  const int num_levels = longitudinal ? 1 : config.num_orders();
+  std::vector<rand::RandomizerFactory> factory_at_level;
+  for (int level = 0; level < num_levels; ++level) {
+    const int64_t support = config.SupportAtLevel(level);
+    if (!factory_at_level.empty() &&
+        factory_at_level.back().max_support() == support) {
+      factory_at_level.push_back(factory_at_level.back());
+      continue;
+    }
+    FR_ASSIGN_OR_RETURN(
+        rand::RandomizerFactory factory,
+        rand::RandomizerFactory::Create(config.randomizer, support,
+                                        config.epsilon,
+                                        config.longitudinal_alpha));
+    factory_at_level.push_back(std::move(factory));
+  }
+
   // Each client's creation mirrors Client::Create exactly: one Rng seeded
   // from the forked stream draws the level, then seeds the randomizer.
   const Rng base(base_seed);
-  std::mutex error_mutex;
-  Status first_error;
-  std::atomic<bool> failed{false};
   auto create_range = [&](int64_t begin, int64_t end) {
     for (int64_t u = begin; u < end; ++u) {
-      // Another chunk already hit an error: constructing more randomizers
-      // (each pre-computes a noise vector) is O(n) wasted work, so every
-      // chunk bails at its next iteration.
-      if (failed.load(std::memory_order_relaxed)) {
-        return;
-      }
       const auto i = static_cast<size_t>(u);
       const int64_t client_id = first_client_id + u;
       Rng rng(base.Fork(static_cast<uint64_t>(client_id)).NextUint64());
@@ -60,25 +73,13 @@ Result<ClientFleet> ClientFleet::Create(const ProtocolConfig& config,
       // the randomizer seed is the FIRST draw on both the fleet and the
       // per-client path, keeping them bit-identical.
       const int level =
-          rand::IsLongitudinalKind(config.randomizer)
-              ? 0
-              : static_cast<int>(rng.NextInt(
-                    static_cast<uint64_t>(config.num_orders())));
-      const int64_t length = config.num_periods >> level;
-      const int64_t support = config.SupportAtLevel(level);
-      auto randomizer = rand::MakeSequenceRandomizer(
-          config.randomizer, length, support, config.epsilon,
-          rng.NextUint64(), config.longitudinal_alpha);
-      if (!randomizer.ok()) {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (first_error.ok()) {
-          first_error = randomizer.status();
-        }
-        failed.store(true, std::memory_order_relaxed);
-        return;
-      }
+          longitudinal ? 0
+                       : static_cast<int>(rng.NextInt(
+                             static_cast<uint64_t>(config.num_orders())));
       fleet.levels_[i] = level;
-      fleet.randomizers_[i] = std::move(*randomizer);
+      fleet.randomizers_[i] =
+          factory_at_level[static_cast<size_t>(level)].Make(
+              config.num_periods >> level, rng.NextUint64());
       fleet.registrations_[i] = RegistrationMessage{client_id, level};
     }
   };
@@ -87,7 +88,6 @@ Result<ClientFleet> ClientFleet::Create(const ProtocolConfig& config,
   } else {
     create_range(0, num_clients);
   }
-  FR_RETURN_NOT_OK(first_error);
 
   // Precompute the nested reporting cohorts (id order within each): client
   // u is due at tick t iff 2^level divides t, i.e. level <= countr_zero(t).

@@ -42,7 +42,10 @@ class ClientFleet {
   /// Rng(base_seed).Fork(c).NextUint64() — the same derivation the
   /// simulation runner uses for per-client seeding. `pool` (optional, not
   /// owned, must outlive the fleet) parallelizes creation and every
-  /// AdvanceTick.
+  /// AdvanceTick. The randomizer construction is resolved once per distinct
+  /// support (rand::RandomizerFactory) and shared by the clients, so every
+  /// error — a bad config or randomizer parameters — is returned before
+  /// any client is built.
   static Result<ClientFleet> Create(const ProtocolConfig& config,
                                     int64_t num_clients, uint64_t base_seed,
                                     ThreadPool* pool = nullptr,

@@ -23,6 +23,14 @@ class AdaptiveRandomizer final : public SequenceRandomizer {
   static Result<std::unique_ptr<AdaptiveRandomizer>> Create(
       int64_t length, int64_t max_support, double epsilon, uint64_t seed);
 
+  /// The c_gap comparison for (k, eps): kFutureRand when its exact gap is
+  /// at least Example 4.2's, else kIndependent.
+  static Result<RandomizerKind> Choose(int64_t max_support, double epsilon);
+
+  /// Wraps an instance of the construction Choose picked.
+  static std::unique_ptr<AdaptiveRandomizer> Make(
+      std::unique_ptr<SequenceRandomizer> inner);
+
   int8_t Randomize(int8_t value) override { return inner_->Randomize(value); }
   std::span<int8_t> Randomize(std::span<const int8_t> values,
                               std::span<int8_t> out) override {

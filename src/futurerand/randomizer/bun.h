@@ -16,6 +16,7 @@
 #include "futurerand/common/result.h"
 #include "futurerand/common/sign_vector.h"
 #include "futurerand/randomizer/annulus.h"
+#include "futurerand/randomizer/composed.h"
 #include "futurerand/randomizer/randomizer.h"
 
 namespace futurerand::rand {
@@ -29,13 +30,24 @@ class BunRandomizer final : public SequenceRandomizer {
                                                        double epsilon,
                                                        uint64_t seed);
 
+  /// The Bun et al. annulus spec for (k, eps) and its sampler R~, resolved
+  /// once and shared by every instance with the same (k, eps).
+  static Result<std::shared_ptr<const ComposedRandomizer>> Resolve(
+      int64_t max_support, double epsilon);
+
+  /// Pre-computes b~ = R~(1^k) with a resolved sampler. Cannot fail;
+  /// requires length >= 1.
+  static std::unique_ptr<BunRandomizer> Make(
+      std::shared_ptr<const ComposedRandomizer> sampler, int64_t length,
+      uint64_t seed);
+
   // The scalar override would otherwise hide the base batch overload.
   using SequenceRandomizer::Randomize;
   int8_t Randomize(int8_t value) override;
-  double c_gap() const override { return spec_.c_gap; }
+  double c_gap() const override { return spec().c_gap; }
   int64_t length() const override { return length_; }
-  int64_t max_support() const override { return spec_.k; }
-  double epsilon() const override { return spec_.epsilon; }
+  int64_t max_support() const override { return b_tilde_.size(); }
+  double epsilon() const override { return spec().epsilon; }
   int64_t position() const override { return position_; }
   int64_t support_used() const override { return support_used_; }
   int64_t support_overflow_count() const override {
@@ -44,13 +56,13 @@ class BunRandomizer final : public SequenceRandomizer {
   std::string name() const override { return "bun"; }
 
   /// Parameterization details, including the solved lambda.
-  const AnnulusSpec& spec() const { return spec_; }
+  const AnnulusSpec& spec() const { return sampler_->spec(); }
 
  private:
-  BunRandomizer(const AnnulusSpec& spec, int64_t length, SignVector b_tilde,
-                Rng rng);
+  BunRandomizer(std::shared_ptr<const ComposedRandomizer> sampler,
+                int64_t length, SignVector b_tilde, Rng rng);
 
-  AnnulusSpec spec_;
+  std::shared_ptr<const ComposedRandomizer> sampler_;  // shared, read-only
   int64_t length_;
   SignVector b_tilde_;
   Rng rng_;

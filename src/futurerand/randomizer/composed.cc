@@ -34,13 +34,10 @@ Result<ComposedRandomizer> ComposedRandomizer::Create(const AnnulusSpec& spec) {
                         AliasTable::FromLogWeights(log_weights));
     randomizer.complement_distances_.emplace(std::move(table));
   }
-  randomizer.scratch_indices_.resize(static_cast<size_t>(spec.k));
-  std::iota(randomizer.scratch_indices_.begin(),
-            randomizer.scratch_indices_.end(), int64_t{0});
   return randomizer;
 }
 
-SignVector ComposedRandomizer::Apply(const SignVector& b, Rng* rng) {
+SignVector ComposedRandomizer::Apply(const SignVector& b, Rng* rng) const {
   FR_CHECK(b.size() == spec_.k);
   // Step 1 (Algorithm 3 line 4): b' <- (R(b_1), ..., R(b_k)).
   SignVector perturbed = b;
@@ -67,18 +64,19 @@ SignVector ComposedRandomizer::Apply(const SignVector& b, Rng* rng) {
 }
 
 void ComposedRandomizer::FlipRandomSubset(SignVector* v, int64_t count,
-                                          Rng* rng) {
+                                          Rng* rng) const {
   FR_DCHECK(count >= 0 && count <= spec_.k);
-  // Partial Fisher-Yates over the persistent index buffer: the buffer stays
-  // a permutation of [0..k), so starting from the previous call's order is
-  // still a uniform draw.
+  // Partial Fisher-Yates over a per-call index buffer that starts from the
+  // identity permutation of [0..k).
   const int64_t k = spec_.k;
+  std::vector<int64_t> indices(static_cast<size_t>(k));
+  std::iota(indices.begin(), indices.end(), int64_t{0});
   for (int64_t i = 0; i < count; ++i) {
     const auto j = static_cast<int64_t>(
         rng->NextInt(static_cast<uint64_t>(k - i))) + i;
-    std::swap(scratch_indices_[static_cast<size_t>(i)],
-              scratch_indices_[static_cast<size_t>(j)]);
-    v->Flip(scratch_indices_[static_cast<size_t>(i)]);
+    std::swap(indices[static_cast<size_t>(i)],
+              indices[static_cast<size_t>(j)]);
+    v->Flip(indices[static_cast<size_t>(i)]);
   }
 }
 

@@ -1,6 +1,7 @@
 // The composed randomizer R~ of Algorithm 3: coordinate-wise randomized
 // response followed by the annulus correction. Used offline by FutureRand's
-// pre-computation step (R~(1^k)) and directly testable on arbitrary inputs.
+// and Bun's pre-computation step (R~(1^k)) and directly testable on
+// arbitrary inputs.
 
 #ifndef FUTURERAND_RANDOMIZER_COMPOSED_H_
 #define FUTURERAND_RANDOMIZER_COMPOSED_H_
@@ -25,14 +26,17 @@ namespace futurerand::rand {
 /// precomputed alias table, then a uniform random subset of that many
 /// coordinates is flipped — a uniform sample from {-1,+1}^k \ Ann(b).
 ///
-/// Not thread-safe (keeps sampling scratch); each owner uses its own copy.
+/// Immutable once built: Apply keeps no state between calls, so one instance
+/// is shared read-only by every randomizer built for the same (k, eps) —
+/// across threads too (rand::RandomizerFactory resolves it once per fleet).
 class ComposedRandomizer {
  public:
   /// Builds R~ from a finalized annulus spec.
   static Result<ComposedRandomizer> Create(const AnnulusSpec& spec);
 
-  /// Applies R~ to `b` using `rng` for all randomness.
-  SignVector Apply(const SignVector& b, Rng* rng);
+  /// Applies R~ to `b` using `rng` for all randomness. The output depends
+  /// only on `b` and the draws from `rng`, never on earlier calls.
+  SignVector Apply(const SignVector& b, Rng* rng) const;
 
   const AnnulusSpec& spec() const { return spec_; }
 
@@ -40,7 +44,7 @@ class ComposedRandomizer {
   ComposedRandomizer(const AnnulusSpec& spec, BasicRandomizer basic);
 
   /// Flips a uniformly chosen subset of `count` coordinates of `v`.
-  void FlipRandomSubset(SignVector* v, int64_t count, Rng* rng);
+  void FlipRandomSubset(SignVector* v, int64_t count, Rng* rng) const;
 
   AnnulusSpec spec_;
   BasicRandomizer basic_;
@@ -48,7 +52,6 @@ class ComposedRandomizer {
   // covers all of [0..k].
   std::optional<AliasTable> complement_distances_;
   std::vector<int64_t> complement_values_;  // table slot -> distance
-  std::vector<int64_t> scratch_indices_;    // partial Fisher-Yates buffer
 };
 
 }  // namespace futurerand::rand

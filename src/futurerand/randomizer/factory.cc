@@ -1,9 +1,10 @@
-#include <algorithm>
-#include <cmath>
+#include <memory>
+#include <utility>
 
 #include "futurerand/randomizer/adaptive.h"
-#include "futurerand/randomizer/annulus.h"
+#include "futurerand/randomizer/basic.h"
 #include "futurerand/randomizer/bun.h"
+#include "futurerand/randomizer/composed.h"
 #include "futurerand/randomizer/future_rand.h"
 #include "futurerand/randomizer/independent.h"
 #include "futurerand/randomizer/longitudinal.h"
@@ -40,93 +41,96 @@ Result<RandomizerKind> ParseRandomizerKind(const std::string& name) {
   return Status::InvalidArgument("unknown randomizer kind: " + name);
 }
 
-Result<std::unique_ptr<SequenceRandomizer>> MakeSequenceRandomizer(
-    RandomizerKind kind, int64_t length, int64_t max_support, double epsilon,
-    uint64_t seed, double alpha) {
+RandomizerFactory::RandomizerFactory(int64_t max_support, double c_gap,
+                                     MakeFn make)
+    : max_support_(max_support), c_gap_(c_gap), make_(std::move(make)) {}
+
+Result<RandomizerFactory> RandomizerFactory::Create(RandomizerKind kind,
+                                                    int64_t max_support,
+                                                    double epsilon,
+                                                    double alpha) {
   switch (kind) {
     case RandomizerKind::kFutureRand: {
-      FR_ASSIGN_OR_RETURN(std::unique_ptr<SequenceRandomizer> randomizer,
-                          FutureRandRandomizer::Create(length, max_support,
-                                                       epsilon, seed));
-      return randomizer;
+      FR_ASSIGN_OR_RETURN(std::shared_ptr<const ComposedRandomizer> sampler,
+                          FutureRandRandomizer::Resolve(max_support, epsilon));
+      return RandomizerFactory(
+          max_support, sampler->spec().c_gap,
+          [sampler](int64_t length, uint64_t seed) {
+            return FutureRandRandomizer::Make(sampler, length, seed);
+          });
     }
     case RandomizerKind::kIndependent: {
-      FR_ASSIGN_OR_RETURN(std::unique_ptr<SequenceRandomizer> randomizer,
-                          IndependentRandomizer::Create(length, max_support,
-                                                        epsilon, seed));
-      return randomizer;
+      FR_ASSIGN_OR_RETURN(const BasicRandomizer basic,
+                          IndependentRandomizer::Resolve(max_support, epsilon));
+      return RandomizerFactory(
+          max_support, basic.c_gap(),
+          [basic, max_support, epsilon](int64_t length, uint64_t seed) {
+            return IndependentRandomizer::Make(basic, length, max_support,
+                                               epsilon, seed);
+          });
     }
     case RandomizerKind::kBun: {
-      FR_ASSIGN_OR_RETURN(std::unique_ptr<SequenceRandomizer> randomizer,
-                          BunRandomizer::Create(length, max_support, epsilon,
-                                                seed));
-      return randomizer;
+      FR_ASSIGN_OR_RETURN(std::shared_ptr<const ComposedRandomizer> sampler,
+                          BunRandomizer::Resolve(max_support, epsilon));
+      return RandomizerFactory(
+          max_support, sampler->spec().c_gap,
+          [sampler](int64_t length, uint64_t seed) {
+            return BunRandomizer::Make(sampler, length, seed);
+          });
     }
     case RandomizerKind::kAdaptive: {
-      FR_ASSIGN_OR_RETURN(std::unique_ptr<SequenceRandomizer> randomizer,
-                          AdaptiveRandomizer::Create(length, max_support,
-                                                     epsilon, seed));
-      return randomizer;
+      // The c_gap comparison is decided here, once; Make only wraps an
+      // instance of the winner.
+      FR_ASSIGN_OR_RETURN(const RandomizerKind choice,
+                          AdaptiveRandomizer::Choose(max_support, epsilon));
+      FR_ASSIGN_OR_RETURN(RandomizerFactory chosen,
+                          Create(choice, max_support, epsilon));
+      const double c_gap = chosen.c_gap();
+      return RandomizerFactory(
+          max_support, c_gap,
+          [chosen = std::move(chosen)](int64_t length, uint64_t seed) {
+            return AdaptiveRandomizer::Make(chosen.Make(length, seed));
+          });
     }
     case RandomizerKind::kLGrr:
     case RandomizerKind::kLOlh:
     case RandomizerKind::kLoloha: {
-      FR_ASSIGN_OR_RETURN(std::unique_ptr<SequenceRandomizer> randomizer,
-                          LongitudinalRandomizer::Create(kind, length,
-                                                         epsilon, alpha,
-                                                         seed));
-      return randomizer;
+      FR_ASSIGN_OR_RETURN(const LongitudinalSpec resolved,
+                          MakeLongitudinalSpec(kind, epsilon, alpha));
+      auto spec = std::make_shared<const LongitudinalSpec>(resolved);
+      // The direct estimator's sensitivity gap u1 - u0.
+      return RandomizerFactory(
+          max_support, spec->gap(), [spec](int64_t length, uint64_t seed) {
+            return LongitudinalRandomizer::Make(spec, length, seed);
+          });
     }
   }
   return Status::InvalidArgument("unknown randomizer kind");
 }
 
+std::unique_ptr<SequenceRandomizer> RandomizerFactory::Make(
+    int64_t length, uint64_t seed) const {
+  return make_(length, seed);
+}
+
+Result<std::unique_ptr<SequenceRandomizer>> MakeSequenceRandomizer(
+    RandomizerKind kind, int64_t length, int64_t max_support, double epsilon,
+    uint64_t seed, double alpha) {
+  if (length < 1) {
+    return Status::InvalidArgument("sequence length must be >= 1");
+  }
+  FR_ASSIGN_OR_RETURN(
+      const RandomizerFactory factory,
+      RandomizerFactory::Create(kind, max_support, epsilon, alpha));
+  return factory.Make(length, seed);
+}
+
 Result<double> ExactCGap(RandomizerKind kind, int64_t max_support,
                          double epsilon, double alpha) {
-  switch (kind) {
-    case RandomizerKind::kFutureRand: {
-      FR_ASSIGN_OR_RETURN(AnnulusSpec spec,
-                          MakeFutureRandSpec(max_support, epsilon));
-      return spec.c_gap;
-    }
-    case RandomizerKind::kIndependent: {
-      if (max_support < 1) {
-        return Status::InvalidArgument("require k >= 1");
-      }
-      if (!(epsilon > 0.0) || !(epsilon <= 1.0)) {
-        return Status::InvalidArgument("require 0 < epsilon <= 1");
-      }
-      // Written exactly as BasicRandomizer computes it (1 - 2p with
-      // p = 1/(e^x+1)) so the factory constant and the instance's c_gap()
-      // are bit-identical; the server's debiasing relies on that.
-      const double per_coordinate =
-          epsilon / static_cast<double>(max_support);
-      return 1.0 - 2.0 / (std::exp(per_coordinate) + 1.0);
-    }
-    case RandomizerKind::kBun: {
-      FR_ASSIGN_OR_RETURN(AnnulusSpec spec, MakeBunSpec(max_support, epsilon));
-      return spec.c_gap;
-    }
-    case RandomizerKind::kAdaptive: {
-      FR_ASSIGN_OR_RETURN(double future_gap,
-                          ExactCGap(RandomizerKind::kFutureRand, max_support,
-                                    epsilon));
-      FR_ASSIGN_OR_RETURN(double independent_gap,
-                          ExactCGap(RandomizerKind::kIndependent, max_support,
-                                    epsilon));
-      return std::max(future_gap, independent_gap);
-    }
-    case RandomizerKind::kLGrr:
-    case RandomizerKind::kLOlh:
-    case RandomizerKind::kLoloha: {
-      // The direct estimator's sensitivity gap; bit-identical to the
-      // instance's c_gap() because both read LongitudinalSpec::gap().
-      FR_ASSIGN_OR_RETURN(const LongitudinalSpec spec,
-                          MakeLongitudinalSpec(kind, epsilon, alpha));
-      return spec.gap();
-    }
-  }
-  return Status::InvalidArgument("unknown randomizer kind");
+  FR_ASSIGN_OR_RETURN(
+      const RandomizerFactory factory,
+      RandomizerFactory::Create(kind, max_support, epsilon, alpha));
+  return factory.c_gap();
 }
 
 }  // namespace futurerand::rand

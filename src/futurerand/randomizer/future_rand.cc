@@ -3,14 +3,13 @@
 #include <utility>
 
 #include "futurerand/common/macros.h"
-#include "futurerand/randomizer/composed.h"
 
 namespace futurerand::rand {
 
-FutureRandRandomizer::FutureRandRandomizer(const AnnulusSpec& spec,
-                                           int64_t length, SignVector b_tilde,
-                                           Rng rng)
-    : spec_(spec),
+FutureRandRandomizer::FutureRandRandomizer(
+    std::shared_ptr<const ComposedRandomizer> sampler, int64_t length,
+    SignVector b_tilde, Rng rng)
+    : sampler_(std::move(sampler)),
       length_(length),
       b_tilde_(std::move(b_tilde)),
       rng_(rng) {}
@@ -20,6 +19,13 @@ Result<std::unique_ptr<FutureRandRandomizer>> FutureRandRandomizer::Create(
   if (length < 1) {
     return Status::InvalidArgument("sequence length must be >= 1");
   }
+  FR_ASSIGN_OR_RETURN(std::shared_ptr<const ComposedRandomizer> sampler,
+                      Resolve(max_support, epsilon));
+  return Make(std::move(sampler), length, seed);
+}
+
+Result<std::shared_ptr<const ComposedRandomizer>>
+FutureRandRandomizer::Resolve(int64_t max_support, double epsilon) {
   // k may exceed L (a client whose level gives it few reports still runs the
   // randomizer parameterized by the global sparsity budget; Section 5.4's
   // bounded-support analysis covers any support up to min(k, L)).
@@ -28,17 +34,22 @@ Result<std::unique_ptr<FutureRandRandomizer>> FutureRandRandomizer::Create(
   }
   FR_ASSIGN_OR_RETURN(AnnulusSpec spec,
                       MakeFutureRandSpec(max_support, epsilon));
-  FR_ASSIGN_OR_RETURN(ComposedRandomizer composed,
+  FR_ASSIGN_OR_RETURN(ComposedRandomizer sampler,
                       ComposedRandomizer::Create(spec));
+  return std::make_shared<const ComposedRandomizer>(std::move(sampler));
+}
 
+std::unique_ptr<FutureRandRandomizer> FutureRandRandomizer::Make(
+    std::shared_ptr<const ComposedRandomizer> sampler, int64_t length,
+    uint64_t seed) {
+  FR_CHECK_MSG(length >= 1, "sequence length must be >= 1");
   // M.init (Algorithm 3 lines 8-11): draw the correlated noise for all
   // future non-zero inputs now, exploiting the symmetry of the input space.
   Rng rng(seed);
-  const SignVector all_ones(max_support);  // 1^k
-  SignVector b_tilde = composed.Apply(all_ones, &rng);
-
+  const SignVector all_ones(sampler->spec().k);  // 1^k
+  SignVector b_tilde = sampler->Apply(all_ones, &rng);
   return std::unique_ptr<FutureRandRandomizer>(new FutureRandRandomizer(
-      spec, length, std::move(b_tilde), rng));
+      std::move(sampler), length, std::move(b_tilde), rng));
 }
 
 int8_t FutureRandRandomizer::Randomize(int8_t value) {
@@ -49,7 +60,7 @@ int8_t FutureRandRandomizer::Randomize(int8_t value) {
   if (value == 0) {
     return rng_.NextSign();
   }
-  if (support_used_ >= spec_.k) {
+  if (support_used_ >= b_tilde_.size()) {
     // Over-budget non-zero input: fall back to the zero-coordinate law so
     // the output distribution (and thus the privacy certificate) is
     // unchanged; the report merely carries no signal.
@@ -75,7 +86,7 @@ std::span<int8_t> FutureRandRandomizer::Randomize(
                  "inputs must be in {-1, 0, +1}");
     if (value == 0) {
       out[i] = rng_.NextSign();
-    } else if (support_used_ >= spec_.k) {
+    } else if (support_used_ >= b_tilde_.size()) {
       ++support_overflow_count_;
       out[i] = rng_.NextSign();
     } else {

@@ -17,6 +17,7 @@
 #include "futurerand/common/result.h"
 #include "futurerand/common/sign_vector.h"
 #include "futurerand/randomizer/annulus.h"
+#include "futurerand/randomizer/composed.h"
 #include "futurerand/randomizer/randomizer.h"
 
 namespace futurerand::rand {
@@ -30,15 +31,27 @@ class FutureRandRandomizer final : public SequenceRandomizer {
   static Result<std::unique_ptr<FutureRandRandomizer>> Create(
       int64_t length, int64_t max_support, double epsilon, uint64_t seed);
 
+  /// Everything b~'s draw depends on except the seed: the annulus spec for
+  /// (k, eps) and its sampler R~. Resolved once and shared by every
+  /// instance with the same (k, eps) (see RandomizerFactory).
+  static Result<std::shared_ptr<const ComposedRandomizer>> Resolve(
+      int64_t max_support, double epsilon);
+
+  /// Pre-computes b~ = R~(1^k) with a resolved sampler. Cannot fail;
+  /// requires length >= 1.
+  static std::unique_ptr<FutureRandRandomizer> Make(
+      std::shared_ptr<const ComposedRandomizer> sampler, int64_t length,
+      uint64_t seed);
+
   // Bring the base-class batch overload alongside the scalar override.
   using SequenceRandomizer::Randomize;
   int8_t Randomize(int8_t value) override;
   std::span<int8_t> Randomize(std::span<const int8_t> values,
                               std::span<int8_t> out) override;
-  double c_gap() const override { return spec_.c_gap; }
+  double c_gap() const override { return spec().c_gap; }
   int64_t length() const override { return length_; }
-  int64_t max_support() const override { return spec_.k; }
-  double epsilon() const override { return spec_.epsilon; }
+  int64_t max_support() const override { return b_tilde_.size(); }
+  double epsilon() const override { return spec().epsilon; }
   int64_t position() const override { return position_; }
   int64_t support_used() const override { return support_used_; }
   int64_t support_overflow_count() const override {
@@ -48,20 +61,20 @@ class FutureRandRandomizer final : public SequenceRandomizer {
 
   /// The exact privacy ratio ln(p'_max/p'_min) this instance certifies
   /// (always <= epsilon; Lemma 5.2).
-  double certified_epsilon() const { return spec_.certified_epsilon; }
+  double certified_epsilon() const { return spec().certified_epsilon; }
 
   /// Parameterization details (annulus bounds, P*_out, ...).
-  const AnnulusSpec& spec() const { return spec_; }
+  const AnnulusSpec& spec() const { return sampler_->spec(); }
 
   /// The pre-computed noise vector b~ (exposed for tests: the online output
   /// on non-zero inputs must equal v * b~_nnz exactly).
   const SignVector& precomputed_noise() const { return b_tilde_; }
 
  private:
-  FutureRandRandomizer(const AnnulusSpec& spec, int64_t length,
-                       SignVector b_tilde, Rng rng);
+  FutureRandRandomizer(std::shared_ptr<const ComposedRandomizer> sampler,
+                       int64_t length, SignVector b_tilde, Rng rng);
 
-  AnnulusSpec spec_;
+  std::shared_ptr<const ComposedRandomizer> sampler_;  // shared, read-only
   int64_t length_;
   SignVector b_tilde_;
   Rng rng_;

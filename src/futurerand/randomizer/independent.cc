@@ -19,6 +19,13 @@ Result<std::unique_ptr<IndependentRandomizer>> IndependentRandomizer::Create(
   if (length < 1) {
     return Status::InvalidArgument("sequence length must be >= 1");
   }
+  FR_ASSIGN_OR_RETURN(const BasicRandomizer basic,
+                      Resolve(max_support, epsilon));
+  return Make(basic, length, max_support, epsilon, seed);
+}
+
+Result<BasicRandomizer> IndependentRandomizer::Resolve(int64_t max_support,
+                                                       double epsilon) {
   if (max_support < 1) {
     return Status::InvalidArgument("require k >= 1");
   }
@@ -28,9 +35,13 @@ Result<std::unique_ptr<IndependentRandomizer>> IndependentRandomizer::Create(
   }
   // Budget split: each of the at-most-k non-zero coordinates consumes
   // eps/k; zeros are data-independent.
-  FR_ASSIGN_OR_RETURN(
-      BasicRandomizer basic,
-      BasicRandomizer::Create(epsilon / static_cast<double>(max_support)));
+  return BasicRandomizer::Create(epsilon / static_cast<double>(max_support));
+}
+
+std::unique_ptr<IndependentRandomizer> IndependentRandomizer::Make(
+    const BasicRandomizer& basic, int64_t length, int64_t max_support,
+    double epsilon, uint64_t seed) {
+  FR_CHECK_MSG(length >= 1, "sequence length must be >= 1");
   return std::unique_ptr<IndependentRandomizer>(new IndependentRandomizer(
       length, max_support, epsilon, basic, Rng(seed)));
 }

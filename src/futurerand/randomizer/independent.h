@@ -25,6 +25,16 @@ class IndependentRandomizer final : public SequenceRandomizer {
   static Result<std::unique_ptr<IndependentRandomizer>> Create(
       int64_t length, int64_t max_support, double epsilon, uint64_t seed);
 
+  /// The per-coordinate randomized response RR(eps/k), resolved once for
+  /// every instance with the same (k, eps).
+  static Result<BasicRandomizer> Resolve(int64_t max_support, double epsilon);
+
+  /// Builds an instance around a resolved RR(eps/k). Cannot fail; requires
+  /// length >= 1 and `basic` == Resolve(max_support, epsilon).
+  static std::unique_ptr<IndependentRandomizer> Make(
+      const BasicRandomizer& basic, int64_t length, int64_t max_support,
+      double epsilon, uint64_t seed);
+
   // Bring the base-class batch overload alongside the scalar override.
   using SequenceRandomizer::Randomize;
   int8_t Randomize(int8_t value) override;

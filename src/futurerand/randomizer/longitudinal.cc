@@ -103,10 +103,10 @@ Result<LongitudinalSpec> MakeLongitudinalSpec(RandomizerKind kind,
   return spec;
 }
 
-LongitudinalRandomizer::LongitudinalRandomizer(const LongitudinalSpec& spec,
-                                               int64_t length,
-                                               const State& state)
-    : spec_(spec), length_(length), state_(state) {}
+LongitudinalRandomizer::LongitudinalRandomizer(
+    std::shared_ptr<const LongitudinalSpec> spec, int64_t length,
+    const State& state)
+    : spec_(std::move(spec)), length_(length), state_(state) {}
 
 Result<std::unique_ptr<LongitudinalRandomizer>> LongitudinalRandomizer::Create(
     RandomizerKind kind, int64_t length, double epsilon, double alpha,
@@ -114,11 +114,18 @@ Result<std::unique_ptr<LongitudinalRandomizer>> LongitudinalRandomizer::Create(
   if (length < 1) {
     return Status::InvalidArgument("sequence length must be >= 1");
   }
-  FR_ASSIGN_OR_RETURN(const LongitudinalSpec spec,
+  FR_ASSIGN_OR_RETURN(LongitudinalSpec spec,
                       MakeLongitudinalSpec(kind, epsilon, alpha));
+  return Make(std::make_shared<const LongitudinalSpec>(spec), length, seed);
+}
+
+std::unique_ptr<LongitudinalRandomizer> LongitudinalRandomizer::Make(
+    std::shared_ptr<const LongitudinalSpec> spec, int64_t length,
+    uint64_t seed) {
+  FR_CHECK_MSG(length >= 1, "sequence length must be >= 1");
   State state;
   state.rng_state = seed;
-  if (kind == RandomizerKind::kLoloha) {
+  if (spec->kind == RandomizerKind::kLoloha) {
     // One permanent hash seed shared by every value — the LOLOHA
     // domain-reduction trick. Both slots alias it so the per-value lookup
     // below is kind-agnostic.
@@ -127,7 +134,7 @@ Result<std::unique_ptr<LongitudinalRandomizer>> LongitudinalRandomizer::Create(
     state.hash_seed[1] = shared;
   }
   return std::unique_ptr<LongitudinalRandomizer>(
-      new LongitudinalRandomizer(spec, length, state));
+      new LongitudinalRandomizer(std::move(spec), length, state));
 }
 
 int32_t LongitudinalRandomizer::GrrSample(int32_t input,
@@ -137,7 +144,7 @@ int32_t LongitudinalRandomizer::GrrSample(int32_t input,
   }
   // Uniform among the other g - 1 values.
   const auto j = static_cast<int32_t>(
-      SplitMix64Next(&state_.rng_state) % static_cast<uint64_t>(spec_.g - 1));
+      SplitMix64Next(&state_.rng_state) % static_cast<uint64_t>(spec_->g - 1));
   return j >= input ? j + 1 : j;
 }
 
@@ -146,15 +153,15 @@ int32_t LongitudinalRandomizer::MemoizedFirstRound(int v) {
   if (memo >= 0) {
     return memo;
   }
-  if (spec_.kind == RandomizerKind::kLOlh) {
+  if (spec_->kind == RandomizerKind::kLOlh) {
     // L-LH draws a fresh hash seed alongside each value's permanent
     // sanitization (the reference implementation memoizes the pair).
     state_.hash_seed[v] = SplitMix64Next(&state_.rng_state);
   }
-  const int32_t input = spec_.kind == RandomizerKind::kLGrr
+  const int32_t input = spec_->kind == RandomizerKind::kLGrr
                             ? v
-                            : HashValueToG(state_.hash_seed[v], v, spec_.g);
-  memo = GrrSample(input, spec_.p1);
+                            : HashValueToG(state_.hash_seed[v], v, spec_->g);
+  memo = GrrSample(input, spec_->p1);
   return memo;
 }
 
@@ -171,14 +178,14 @@ int8_t LongitudinalRandomizer::Randomize(int8_t value) {
     ++state_.changes;
   }
   state_.tracked_state = static_cast<int8_t>(next);
-  const int32_t second = GrrSample(MemoizedFirstRound(next), spec_.p2);
-  if (spec_.kind == RandomizerKind::kLGrr) {
+  const int32_t second = GrrSample(MemoizedFirstRound(next), spec_->p2);
+  if (spec_->kind == RandomizerKind::kLGrr) {
     return second == 1 ? int8_t{1} : int8_t{-1};
   }
   // Support bit against the hash of candidate value 1 under the seed that
   // produced this report's memoized round (the estimator's u1/u0 are
   // derived for exactly this comparison).
-  const int32_t candidate = HashValueToG(state_.hash_seed[next], 1, spec_.g);
+  const int32_t candidate = HashValueToG(state_.hash_seed[next], 1, spec_->g);
   return second == candidate ? int8_t{1} : int8_t{-1};
 }
 
@@ -202,12 +209,12 @@ std::span<int8_t> LongitudinalRandomizer::Randomize(
       ++state_.changes;
     }
     state_.tracked_state = static_cast<int8_t>(next);
-    const int32_t second = GrrSample(MemoizedFirstRound(next), spec_.p2);
-    if (spec_.kind == RandomizerKind::kLGrr) {
+    const int32_t second = GrrSample(MemoizedFirstRound(next), spec_->p2);
+    if (spec_->kind == RandomizerKind::kLGrr) {
       out[i] = second == 1 ? int8_t{1} : int8_t{-1};
     } else {
       const int32_t candidate =
-          HashValueToG(state_.hash_seed[next], 1, spec_.g);
+          HashValueToG(state_.hash_seed[next], 1, spec_->g);
       out[i] = second == candidate ? int8_t{1} : int8_t{-1};
     }
   }
@@ -215,7 +222,7 @@ std::span<int8_t> LongitudinalRandomizer::Randomize(
 }
 
 std::string LongitudinalRandomizer::name() const {
-  return RandomizerKindToString(spec_.kind);
+  return RandomizerKindToString(spec_->kind);
 }
 
 Status LongitudinalRandomizer::ImportState(const State& state) {
@@ -236,11 +243,11 @@ Status LongitudinalRandomizer::ValidateState(const State& state) const {
   }
   for (int v = 0; v < 2; ++v) {
     if (state.memo[v] < -1 ||
-        state.memo[v] >= static_cast<int32_t>(spec_.g)) {
+        state.memo[v] >= static_cast<int32_t>(spec_->g)) {
       return Status::InvalidArgument("imported memo value outside [-1, g)");
     }
   }
-  switch (spec_.kind) {
+  switch (spec_->kind) {
     case RandomizerKind::kLGrr:
       // Pure GRR never draws hash seeds; non-zero ones mean a forged or
       // cross-kind blob.

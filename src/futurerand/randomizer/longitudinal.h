@@ -104,6 +104,13 @@ class LongitudinalRandomizer : public SequenceRandomizer {
       RandomizerKind kind, int64_t length, double epsilon, double alpha,
       uint64_t seed);
 
+  /// Builds an instance around a resolved spec, shared read-only by every
+  /// instance with the same (kind, epsilon, alpha). Cannot fail; requires
+  /// length >= 1.
+  static std::unique_ptr<LongitudinalRandomizer> Make(
+      std::shared_ptr<const LongitudinalSpec> spec, int64_t length,
+      uint64_t seed);
+
   // Bring the base-class batch overload alongside the scalar override.
   using SequenceRandomizer::Randomize;
 
@@ -113,16 +120,16 @@ class LongitudinalRandomizer : public SequenceRandomizer {
   std::span<int8_t> Randomize(std::span<const int8_t> values,
                               std::span<int8_t> out) override;
 
-  double c_gap() const override { return spec_.gap(); }
+  double c_gap() const override { return spec_->gap(); }
   int64_t length() const override { return length_; }
   int64_t max_support() const override { return length_; }
-  double epsilon() const override { return spec_.eps_perm; }
+  double epsilon() const override { return spec_->eps_perm; }
   int64_t position() const override { return state_.position; }
   int64_t support_used() const override { return state_.changes; }
   int64_t support_overflow_count() const override { return 0; }
   std::string name() const override;
 
-  const LongitudinalSpec& spec() const { return spec_; }
+  const LongitudinalSpec& spec() const { return *spec_; }
 
   /// The full mutable state, for FRW fleet snapshots.
   State ExportState() const { return state_; }
@@ -138,8 +145,8 @@ class LongitudinalRandomizer : public SequenceRandomizer {
   Status ValidateState(const State& state) const;
 
  private:
-  LongitudinalRandomizer(const LongitudinalSpec& spec, int64_t length,
-                         const State& state);
+  LongitudinalRandomizer(std::shared_ptr<const LongitudinalSpec> spec,
+                         int64_t length, const State& state);
 
   // Two-round GRR over [0, g), consuming draws from the SplitMix64 chain.
   int32_t GrrSample(int32_t input, double keep_probability);
@@ -148,7 +155,7 @@ class LongitudinalRandomizer : public SequenceRandomizer {
   // kLOlh) and the memoized first-round value, sampling it on first use.
   int32_t MemoizedFirstRound(int v);
 
-  LongitudinalSpec spec_;
+  std::shared_ptr<const LongitudinalSpec> spec_;  // shared, read-only
   int64_t length_ = 0;
   State state_;
 };

@@ -19,6 +19,7 @@
 #define FUTURERAND_RANDOMIZER_RANDOMIZER_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -29,7 +30,8 @@
 namespace futurerand::rand {
 
 /// Online randomizer for one user's report sequence. Not thread-safe; each
-/// client owns one instance per tracked sequence.
+/// client owns one instance per tracked sequence. Instances built by one
+/// RandomizerFactory share its resolved parameters read-only.
 class SequenceRandomizer {
  public:
   virtual ~SequenceRandomizer() = default;
@@ -128,21 +130,69 @@ const char* RandomizerKindToString(RandomizerKind kind);
 /// surface shares.
 Result<RandomizerKind> ParseRandomizerKind(const std::string& name);
 
+/// One randomizer construction resolved for (kind, k, epsilon, alpha).
+///
+/// Everything an instance depends on except its length and seed is a
+/// function of these parameters alone: the annulus spec and sampler of
+/// FutureRand and Bun, Example 4.2's RR(eps/k), the adaptive kind's c_gap
+/// comparison, the longitudinal kinds' LongitudinalSpec. Create does all
+/// of that work — and every fallible check — once; Make then only draws
+/// the seeded per-instance state (FutureRand's b~, for instance), and the
+/// instances share the resolved parameters read-only. Copyable; Make is
+/// const and safe to call from many threads at once.
+class RandomizerFactory {
+ public:
+  /// Same parameter contract and errors as MakeSequenceRandomizer, minus
+  /// the length: 0 < epsilon <= 1; `alpha` only matters for the
+  /// longitudinal kinds, which ignore max_support.
+  static Result<RandomizerFactory> Create(RandomizerKind kind,
+                                          int64_t max_support, double epsilon,
+                                          double alpha = 0.5);
+
+  /// A fresh randomizer for a length-L sequence whose randomness derives
+  /// from `seed`; bit-identical to MakeSequenceRandomizer with the same
+  /// arguments. Cannot fail; requires length >= 1.
+  std::unique_ptr<SequenceRandomizer> Make(int64_t length,
+                                           uint64_t seed) const;
+
+  int64_t max_support() const { return max_support_; }
+
+  /// Exact c_gap of every instance Make builds. Read from the same resolved
+  /// parameters the instances read, so it is bit-identical to their
+  /// c_gap(); the server's debiasing relies on that (see ExactCGap).
+  double c_gap() const { return c_gap_; }
+
+ private:
+  using MakeFn = std::function<std::unique_ptr<SequenceRandomizer>(
+      int64_t length, uint64_t seed)>;
+
+  RandomizerFactory(int64_t max_support, double c_gap, MakeFn make);
+
+  int64_t max_support_;
+  double c_gap_;
+  MakeFn make_;  // captures the resolved parameters by shared value
+};
+
 /// Creates a randomizer of the given kind for a length-L sequence with at
 /// most k non-zero entries under budget epsilon (0 < epsilon <= 1, the
 /// paper's regime). `seed` determines all of the instance's randomness.
 /// `alpha` only matters for the longitudinal kinds (the eps_1/eps_perm
 /// split, in (0, 1)); the dyadic constructions ignore it, and the
 /// longitudinal ones ignore max_support (they report every tick).
+///
+/// RandomizerFactory::Create followed by Make: it resolves the
+/// construction for one instance. Callers building many instances with the
+/// same (kind, k, epsilon, alpha) — a fleet — should hold one factory.
 Result<std::unique_ptr<SequenceRandomizer>> MakeSequenceRandomizer(
     RandomizerKind kind, int64_t length, int64_t max_support, double epsilon,
     uint64_t seed, double alpha = 0.5);
 
 /// Exact c_gap the given construction achieves for (k, epsilon), without
-/// instantiating a randomizer. Used by the server for debiasing and by the
-/// c_gap comparison experiment (E6). For the longitudinal kinds this is
-/// the direct estimator's sensitivity gap u1 - u0 at the given `alpha`
-/// (max_support is ignored there).
+/// instantiating a randomizer (RandomizerFactory::Create(...).c_gap()).
+/// Used by the server for debiasing and by the c_gap comparison experiment
+/// (E6). For the longitudinal kinds this is the direct estimator's
+/// sensitivity gap u1 - u0 at the given `alpha` (max_support is ignored
+/// there).
 Result<double> ExactCGap(RandomizerKind kind, int64_t max_support,
                          double epsilon, double alpha = 0.5);
 

@@ -4,6 +4,7 @@
 // contract that lets the simulation runner and the throughput bench use the
 // batch path without changing any experiment's numbers.
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -122,6 +123,76 @@ TEST_P(FleetKindTest, PooledMatchesSingleThreaded) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllRandomizers, FleetKindTest,
+                         ::testing::ValuesIn(rand::AllRandomizerKinds()),
+                         [](const ::testing::TestParamInfo<
+                             rand::RandomizerKind>& info) {
+                           return rand::RandomizerKindToString(info.param);
+                         });
+
+// Per-level supports are the one shape where a fleet resolves more than one
+// randomizer construction: with d = 32 and k = 8, levels 0..5 use supports
+// 8, 8, 8, 4, 2, 1.
+class FleetPerLevelSupportTest
+    : public ::testing::TestWithParam<rand::RandomizerKind> {};
+
+TEST_P(FleetPerLevelSupportTest, MatchesPerClientLoopSerialAndPooled) {
+  ProtocolConfig config = TestConfig(GetParam(), /*d=*/32, /*k=*/8);
+  config.adapt_support_per_level = true;
+  const int64_t n = 96;
+  const uint64_t base_seed = 4321;
+
+  ThreadPool pool(4);
+  ClientFleet serial = ClientFleet::Create(config, n, base_seed).ValueOrDie();
+  ClientFleet pooled =
+      ClientFleet::Create(config, n, base_seed, &pool).ValueOrDie();
+  std::vector<Client> clients;
+  for (int64_t u = 0; u < n; ++u) {
+    clients.push_back(
+        Client::Create(config, ClientSeed(base_seed, u)).ValueOrDie());
+  }
+  if (!rand::IsLongitudinalKind(config.randomizer)) {
+    // Every support must actually occur, so each factory is exercised.
+    std::vector<bool> seen(static_cast<size_t>(config.num_orders()), false);
+    for (const Client& client : clients) {
+      seen[static_cast<size_t>(client.level())] = true;
+      EXPECT_EQ(client.randomizer().max_support(),
+                config.SupportAtLevel(client.level()));
+    }
+    EXPECT_EQ(std::count(seen.begin(), seen.end(), true),
+              config.num_orders());
+  }
+  EXPECT_EQ(serial.registrations(), pooled.registrations());
+  for (int64_t u = 0; u < n; ++u) {
+    EXPECT_EQ(serial.level(u), clients[static_cast<size_t>(u)].level()) << u;
+  }
+
+  std::vector<int8_t> states(static_cast<size_t>(n));
+  for (int64_t t = 1; t <= config.num_periods; ++t) {
+    ReportBatch expected;
+    for (int64_t u = 0; u < n; ++u) {
+      states[static_cast<size_t>(u)] = PatternState(u, t, config.num_periods);
+      const std::optional<int8_t> report =
+          clients[static_cast<size_t>(u)]
+              .ObserveState(states[static_cast<size_t>(u)])
+              .ValueOrDie();
+      if (report.has_value()) {
+        expected.push_back(ReportMessage{u, t, *report});
+      }
+    }
+    EXPECT_EQ(serial.AdvanceTick(states).ValueOrDie(), expected)
+        << "serial, tick " << t;
+    EXPECT_EQ(pooled.AdvanceTick(states).ValueOrDie(), expected)
+        << "pooled, tick " << t;
+  }
+  int64_t expected_overflows = 0;
+  for (const Client& client : clients) {
+    expected_overflows += client.support_overflow_count();
+  }
+  EXPECT_EQ(serial.support_overflow_count(), expected_overflows);
+  EXPECT_EQ(pooled.support_overflow_count(), expected_overflows);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllRandomizers, FleetPerLevelSupportTest,
                          ::testing::ValuesIn(rand::AllRandomizerKinds()),
                          [](const ::testing::TestParamInfo<
                              rand::RandomizerKind>& info) {
