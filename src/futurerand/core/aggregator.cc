@@ -226,7 +226,7 @@ Status ShardedAggregator::IngestEncoded(std::string_view bytes,
   FR_ASSIGN_OR_RETURN(WireBatchKind kind, PeekBatchKind(bytes));
   switch (kind) {
     case WireBatchKind::kRegistrationV2: {
-      // The decoder verifies the FNV-1a trailer before parsing any
+      // The decoder verifies the FNV-1a trailer before returning any
       // record, so a corrupted batch is rejected here atomically with
       // kDataLoss — the NACK a sender retransmits on — and never reaches
       // a shard.

@@ -1,6 +1,8 @@
 #include "futurerand/core/wire.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <utility>
 
 namespace futurerand::core {
 
@@ -42,6 +44,10 @@ Result<uint64_t> GetVarint64MultiByte(std::string_view* bytes) {
     }
     const auto byte = static_cast<uint8_t>(bytes->front());
     bytes->remove_prefix(1);
+    // The tenth byte holds bit 63 alone; anything more would not fit.
+    if (i == 9 && byte > 1) {
+      break;
+    }
     value |= static_cast<uint64_t>(byte & 0x7f) << shift;
     if ((byte & 0x80) == 0) {
       return value;
@@ -56,6 +62,13 @@ namespace {
 constexpr char kMagic0 = 'F';
 constexpr char kMagic1 = 'R';
 constexpr char kMagic2 = 'W';
+
+// One step of FNV-1a 64: Fnv1a64 of a string is the offset basis stepped
+// once per byte. The transport codec steps it while it writes or parses,
+// so a batch is walked once.
+constexpr uint64_t Fnv1a64Step(uint64_t hash, uint8_t byte) {
+  return (hash ^ byte) * 0x100000001b3ULL;
+}
 
 }  // namespace
 
@@ -103,8 +116,7 @@ Status ConsumeHeader(char expected_kind, std::string_view* bytes) {
 uint64_t Fnv1a64(std::string_view bytes) {
   uint64_t hash = 0xcbf29ce484222325ULL;
   for (const char c : bytes) {
-    hash ^= static_cast<uint8_t>(c);
-    hash *= 0x100000001b3ULL;
+    hash = Fnv1a64Step(hash, static_cast<uint8_t>(c));
   }
   return hash;
 }
@@ -131,34 +143,225 @@ Status ConsumeChecksum(std::string_view* bytes) {
 
 namespace {
 
-using wire_internal::GetVarint64;
-using wire_internal::PutVarint64;
+using wire_internal::Fnv1a64Step;
 using wire_internal::ZigZagDecode;
 using wire_internal::ZigZagEncode;
 using wire_internal::kKindRegistrationV2;
 using wire_internal::kKindReportV2;
 
-// Reserves the usual size of a transport batch before appending its
-// header: header, the count varint (at most 10 bytes), two bytes per record
-// (one-byte id and time deltas, the common case) and the trailer. A
-// batch with wider deltas still grows as needed.
-void AppendBatchHeader(char kind, size_t count, std::string* out) {
-  out->reserve(wire_internal::kHeaderSize + 10 + 2 * count + 8);
-  wire_internal::AppendHeader(kind, out);
-  PutVarint64(count, out);
+// The longest varint: ceil(64 / 7) bytes.
+constexpr size_t kMaxVarintBytes = 10;
+constexpr size_t kTrailerBytes = 8;
+
+// Id and time deltas in two's complement. The wrap makes the delta of ids
+// at opposite ends of the int64 range (and the sum a forged delta decodes
+// to) defined, and leaves the bytes of every batch whose deltas fit in an
+// int64 unchanged.
+int64_t WrappingSub(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) -
+                              static_cast<uint64_t>(b));
+}
+int64_t WrappingAdd(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                              static_cast<uint64_t>(b));
 }
 
-// Strips a validated transport header of `expected_kind`; the FNV-1a
-// trailer is verified and removed FIRST, so no record of a corrupted batch
-// is ever parsed. On success `*bytes` holds exactly the record payload
-// (count varint first).
-Status ConsumeTransportHeader(char expected_kind, std::string_view* bytes) {
-  FR_ASSIGN_OR_RETURN(const char kind, wire_internal::CheckHeader(*bytes));
-  if (kind != expected_kind) {
-    return Status::InvalidArgument("unexpected batch kind");
+// Writes a transport batch (kinds 6-7) in one pass: each byte goes through
+// a raw pointer into a buffer sized for the usual batch and is folded into
+// the running FNV-1a 64 hash as it is written, so the trailer needs no
+// second walk over the string.
+class HashingWriter {
+ public:
+  // Sizes the buffer for header, count, two bytes per record (one-byte id
+  // and time deltas, the common case) and the trailer, then writes the
+  // header and the count. A batch with wider deltas grows as needed.
+  HashingWriter(char kind, size_t count) {
+    wire_internal::AppendHeader(kind, &out_);
+    hash_ = wire_internal::Fnv1a64(out_);
+    out_.resize(wire_internal::kHeaderSize + kMaxVarintBytes + 2 * count +
+                kTrailerBytes);
+    next_ = out_.data() + wire_internal::kHeaderSize;
+    end_ = out_.data() + out_.size();
+    Varint(count);
   }
-  FR_RETURN_NOT_OK(wire_internal::ConsumeChecksum(bytes));
-  bytes->remove_prefix(wire_internal::kHeaderSize);
+
+  // The write pointers point into out_, so a copy would write into the
+  // original's buffer.
+  HashingWriter(const HashingWriter&) = delete;
+  HashingWriter& operator=(const HashingWriter&) = delete;
+
+  // Makes room for one record: two varints.
+  void ReserveRecord() {
+    if (FR_PREDICT_FALSE(end_ - next_ <
+                         static_cast<ptrdiff_t>(2 * kMaxVarintBytes))) {
+      Grow(2 * kMaxVarintBytes);
+    }
+  }
+
+  // Appends an unsigned LEB128 varint; call ReserveRecord first.
+  void Varint(uint64_t value) {
+    while (value >= 0x80) {
+      Byte(static_cast<uint8_t>((value & 0x7f) | 0x80));
+      value >>= 7;
+    }
+    Byte(static_cast<uint8_t>(value));
+  }
+
+  // Appends the trailer (the hash of every byte written) and returns the
+  // batch.
+  std::string Finish() && {
+    out_.resize(static_cast<size_t>(next_ - out_.data()));
+    wire_internal::PutFixed64(hash_, &out_);
+    return std::move(out_);
+  }
+
+ private:
+  void Byte(uint8_t byte) {
+    *next_++ = static_cast<char>(byte);
+    hash_ = Fnv1a64Step(hash_, byte);
+  }
+
+  void Grow(size_t bytes) {
+    const size_t used = static_cast<size_t>(next_ - out_.data());
+    out_.resize(std::max(2 * out_.size(), used + bytes + kTrailerBytes));
+    next_ = out_.data() + used;
+    end_ = out_.data() + out_.size();
+  }
+
+  std::string out_;
+  char* next_ = nullptr;
+  char* end_ = nullptr;
+  uint64_t hash_ = 0;
+};
+
+// Reads the records of a transport batch (kinds 6-7) in one pass, folding
+// each byte it consumes into the running FNV-1a 64 hash. Nothing parsed is
+// trusted until Verdict has compared that hash against the trailer.
+class HashingReader {
+ public:
+  // Validates the header against `kind` and splits off the trailer; the
+  // reader is then positioned at the count varint.
+  static Result<HashingReader> Open(char kind, std::string_view bytes) {
+    FR_ASSIGN_OR_RETURN(const char found, wire_internal::CheckHeader(bytes));
+    if (found != kind) {
+      return Status::InvalidArgument("unexpected batch kind");
+    }
+    if (bytes.size() < kTrailerBytes) {
+      return Status::DataLoss("blob shorter than its checksum");
+    }
+    HashingReader reader;
+    reader.covered_ = bytes.substr(0, bytes.size() - kTrailerBytes);
+    std::string_view trailer = bytes.substr(reader.covered_.size());
+    reader.stored_ = wire_internal::GetFixed64(&trailer).ValueOrDie();
+    // A batch shorter than header + trailer has its trailer overlapping
+    // the header: hash what the trailer covers and leave no records.
+    const std::string_view header = reader.covered_.substr(
+        0, std::min(wire_internal::kHeaderSize, reader.covered_.size()));
+    reader.hash_ = wire_internal::Fnv1a64(header);
+    reader.next_ = header.data() + header.size();
+    reader.end_ = reader.covered_.data() + reader.covered_.size();
+    return reader;
+  }
+
+  // Reads a varint, hashing its bytes. Same rules as GetVarint64.
+  Result<uint64_t> Varint() {
+    if (FR_PREDICT_TRUE(next_ != end_)) {
+      const auto byte = static_cast<uint8_t>(*next_);
+      if (byte < 0x80) {
+        ++next_;
+        hash_ = Fnv1a64Step(hash_, byte);
+        return uint64_t{byte};
+      }
+    }
+    return MultiByteVarint();
+  }
+
+  // Bytes left between the reader and the trailer.
+  size_t remaining() const { return static_cast<size_t>(end_ - next_); }
+
+  // The batch's verdict once parsing stopped with `parsed`. A trailer
+  // mismatch is kDataLoss and wins over every parse error; after a parse
+  // error the hash is taken afresh over everything the trailer covers,
+  // since the reader stopped short of the trailer.
+  Status Verdict(Status parsed) const {
+    if (parsed.ok() && next_ != end_) {
+      parsed = Status::InvalidArgument("trailing bytes after batch");
+    }
+    const uint64_t hash =
+        parsed.ok() ? hash_ : wire_internal::Fnv1a64(covered_);
+    if (hash != stored_) {
+      return Status::DataLoss("checksum mismatch: corrupted blob");
+    }
+    return parsed;
+  }
+
+ private:
+  HashingReader() = default;
+
+  Result<uint64_t> MultiByteVarint() {
+    std::string_view rest(next_, remaining());
+    FR_ASSIGN_OR_RETURN(const uint64_t value,
+                        wire_internal::GetVarint64MultiByte(&rest));
+    for (; next_ != rest.data(); ++next_) {
+      hash_ = Fnv1a64Step(hash_, static_cast<uint8_t>(*next_));
+    }
+    return value;
+  }
+
+  std::string_view covered_;  // every byte before the trailer
+  const char* next_ = nullptr;
+  const char* end_ = nullptr;
+  uint64_t hash_ = 0;
+  uint64_t stored_ = 0;
+};
+
+// The records of a registration batch; errors leave `*batch` partial, and
+// the caller discards it.
+Status ParseRegistrations(HashingReader* reader,
+                          std::vector<RegistrationMessage>* batch) {
+  FR_ASSIGN_OR_RETURN(const uint64_t count, reader->Varint());
+  // A record costs >= 2 bytes, so a count claiming more than the remaining
+  // bytes allow is corrupt; clamping keeps the reserve proportional to the
+  // input instead of trusting a (possibly bit-flipped) varint.
+  batch->reserve(static_cast<size_t>(
+      std::min<uint64_t>(count, reader->remaining() / 2 + 1)));
+  int64_t previous_id = 0;
+  for (uint64_t i = 0; i < count; ++i) {
+    FR_ASSIGN_OR_RETURN(const uint64_t id_delta, reader->Varint());
+    FR_ASSIGN_OR_RETURN(const uint64_t level, reader->Varint());
+    if (level > 62) {
+      return Status::InvalidArgument("implausible level");
+    }
+    RegistrationMessage message;
+    message.client_id = WrappingAdd(previous_id, ZigZagDecode(id_delta));
+    message.level = static_cast<int>(level);
+    previous_id = message.client_id;
+    batch->push_back(message);
+  }
+  return Status::OK();
+}
+
+// The records of a report batch; same contract as ParseRegistrations.
+Status ParseReports(HashingReader* reader, std::vector<ReportMessage>* batch) {
+  FR_ASSIGN_OR_RETURN(const uint64_t count, reader->Varint());
+  batch->reserve(static_cast<size_t>(
+      std::min<uint64_t>(count, reader->remaining() / 2 + 1)));
+  int64_t previous_id = 0;
+  int64_t previous_time = 0;
+  for (uint64_t i = 0; i < count; ++i) {
+    FR_ASSIGN_OR_RETURN(const uint64_t id_delta, reader->Varint());
+    FR_ASSIGN_OR_RETURN(const uint64_t packed_time, reader->Varint());
+    ReportMessage message;
+    message.client_id = WrappingAdd(previous_id, ZigZagDecode(id_delta));
+    message.value = (packed_time & 1) ? int8_t{1} : int8_t{-1};
+    message.time = WrappingAdd(previous_time, ZigZagDecode(packed_time >> 1));
+    if (message.time < 1) {
+      return Status::InvalidArgument("decoded non-positive report time");
+    }
+    previous_id = message.client_id;
+    previous_time = message.time;
+    batch->push_back(message);
+  }
   return Status::OK();
 }
 
@@ -188,51 +391,29 @@ Result<WireBatchKind> PeekBatchKind(std::string_view bytes) {
 
 std::string EncodeRegistrationBatch(
     const std::vector<RegistrationMessage>& batch) {
-  std::string out;
-  AppendBatchHeader(kKindRegistrationV2, batch.size(), &out);
+  HashingWriter out(kKindRegistrationV2, batch.size());
   int64_t previous_id = 0;
   for (const RegistrationMessage& message : batch) {
-    PutVarint64(ZigZagEncode(message.client_id - previous_id), &out);
-    PutVarint64(static_cast<uint64_t>(message.level), &out);
+    out.ReserveRecord();
+    out.Varint(ZigZagEncode(WrappingSub(message.client_id, previous_id)));
+    out.Varint(static_cast<uint64_t>(message.level));
     previous_id = message.client_id;
   }
-  wire_internal::AppendChecksum(&out);
-  return out;
+  return std::move(out).Finish();
 }
 
 Result<std::vector<RegistrationMessage>> DecodeRegistrationBatch(
     std::string_view bytes) {
-  FR_RETURN_NOT_OK(ConsumeTransportHeader(kKindRegistrationV2, &bytes));
-  FR_ASSIGN_OR_RETURN(uint64_t count, GetVarint64(&bytes));
+  FR_ASSIGN_OR_RETURN(HashingReader reader,
+                      HashingReader::Open(kKindRegistrationV2, bytes));
   std::vector<RegistrationMessage> batch;
-  // A record costs >= 2 bytes, so a count claiming more than the remaining
-  // bytes allow is corrupt; clamping keeps the reserve proportional to the
-  // input instead of trusting a (possibly bit-flipped) varint.
-  batch.reserve(static_cast<size_t>(
-      std::min<uint64_t>(count, bytes.size() / 2 + 1)));
-  int64_t previous_id = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    FR_ASSIGN_OR_RETURN(uint64_t id_delta, GetVarint64(&bytes));
-    FR_ASSIGN_OR_RETURN(uint64_t level, GetVarint64(&bytes));
-    if (level > 62) {
-      return Status::InvalidArgument("implausible level");
-    }
-    RegistrationMessage message;
-    message.client_id = previous_id + ZigZagDecode(id_delta);
-    message.level = static_cast<int>(level);
-    previous_id = message.client_id;
-    batch.push_back(message);
-  }
-  if (!bytes.empty()) {
-    return Status::InvalidArgument("trailing bytes after batch");
-  }
+  FR_RETURN_NOT_OK(reader.Verdict(ParseRegistrations(&reader, &batch)));
   return batch;
 }
 
 Result<std::string> EncodeReportBatch(
     const std::vector<ReportMessage>& batch, WireVersion /*version*/) {
-  std::string out;
-  AppendBatchHeader(kKindReportV2, batch.size(), &out);
+  HashingWriter out(kKindReportV2, batch.size());
   int64_t previous_id = 0;
   int64_t previous_time = 0;
   for (const ReportMessage& message : batch) {
@@ -242,42 +423,23 @@ Result<std::string> EncodeReportBatch(
     if (message.time < 1) {
       return Status::InvalidArgument("report times are 1-based");
     }
-    PutVarint64(ZigZagEncode(message.client_id - previous_id), &out);
+    out.ReserveRecord();
+    out.Varint(ZigZagEncode(WrappingSub(message.client_id, previous_id)));
     // Pack the sign into the low bit of the zigzagged time delta.
-    const uint64_t time_delta = ZigZagEncode(message.time - previous_time);
-    PutVarint64(time_delta << 1 | (message.value == 1 ? 1u : 0u), &out);
+    const uint64_t time_delta =
+        ZigZagEncode(WrappingSub(message.time, previous_time));
+    out.Varint(time_delta << 1 | (message.value == 1 ? 1u : 0u));
     previous_id = message.client_id;
     previous_time = message.time;
   }
-  wire_internal::AppendChecksum(&out);
-  return out;
+  return std::move(out).Finish();
 }
 
 Result<std::vector<ReportMessage>> DecodeReportBatch(std::string_view bytes) {
-  FR_RETURN_NOT_OK(ConsumeTransportHeader(kKindReportV2, &bytes));
-  FR_ASSIGN_OR_RETURN(uint64_t count, GetVarint64(&bytes));
+  FR_ASSIGN_OR_RETURN(HashingReader reader,
+                      HashingReader::Open(kKindReportV2, bytes));
   std::vector<ReportMessage> batch;
-  batch.reserve(static_cast<size_t>(
-      std::min<uint64_t>(count, bytes.size() / 2 + 1)));
-  int64_t previous_id = 0;
-  int64_t previous_time = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    FR_ASSIGN_OR_RETURN(uint64_t id_delta, GetVarint64(&bytes));
-    FR_ASSIGN_OR_RETURN(uint64_t packed_time, GetVarint64(&bytes));
-    ReportMessage message;
-    message.client_id = previous_id + ZigZagDecode(id_delta);
-    message.value = (packed_time & 1) ? int8_t{1} : int8_t{-1};
-    message.time = previous_time + ZigZagDecode(packed_time >> 1);
-    if (message.time < 1) {
-      return Status::InvalidArgument("decoded non-positive report time");
-    }
-    previous_id = message.client_id;
-    previous_time = message.time;
-    batch.push_back(message);
-  }
-  if (!bytes.empty()) {
-    return Status::InvalidArgument("trailing bytes after batch");
-  }
+  FR_RETURN_NOT_OK(reader.Verdict(ParseReports(&reader, &batch)));
   return batch;
 }
 

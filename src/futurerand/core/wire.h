@@ -95,10 +95,11 @@ Result<WireBatchKind> PeekBatchKind(std::string_view bytes);
 std::string EncodeRegistrationBatch(
     const std::vector<RegistrationMessage>& batch);
 
-/// Parses a registration batch; rejects malformed input. The trailer is
-/// verified before any record is decoded, so a corrupted batch fails
+/// Parses a registration batch; rejects malformed input. Records are
+/// parsed in the same pass that hashes the bytes, and the trailer is
+/// verified before any record is returned: a corrupted batch fails
 /// atomically with kDataLoss — no prefix of it is ever visible to the
-/// caller.
+/// caller — and a mismatching trailer wins over every parse error.
 Result<std::vector<RegistrationMessage>> DecodeRegistrationBatch(
     std::string_view bytes);
 
@@ -178,7 +179,8 @@ inline void PutVarint64(uint64_t value, std::string* out) {
 }
 
 /// Reads a varint from the front of `bytes`, advancing it. Fails on
-/// truncation or encodings longer than 10 bytes.
+/// truncation ("truncated varint"), and on encodings longer than 10 bytes
+/// or whose tenth byte carries bits past 63 ("overlong varint").
 inline Result<uint64_t> GetVarint64(std::string_view* bytes) {
   if (!bytes->empty()) {
     const auto byte = static_cast<uint8_t>(bytes->front());
@@ -205,7 +207,8 @@ inline int64_t ZigZagDecode(uint64_t value) {
 uint64_t Fnv1a64(std::string_view bytes);
 
 /// Appends Fnv1a64 of everything currently in `*out` as 8 little-endian
-/// bytes. Decoders strip and verify with ConsumeChecksum.
+/// bytes. Decoders strip and verify with ConsumeChecksum. The snapshot
+/// kinds use this pair; the transport batches hash as they go (wire.cc).
 void AppendChecksum(std::string* out);
 
 /// Verifies that `*bytes` ends with the Fnv1a64 checksum of its preceding

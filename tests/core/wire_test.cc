@@ -1,6 +1,8 @@
 #include "futurerand/core/wire.h"
 
+#include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -68,6 +70,40 @@ TEST(VarintTest, OverlongEncodingFails) {
   EXPECT_FALSE(GetVarint64(&view).ok());
 }
 
+TEST(VarintTest, TenthByteBeyondBit63IsOverlong) {
+  // A tenth byte may only carry bit 63. Anything more used to be dropped
+  // silently: 80x9 02 read as 0 and ff x9 7f as ~0.
+  for (const char tenth : {'\x02', '\x7f'}) {
+    for (const char filler : {'\x80', '\xff'}) {
+      const std::string bytes = std::string(9, filler) + tenth;
+      std::string_view view = bytes;
+      const Status status = GetVarint64(&view).status();
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(status.message(), "overlong varint");
+    }
+  }
+  // The largest value still reads: nine 0xff then 0x01.
+  const std::string max = std::string(9, '\xff') + '\x01';
+  std::string_view view = max;
+  EXPECT_EQ(*GetVarint64(&view), ~uint64_t{0});
+}
+
+TEST(VarintTest, BatchDecodersRejectATenthByteBeyondBit63) {
+  // The same rule inside a sealed batch: the count varint is 80x9 02.
+  for (const char kind :
+       {wire_internal::kKindReportV2, wire_internal::kKindRegistrationV2}) {
+    std::string payload;
+    wire_internal::AppendHeader(kind, &payload);
+    payload += std::string(9, '\x80') + '\x02';
+    const std::string bytes = Sealed(payload);
+    const Status status = kind == wire_internal::kKindReportV2
+                              ? DecodeReportBatch(bytes).status()
+                              : DecodeRegistrationBatch(bytes).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(status.message(), "overlong varint");
+  }
+}
+
 TEST(ZigZagTest, RoundTripsSignedValues) {
   for (int64_t value : {int64_t{0}, int64_t{1}, int64_t{-1}, int64_t{2},
                         int64_t{-2}, int64_t{1} << 40, -(int64_t{1} << 40)}) {
@@ -114,6 +150,52 @@ TEST(ReportBatchTest, RoundTrips) {
   const auto decoded = DecodeReportBatch(*bytes);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(*decoded, batch);
+}
+
+TEST(ReportBatchTest, ExtremeIdsRoundTrip) {
+  // Deltas between ids at both ends of the int64 range wrap in two's
+  // complement instead of overflowing.
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const std::vector<ReportMessage> reports = {
+      {kMin, 1, 1}, {kMax, 2, -1}, {kMin, 3, 1}, {0, 4, -1}, {kMax, 5, 1}};
+  const auto bytes = EncodeReportBatch(reports);
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_EQ(*DecodeReportBatch(*bytes), reports);
+  const std::vector<RegistrationMessage> registrations = {
+      {kMin, 0}, {kMax, 62}, {kMin, 1}, {0, 2}, {kMax, 3}};
+  EXPECT_EQ(*DecodeRegistrationBatch(EncodeRegistrationBatch(registrations)),
+            registrations);
+}
+
+TEST(ReportBatchTest, SealedOverflowingDeltasDecodeWithoutOverflow) {
+  // Two id deltas of INT64_MAX each: the second sum leaves the int64 range
+  // and wraps to -2. Any sender can seal such a batch.
+  const uint64_t max_delta =
+      ZigZagEncode(std::numeric_limits<int64_t>::max());
+  std::string reports;
+  wire_internal::AppendHeader(wire_internal::kKindReportV2, &reports);
+  for (const uint64_t varint :
+       {uint64_t{2}, max_delta, ZigZagEncode(1) << 1 | 1, max_delta,
+        uint64_t{1}}) {
+    PutVarint64(varint, &reports);
+  }
+  const auto decoded = DecodeReportBatch(Sealed(reports));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(*decoded, (std::vector<ReportMessage>{
+                          {std::numeric_limits<int64_t>::max(), 1, 1},
+                          {-2, 1, 1}}));
+
+  std::string registrations;
+  wire_internal::AppendHeader(wire_internal::kKindRegistrationV2,
+                              &registrations);
+  for (const uint64_t varint :
+       {uint64_t{2}, max_delta, uint64_t{0}, max_delta, uint64_t{0}}) {
+    PutVarint64(varint, &registrations);
+  }
+  EXPECT_EQ(*DecodeRegistrationBatch(Sealed(registrations)),
+            (std::vector<RegistrationMessage>{
+                {std::numeric_limits<int64_t>::max(), 0}, {-2, 0}}));
 }
 
 TEST(ReportBatchTest, RejectsInvalidValuesAtEncode) {
