@@ -1,6 +1,7 @@
 // Cross-protocol shootout: every wire-transport pipeline (the dyadic
 // FutureRand family and the memoized longitudinal L-GRR / L-OLH / LOLOHA)
-// over one measured fleet -> encode -> decode -> aggregate run per grid
+// over the simulator's period loop (sim::RunPipeline through
+// bench::StageTimingSink: fleet -> encode -> decode -> aggregate) per grid
 // point, sweeping one axis at a time (eps, d, n) around a base point.
 //
 // Per (protocol, grid point) one JSON line reports the accuracy AND the
@@ -12,48 +13,46 @@
 //    "client_us_per_report":...,"server_us_per_report":...}
 //
 // bytes_per_report divides the encoded v2 batch bytes actually shipped by
-// the report count; client/server CPU are the tick+encode and decode+ingest
-// wall times on a single thread. The longitudinal protocols trade ~log d
-// fewer reports per user for an every-tick cadence — this bench is where
-// that trade is visible in one table.
+// the report count; client/server CPU are the sink's tick+encode and
+// ingest(+estimate) stage times on a single thread. The longitudinal
+// protocols trade ~log d fewer reports per user for an every-tick cadence
+// — this bench is where that trade is visible in one table.
 
-#include <algorithm>
-#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
 #include "futurerand/common/flags.h"
 #include "futurerand/common/timer.h"
 #include "futurerand/core/aggregator.h"
-#include "futurerand/core/fleet.h"
-#include "futurerand/randomizer/randomizer.h"
+#include "futurerand/sim/metrics.h"
+#include "futurerand/sim/pipeline.h"
 #include "futurerand/sim/workload_flags.h"
 
 namespace {
 
 using namespace futurerand;
 
-// One measured end-to-end run, accumulated over `reps` repetitions.
-struct Measured {
+// Runs `reps` repetitions of `protocol` at one grid point through the
+// simulator's period loop (serial, one shard) and appends the accuracy and
+// per-report cost fields to `line`.
+Status AddMeasurements(sim::ProtocolKind protocol,
+                       const core::ProtocolConfig& base,
+                       const sim::WorkloadConfig& workload_config, int reps,
+                       uint64_t seed, JsonLine& line) {
+  core::ProtocolConfig config = base;
+  FR_ASSIGN_OR_RETURN(config.randomizer, sim::RandomizerForProtocol(protocol));
+  FR_RETURN_NOT_OK(config.Validate());
+  const sim::FaultOptions ideal;
   double mean_max_error = 0.0;
   double mean_abs_error = 0.0;
   int64_t reports = 0;
   int64_t bytes = 0;
-  double client_seconds = 0.0;  // tick + randomize + encode
+  double client_seconds = 0.0;  // tick + encode
   double server_seconds = 0.0;  // decode + ingest + estimate
-};
-
-Result<Measured> RunOnce(sim::ProtocolKind protocol,
-                         const core::ProtocolConfig& base,
-                         const sim::WorkloadConfig& workload_config,
-                         int reps, uint64_t seed) {
-  core::ProtocolConfig config = base;
-  FR_ASSIGN_OR_RETURN(config.randomizer, sim::RandomizerForProtocol(protocol));
-  FR_RETURN_NOT_OK(config.Validate());
-  const int64_t n = workload_config.num_users;
-  Measured total;
   for (int r = 0; r < reps; ++r) {
     // The RunRepeated seed convention, so errors here match the harness.
     const uint64_t workload_seed = seed + static_cast<uint64_t>(2 * r + 1);
@@ -61,52 +60,36 @@ Result<Measured> RunOnce(sim::ProtocolKind protocol,
     FR_ASSIGN_OR_RETURN(const sim::Workload workload,
                         sim::Workload::Generate(workload_config,
                                                 workload_seed));
-    FR_ASSIGN_OR_RETURN(core::ClientFleet fleet,
-                        core::ClientFleet::Create(config, n, protocol_seed));
     FR_ASSIGN_OR_RETURN(core::ShardedAggregator aggregator,
                         core::ShardedAggregator::ForProtocol(config, 1));
-    {
-      WallTimer timer;
-      const std::string registrations = fleet.EncodeRegistrations();
-      total.bytes += static_cast<int64_t>(registrations.size());
-      total.client_seconds += timer.ElapsedSeconds();
-      timer.Restart();
-      FR_RETURN_NOT_OK(aggregator.IngestEncoded(registrations));
-      total.server_seconds += timer.ElapsedSeconds();
-    }
-    std::vector<int8_t> states(static_cast<size_t>(n));
-    for (int64_t t = 1; t <= config.num_periods; ++t) {
-      for (int64_t u = 0; u < n; ++u) {
-        states[static_cast<size_t>(u)] = workload.trace(u).StateAt(t);
-      }
-      WallTimer timer;
-      FR_ASSIGN_OR_RETURN(const std::string encoded,
-                          fleet.AdvanceTickEncoded(states));
-      total.client_seconds += timer.ElapsedSeconds();
-      total.bytes += static_cast<int64_t>(encoded.size());
-      timer.Restart();
-      FR_RETURN_NOT_OK(aggregator.IngestEncoded(encoded));
-      total.server_seconds += timer.ElapsedSeconds();
-    }
-    total.reports += fleet.reports_emitted();
+    bench::StageTimingSink sink(std::move(aggregator), ideal, nullptr);
+    FR_ASSIGN_OR_RETURN(const sim::DeliveryMetrics delivery,
+                        sim::RunPipeline(config, workload, protocol_seed,
+                                         nullptr, ideal, sink));
     WallTimer timer;
     FR_ASSIGN_OR_RETURN(const std::vector<double> estimates,
-                        aggregator.EstimateAll());
-    total.server_seconds += timer.ElapsedSeconds();
-    double max_error = 0.0;
-    double abs_error_sum = 0.0;
-    const std::vector<int64_t>& truth = workload.ground_truth();
-    for (size_t t = 0; t < truth.size(); ++t) {
-      const double error =
-          std::abs(estimates[t] - static_cast<double>(truth[t]));
-      max_error = std::max(max_error, error);
-      abs_error_sum += error;
-    }
-    total.mean_max_error += max_error / reps;
-    total.mean_abs_error +=
-        abs_error_sum / static_cast<double>(truth.size()) / reps;
+                        sink.aggregator().EstimateAll());
+    server_seconds += sink.seconds().ingest + timer.ElapsedSeconds();
+    client_seconds += sink.seconds().tick + sink.seconds().encode;
+    reports += delivery.records_sent;
+    bytes += sink.wire_bytes();
+    const sim::ErrorMetrics errors =
+        sim::ComputeErrorMetrics(estimates, workload.ground_truth());
+    mean_max_error += errors.max_abs / reps;
+    mean_abs_error += errors.mean_abs / reps;
   }
-  return total;
+  const double per_report =
+      reports > 0 ? 1.0 / static_cast<double>(reports) : 0.0;
+  line.Add("mean_max_error", mean_max_error)
+      .Add("mean_abs_error", mean_abs_error)
+      .Add("reports_per_user",
+           static_cast<double>(reports) /
+               (static_cast<double>(workload_config.num_users) *
+                static_cast<double>(reps)))
+      .Add("bytes_per_report", static_cast<double>(bytes) * per_report)
+      .Add("client_us_per_report", client_seconds * 1e6 * per_report)
+      .Add("server_us_per_report", server_seconds * 1e6 * per_report);
+  return Status::OK();
 }
 
 struct GridPoint {
@@ -150,6 +133,14 @@ int Run(int argc, char** argv) {
   if (help) {
     std::fputs(parser.Usage("bench_shootout").c_str(), stdout);
     return 0;
+  }
+  if (reps < 1) {
+    std::fprintf(stderr, "%s\n%s",
+                 Status::InvalidArgument("--reps must be >= 1")
+                     .ToString()
+                     .c_str(),
+                 parser.Usage("bench_shootout").c_str());
+    return 2;
   }
 
   // A replay series pins (n, d) — a recorded run has a fixed horizon and
@@ -198,18 +189,6 @@ int Run(int argc, char** argv) {
       core::ProtocolConfig config =
           bench::MakeConfig(point.d, k, point.eps);
       config.longitudinal_alpha = alpha;
-      const auto measured =
-          RunOnce(protocol, config, *workload_config, static_cast<int>(reps),
-                  static_cast<uint64_t>(seed));
-      if (!measured.ok()) {
-        std::fprintf(stderr, "%s @ %s: %s\n",
-                     sim::ProtocolKindToString(protocol), point.axis,
-                     measured.status().ToString().c_str());
-        return 1;
-      }
-      const double per_report =
-          measured->reports > 0 ? 1.0 / static_cast<double>(measured->reports)
-                                : 0.0;
       JsonLine line;
       line.Add("bench", "shootout")
           .Add("axis", point.axis)
@@ -220,18 +199,17 @@ int Run(int argc, char** argv) {
           .Add("k", k)
           .Add("eps", point.eps)
           .Add("alpha", alpha)
-          .Add("reps", reps)
-          .Add("mean_max_error", measured->mean_max_error)
-          .Add("mean_abs_error", measured->mean_abs_error)
-          .Add("reports_per_user",
-               static_cast<double>(measured->reports) /
-                   (static_cast<double>(point.n) * static_cast<double>(reps)))
-          .Add("bytes_per_report",
-               static_cast<double>(measured->bytes) * per_report)
-          .Add("client_us_per_report",
-               measured->client_seconds * 1e6 * per_report)
-          .Add("server_us_per_report",
-               measured->server_seconds * 1e6 * per_report);
+          .Add("reps", reps);
+      if (const Status status =
+              AddMeasurements(protocol, config, *workload_config,
+                              static_cast<int>(reps),
+                              static_cast<uint64_t>(seed), line);
+          !status.ok()) {
+        std::fprintf(stderr, "%s @ %s: %s\n",
+                     sim::ProtocolKindToString(protocol), point.axis,
+                     status.ToString().c_str());
+        return 1;
+      }
       std::printf("%s\n", line.Str().c_str());
     }
   }

@@ -1,29 +1,30 @@
-// E11 — end-to-end service throughput. Drives the batch-first pipeline the
-// production deployment would run:
+// E11 — end-to-end service throughput. Plays a synthetic population
+// through sim::RunPipeline, timed stage by stage by bench::StageTimingSink:
 //
 //   ClientFleet.AdvanceTick -> EncodeReportBatch -> wire bytes
 //       -> ShardedAggregator.IngestEncoded -> EstimateAll
 //
-// and reports the wall time and rate of every stage, plus (optionally) a
-// full RunProtocol sim pass for any --protocol. With --json the results are
-// one machine-readable line, which the `bench-smoke` CTest label greps in
-// CI so throughput regressions show up in logs.
+// then times the post-stream stages (estimate, state memory,
+// checkpoint+restore, delta) and optionally a full RunProtocol sim pass
+// for any --protocol. With --json the results are one machine-readable
+// line, which the `bench-smoke` CTest label greps in CI so throughput
+// regressions show up in logs.
 //
 //   bench_throughput --n=100000 --d=1024 --k=8 --shards=8 --threads=8
 //   bench_throughput --n=400 --d=64 --k=2 --json
 //
-// With --corrupt-rate the ingest stage runs a detection-driven
-// retransmission loop (the receiver's kDataLoss verdict triggers the
-// resend) and the retransmission count lands in the JSON line.
+// With --corrupt-rate every batch crosses the corrupting channel and NACK
+// retransmission loop RunProtocol runs at the same seed, and the
+// retransmission count lands in the JSON line.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
-
-#include <optional>
 
 #include "bench_common.h"
 #include "futurerand/common/flags.h"
@@ -32,107 +33,49 @@
 #include "futurerand/common/threadpool.h"
 #include "futurerand/common/timer.h"
 #include "futurerand/core/aggregator.h"
-#include "futurerand/core/fleet.h"
 #include "futurerand/core/snapshot.h"
 #include "futurerand/core/store.h"
-#include "futurerand/core/wire.h"
+#include "futurerand/sim/pipeline.h"
 
 namespace {
 
 using namespace futurerand;
 
-struct PipelineStats {
-  double create_seconds = 0.0;
-  double tick_seconds = 0.0;    // AdvanceTick over all d periods
-  double encode_seconds = 0.0;  // EncodeReportBatch over all batches
-  double ingest_seconds = 0.0;  // IngestEncoded over all batches
-  double query_seconds = 0.0;   // EstimateAll
+// Synthetic population: user u turns its flag on at period (u % d) + 1
+// and off again half a window later (two changes, within any k >= 2;
+// k = 1 users simply keep the flag on).
+Result<sim::Workload> MakePopulation(int64_t n, int64_t d, int64_t k) {
+  std::vector<sim::UserTrace> traces(static_cast<size_t>(n));
+  for (int64_t u = 0; u < n; ++u) {
+    const int64_t on = (u % d) + 1;
+    const int64_t off = on + d / 2;
+    traces[static_cast<size_t>(u)].change_times =
+        k >= 2 && off <= d ? std::vector<int64_t>{on, off}
+                           : std::vector<int64_t>{on};
+  }
+  return sim::Workload::FromTraces(
+      bench::MakeWorkload(sim::WorkloadKind::kUniformChanges, n, d, k),
+      std::move(traces));
+}
+
+// The stages timed after the stream, on the aggregator it filled.
+struct PostStream {
+  double query_seconds = 0.0;       // EstimateAll
   double checkpoint_seconds = 0.0;  // Checkpoint + Restore round-trip
   double delta_seconds = 0.0;       // delta Checkpoint (--checkpoint-mode)
-  int64_t reports = 0;
-  int64_t wire_bytes = 0;
-  int64_t checksum_rejected = 0;  // ingests NACKed with kDataLoss
-  int64_t retransmissions = 0;    // deliveries repeated after a NACK
   int64_t checkpoint_bytes = 0;  // one full blob
   int64_t delta_bytes = 0;       // one delta blob over dirty_shards shards
   int64_t dirty_shards = 0;      // shards dirtied before the delta (~1%)
   int64_t state_bytes = 0;       // ApproxMemoryBytes after the full stream
-  double final_estimate = 0.0;  // consume the output so nothing is elided
 };
 
-Result<PipelineStats> RunPipeline(const core::ProtocolConfig& config,
-                                  int64_t n, int shards, ThreadPool* pool,
-                                  uint64_t seed, core::DedupPolicy dedup,
-                                  core::DedupWindowPolicy window,
-                                  core::CheckpointMode checkpoint_mode,
-                                  double corrupt_rate) {
-  PipelineStats stats;
+Result<PostStream> MeasurePostStream(core::ShardedAggregator& aggregator,
+                                     int64_t n, int shards,
+                                     core::CheckpointMode checkpoint_mode) {
+  PostStream stats;
   WallTimer timer;
-  FR_ASSIGN_OR_RETURN(core::ClientFleet fleet,
-                      core::ClientFleet::Create(config, n, seed, pool));
-  stats.create_seconds = timer.ElapsedSeconds();
-
-  FR_ASSIGN_OR_RETURN(
-      core::ShardedAggregator aggregator,
-      core::ShardedAggregator::ForProtocol(config, shards, dedup, window));
-  const std::string registration_bytes = fleet.EncodeRegistrations();
-  stats.wire_bytes += static_cast<int64_t>(registration_bytes.size());
-  FR_RETURN_NOT_OK(aggregator.IngestEncoded(registration_bytes, pool));
-
-  // With --corrupt-rate the ingest stage ships every batch through the
-  // same corruption model and NACK retransmission loop the simulation
-  // runner uses — one copy of the delivery policy, so the bench can never
-  // drift from what RunProtocol actually does.
-  std::optional<sim::ChannelModel> channel;
-  sim::DeliveryMetrics delivery;
-  if (corrupt_rate > 0.0) {
-    sim::ChannelConfig channel_config;
-    channel_config.corrupt_rate = corrupt_rate;
-    channel.emplace(channel_config, seed * 0x9e3779b97f4a7c15ULL + 1);
-  }
-
-  // Synthetic population: user u turns its flag on at period (u % d) + 1
-  // and off again half a window later (two changes, within any k >= 2;
-  // k = 1 users simply keep the flag on).
-  const int64_t d = config.num_periods;
-  std::vector<int8_t> states(static_cast<size_t>(n), 0);
-  core::ReportBatch batch;
-  for (int64_t t = 1; t <= d; ++t) {
-    for (int64_t u = 0; u < n; ++u) {
-      const int64_t on = (u % d) + 1;
-      const bool off_again = config.max_changes >= 2 && t >= on + d / 2;
-      states[static_cast<size_t>(u)] =
-          (t >= on && !off_again) ? int8_t{1} : int8_t{0};
-    }
-    timer.Restart();
-    FR_RETURN_NOT_OK(fleet.AdvanceTick(states, &batch));
-    stats.tick_seconds += timer.ElapsedSeconds();
-
-    timer.Restart();
-    FR_ASSIGN_OR_RETURN(const std::string bytes,
-                        core::EncodeReportBatch(batch));
-    stats.encode_seconds += timer.ElapsedSeconds();
-    stats.wire_bytes += static_cast<int64_t>(bytes.size());
-    stats.reports += static_cast<int64_t>(batch.size());
-
-    timer.Restart();
-    if (channel.has_value()) {
-      FR_RETURN_NOT_OK(sim::DeliverEncodedWithRetransmission(
-          aggregator, bytes, &*channel, /*retransmit_budget=*/32, pool,
-          &delivery));
-    } else {
-      FR_RETURN_NOT_OK(aggregator.IngestEncoded(bytes, pool));
-    }
-    stats.ingest_seconds += timer.ElapsedSeconds();
-  }
-  stats.checksum_rejected = delivery.batches_checksum_rejected;
-  stats.retransmissions = delivery.batches_retransmitted;
-
-  timer.Restart();
-  FR_ASSIGN_OR_RETURN(const std::vector<double> estimates,
-                      aggregator.EstimateAll());
+  FR_RETURN_NOT_OK(aggregator.EstimateAll().status());
   stats.query_seconds = timer.ElapsedSeconds();
-  stats.final_estimate = estimates.back();
 
   // Memory-footprint stage: what the aggregator holds after the whole
   // stream — the number a DedupWindowPolicy is meant to bound.
@@ -176,6 +119,12 @@ double Rate(int64_t items, double seconds) {
   // +inf; report 0 ("no meaningful rate") rather than poisoning the JSON.
   const double rate = static_cast<double>(items) / seconds;
   return std::isfinite(rate) ? rate : 0.0;
+}
+
+// Reports a failed run step (exit code 1; flag errors exit 2).
+int Fail(const Status& status) {
+  std::fprintf(stderr, "%s\n", status.ToString().c_str());
+  return 1;
 }
 
 int Run(int argc, char** argv) {
@@ -275,12 +224,11 @@ int Run(int argc, char** argv) {
                  parser.Usage("bench_throughput").c_str());
     return 2;
   }
-  if (corrupt_rate < 0.0 || corrupt_rate > 1.0) {
-    std::fprintf(stderr,
-                 "InvalidArgument: --corrupt-rate must be in [0,1]\n%s",
-                 parser.Usage("bench_throughput").c_str());
-    return 2;
-  }
+  sim::FaultOptions faults;
+  faults.channel.corrupt_rate = corrupt_rate;
+  faults.dedup =
+      dedup ? core::DedupPolicy::kIdempotent : core::DedupPolicy::kStrict;
+  faults.dedup_window = core::DedupWindowPolicy{dedup_window};
 
   core::ProtocolConfig config = bench::MakeConfig(d, k, eps);
   config.randomizer = *randomizer;
@@ -295,26 +243,41 @@ int Run(int argc, char** argv) {
         static_cast<int32_t>(sketch_rows), sketch_width,
         static_cast<uint64_t>(sketch_seed));
   }
-  if (const Status store_status = config.store.Validate();
-      !store_status.ok()) {
-    std::fprintf(stderr, "%s\n%s", store_status.ToString().c_str(),
-                 parser.Usage("bench_throughput").c_str());
-    return 2;
+  for (const Status& status : {config.Validate(), faults.Validate()}) {
+    if (!status.ok()) {
+      std::fprintf(stderr, "%s\n%s", status.ToString().c_str(),
+                   parser.Usage("bench_throughput").c_str());
+      return 2;
+    }
+  }
+  const auto population = MakePopulation(n, d, k);
+  if (!population.ok()) {
+    return Fail(population.status());
   }
   ThreadPool pool(static_cast<int>(threads));
   const int effective_shards =
       shards > 0 ? static_cast<int>(shards) : pool.num_threads();
 
-  const auto stats = RunPipeline(config, n, effective_shards, &pool,
-                                 static_cast<uint64_t>(seed),
-                                 dedup ? core::DedupPolicy::kIdempotent
-                                       : core::DedupPolicy::kStrict,
-                                 core::DedupWindowPolicy{dedup_window},
-                                 mode, corrupt_rate);
-  if (!stats.ok()) {
-    std::fprintf(stderr, "%s\n", stats.status().ToString().c_str());
-    return 1;
+  auto aggregator = core::ShardedAggregator::ForProtocol(
+      config, effective_shards, faults.dedup, faults.dedup_window);
+  if (!aggregator.ok()) {
+    return Fail(aggregator.status());
   }
+  bench::StageTimingSink sink(std::move(*aggregator), faults, &pool);
+  const auto delivery =
+      sim::RunPipeline(config, *population, static_cast<uint64_t>(seed),
+                       &pool, faults, sink);
+  if (!delivery.ok()) {
+    return Fail(delivery.status());
+  }
+  const auto post =
+      MeasurePostStream(sink.aggregator(), n, effective_shards, mode);
+  if (!post.ok()) {
+    return Fail(post.status());
+  }
+  const bench::StageSeconds& stages = sink.seconds();
+  const int64_t reports = delivery->records_sent;
+  const int64_t wire_bytes = sink.wire_bytes();
 
   // Optional second measurement: the full simulation runner (workload
   // generation excluded) for any of the eleven protocol kinds.
@@ -329,16 +292,14 @@ int Run(int argc, char** argv) {
         bench::MakeWorkload(sim::WorkloadKind::kUniformChanges, n, d, k),
         static_cast<uint64_t>(seed));
     if (!workload.ok()) {
-      std::fprintf(stderr, "%s\n", workload.status().ToString().c_str());
-      return 1;
+      return Fail(workload.status());
     }
     const auto run =
         sim::RunProtocol(*protocol, config, *workload,
                          static_cast<uint64_t>(seed) + 1, &pool,
                          effective_shards);
     if (!run.ok()) {
-      std::fprintf(stderr, "%s\n", run.status().ToString().c_str());
-      return 1;
+      return Fail(run.status());
     }
     sim_seconds = run->wall_seconds;
   }
@@ -369,41 +330,42 @@ int Run(int argc, char** argv) {
         .Add("dedup_window", dedup_window)
         .Add("wire_version", 2)
         .Add("corrupt_rate", corrupt_rate)
-        .Add("checksum_rejected", stats->checksum_rejected)
-        .Add("batches_retransmitted", stats->retransmissions)
+        .Add("checksum_rejected", delivery->batches_checksum_rejected)
+        .Add("batches_retransmitted", delivery->batches_retransmitted)
         .Add("shards", effective_shards)
         .Add("threads", static_cast<int64_t>(pool.num_threads()))
-        .Add("reports", stats->reports)
-        .Add("wire_bytes", stats->wire_bytes)
-        .Add("fleet_create_sec", stats->create_seconds)
-        .Add("tick_sec", stats->tick_seconds)
-        .Add("encode_sec", stats->encode_seconds)
-        .Add("ingest_sec", stats->ingest_seconds)
-        .Add("estimate_all_sec", stats->query_seconds)
-        .Add("checkpoint_sec", stats->checkpoint_seconds)
-        .Add("checkpoint_bytes", stats->checkpoint_bytes)
-        .Add("state_bytes", stats->state_bytes)
-        .Add("user_periods_per_sec", Rate(user_periods, stats->tick_seconds))
-        .Add("reports_per_sec", Rate(stats->reports, stats->ingest_seconds))
+        .Add("reports", reports)
+        .Add("wire_bytes", wire_bytes)
+        .Add("fleet_create_sec", stages.create)
+        .Add("states_sec", stages.states)
+        .Add("tick_sec", stages.tick)
+        .Add("encode_sec", stages.encode)
+        .Add("ingest_sec", stages.ingest)
+        .Add("estimate_all_sec", post->query_seconds)
+        .Add("checkpoint_sec", post->checkpoint_seconds)
+        .Add("checkpoint_bytes", post->checkpoint_bytes)
+        .Add("state_bytes", post->state_bytes)
+        .Add("user_periods_per_sec", Rate(user_periods, stages.tick))
+        .Add("reports_per_sec", Rate(reports, stages.ingest))
         // Per-stage records/sec, one field per pipeline stage so the CI
         // regression gate (scripts/check_bench_regression.sh) can compare
         // each stage against the committed baseline independently. "Record"
         // is the stage's natural unit: user-periods for tick, reports for
         // encode/ingest, periods for query.
-        .Add("tick_records_per_sec", Rate(user_periods, stats->tick_seconds))
+        .Add("tick_records_per_sec", Rate(user_periods, stages.tick))
         .Add("encode_records_per_sec",
-             Rate(stats->reports, stats->encode_seconds))
+             Rate(reports, stages.encode))
         .Add("ingest_records_per_sec",
-             Rate(stats->reports, stats->ingest_seconds))
-        .Add("query_records_per_sec", Rate(d, stats->query_seconds));
+             Rate(reports, stages.ingest))
+        .Add("query_records_per_sec", Rate(d, post->query_seconds));
     if (mode == core::CheckpointMode::kDelta) {
-      line.Add("dirty_shards", stats->dirty_shards)
-          .Add("delta_checkpoint_sec", stats->delta_seconds)
-          .Add("delta_checkpoint_bytes", stats->delta_bytes)
+      line.Add("dirty_shards", post->dirty_shards)
+          .Add("delta_checkpoint_sec", post->delta_seconds)
+          .Add("delta_checkpoint_bytes", post->delta_bytes)
           .Add("full_over_delta_bytes",
-               stats->delta_bytes > 0
-                   ? static_cast<double>(stats->checkpoint_bytes) /
-                         static_cast<double>(stats->delta_bytes)
+               post->delta_bytes > 0
+                   ? static_cast<double>(post->checkpoint_bytes) /
+                         static_cast<double>(post->delta_bytes)
                    : 0.0);
     }
     if (!protocol_name.empty()) {
@@ -423,70 +385,40 @@ int Run(int argc, char** argv) {
               pool.num_threads(), core::StoreKindToString(*store_kind),
               static_cast<long long>(store_bytes_per_shard));
   TablePrinter table({"stage", "seconds", "items", "items/sec"});
-  table.AddRow({"fleet create",
-                TablePrinter::FormatDouble(stats->create_seconds, 4),
-                TablePrinter::FormatCount(n),
-                TablePrinter::FormatCount(static_cast<int64_t>(
-                    Rate(n, stats->create_seconds)))});
-  table.AddRow({"advance ticks",
-                TablePrinter::FormatDouble(stats->tick_seconds, 4),
-                TablePrinter::FormatCount(user_periods),
-                TablePrinter::FormatCount(static_cast<int64_t>(
-                    Rate(user_periods, stats->tick_seconds)))});
-  table.AddRow({"encode wire",
-                TablePrinter::FormatDouble(stats->encode_seconds, 4),
-                TablePrinter::FormatCount(stats->wire_bytes),
-                TablePrinter::FormatCount(static_cast<int64_t>(
-                    Rate(stats->wire_bytes, stats->encode_seconds)))});
-  table.AddRow({"ingest encoded",
-                TablePrinter::FormatDouble(stats->ingest_seconds, 4),
-                TablePrinter::FormatCount(stats->reports),
-                TablePrinter::FormatCount(static_cast<int64_t>(
-                    Rate(stats->reports, stats->ingest_seconds)))});
+  auto add_row = [&table](const std::string& stage, double seconds,
+                          int64_t items) {
+    table.AddRow({stage, TablePrinter::FormatDouble(seconds, 4),
+                  TablePrinter::FormatCount(items),
+                  TablePrinter::FormatCount(
+                      static_cast<int64_t>(Rate(items, seconds)))});
+  };
+  add_row("fleet create", stages.create, n);
+  add_row("step states", stages.states, user_periods);
+  add_row("advance ticks", stages.tick, user_periods);
+  add_row("encode wire", stages.encode, wire_bytes);
+  add_row("ingest encoded", stages.ingest, reports);
   if (corrupt_rate > 0.0) {
     // Retry cost is folded into the "ingest encoded" row above; this row
     // only counts the NACKed deliveries that were re-sent.
-    table.AddRow({"retransmissions",
-                  TablePrinter::FormatDouble(0.0, 4),
-                  TablePrinter::FormatCount(stats->retransmissions),
-                  TablePrinter::FormatCount(0)});
+    add_row("retransmissions", 0.0, delivery->batches_retransmitted);
   }
-  table.AddRow({"estimate all",
-                TablePrinter::FormatDouble(stats->query_seconds, 4),
-                TablePrinter::FormatCount(d),
-                TablePrinter::FormatCount(static_cast<int64_t>(
-                    Rate(d, stats->query_seconds)))});
-  table.AddRow({"checkpoint+restore",
-                TablePrinter::FormatDouble(stats->checkpoint_seconds, 4),
-                TablePrinter::FormatCount(stats->checkpoint_bytes),
-                TablePrinter::FormatCount(static_cast<int64_t>(
-                    Rate(stats->checkpoint_bytes,
-                         stats->checkpoint_seconds)))});
-  table.AddRow({"state memory",
-                TablePrinter::FormatDouble(0.0, 4),
-                TablePrinter::FormatCount(stats->state_bytes),
-                TablePrinter::FormatCount(0)});
+  add_row("estimate all", post->query_seconds, d);
+  add_row("checkpoint+restore", post->checkpoint_seconds,
+          post->checkpoint_bytes);
+  add_row("state memory", 0.0, post->state_bytes);
   if (mode == core::CheckpointMode::kDelta) {
-    table.AddRow({"delta checkpoint",
-                  TablePrinter::FormatDouble(stats->delta_seconds, 4),
-                  TablePrinter::FormatCount(stats->delta_bytes),
-                  TablePrinter::FormatCount(static_cast<int64_t>(
-                      Rate(stats->delta_bytes, stats->delta_seconds)))});
+    add_row("delta checkpoint", post->delta_seconds, post->delta_bytes);
   }
   if (!protocol_name.empty()) {
-    table.AddRow({"sim " + protocol_name,
-                  TablePrinter::FormatDouble(sim_seconds, 4),
-                  TablePrinter::FormatCount(user_periods),
-                  TablePrinter::FormatCount(static_cast<int64_t>(
-                      Rate(user_periods, sim_seconds)))});
+    add_row("sim " + protocol_name, sim_seconds, user_periods);
   }
   table.Print(std::cout);
   std::printf("%lld reports, %lld wire bytes (%.2f bytes/report)\n",
-              static_cast<long long>(stats->reports),
-              static_cast<long long>(stats->wire_bytes),
-              stats->reports > 0
-                  ? static_cast<double>(stats->wire_bytes) /
-                        static_cast<double>(stats->reports)
+              static_cast<long long>(reports),
+              static_cast<long long>(wire_bytes),
+              reports > 0
+                  ? static_cast<double>(wire_bytes) /
+                        static_cast<double>(reports)
                   : 0.0);
   return 0;
 }

@@ -82,6 +82,7 @@ Result<DeliveryMetrics> RunPipeline(const core::ProtocolConfig& config,
       delivery.registrations_replayed +=
           static_cast<int64_t>(reregistrations.size());
     }
+    sink.BeginTick(t);
     FR_RETURN_NOT_OK(fleet.AdvanceTick(states, &batch));
     if (channel.has_value()) {
       channel->Transmit(batch, &delivered);

@@ -2,9 +2,10 @@
 // workload through a core::ClientFleet tick by tick and hands every batch
 // to a ReportSink, which holds all that differs between the front ends:
 // InProcessSink (below) backs sim::RunProtocol, net::StreamSink
-// (net/client.h) backs tools/frload. Sharing the loop keeps the fleet's
-// and the channel's draws in the same order, so `frload --verify` holds
-// by construction.
+// (net/client.h) backs tools/frload, and bench::StageTimingSink
+// (bench/bench_common.h) backs bench_throughput and bench_shootout.
+// Sharing the loop keeps the fleet's and the channel's draws in the same
+// order, so `frload --verify` holds by construction.
 
 #ifndef FUTURERAND_SIM_PIPELINE_H_
 #define FUTURERAND_SIM_PIPELINE_H_
@@ -38,6 +39,10 @@ class ReportSink {
   virtual Status Register(
       const std::vector<core::RegistrationMessage>& registrations,
       int64_t tick) = 0;
+
+  /// Runs once per tick t = 1..d, after the state step and any joiner
+  /// Register(t), right before the fleet advances to tick t.
+  virtual void BeginTick(int64_t /*tick*/) {}
 
   /// Delivers one report batch. `batch_index` is t - 1 for tick t and d
   /// for the delayed records flushed after the last tick. `channel` is

@@ -128,12 +128,13 @@ struct FaultOptions {
 
 /// Ships one encoded batch into `aggregator` with detection-driven
 /// (NACK-style) retransmission — the single copy of the delivery policy
-/// shared by RunProtocol and bench_throughput. Each attempt re-traverses
+/// shared by the in-process ReportSinks of RunPipeline (sim::InProcessSink
+/// and the benches' bench::StageTimingSink). Each attempt re-traverses
 /// `channel` (nullable = no corruption possible), and an attempt the
 /// aggregator rejects with kDataLoss is retransmitted. Gives up after
-/// `retransmit_budget` attempts with kDataLoss. `delivery` (required) accumulates the applied/deduped/
-/// out-of-window record counts and the checksum-NACK/retransmission
-/// batch counters.
+/// `retransmit_budget` attempts with kDataLoss. `delivery` (required)
+/// accumulates the applied/deduped/out-of-window record counts and the
+/// checksum-NACK/retransmission batch counters.
 Status DeliverEncodedWithRetransmission(core::ShardedAggregator& aggregator,
                                         const std::string& pristine,
                                         ChannelModel* channel,
