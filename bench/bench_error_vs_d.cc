@@ -31,6 +31,7 @@
 #include "futurerand/common/timer.h"
 #include "futurerand/core/store.h"
 #include "futurerand/randomizer/randomizer.h"
+#include "futurerand/sim/flag_groups.h"
 
 namespace {
 
@@ -120,11 +121,7 @@ int Run(int argc, char** argv) {
   double eps = 1.0;
   int64_t reps = 2;
   int64_t huge_d = 0;
-  const core::StoreConfig sketch_defaults;
-  std::string store_name = "dense";
-  int64_t sketch_rows = sketch_defaults.sketch_rows;
-  int64_t sketch_width = sketch_defaults.sketch_width;
-  int64_t sketch_seed = static_cast<int64_t>(sketch_defaults.sketch_seed);
+  sim::StoreFlags store_flags;
   bool json = false;
   bool help = false;
 
@@ -136,46 +133,29 @@ int Run(int argc, char** argv) {
   parser.AddInt64("huge-d", &huge_d,
                   "memory-smoke domain size (a power of two >= 2^24, "
                   "sketch only; 0 = run the error sweep instead)");
-  parser.AddString("store", &store_name,
-                   "per-shard aggregate storage: dense (exact) | sketch "
-                   "(count-sketch levels, bounded extra error)");
-  parser.AddInt64("sketch-rows", &sketch_rows,
-                  "count-sketch depth R in [1, 64]");
-  parser.AddInt64("sketch-width", &sketch_width,
-                  "count-sketch width W, a power of two in [8, 2^30]");
-  parser.AddInt64("sketch-seed", &sketch_seed,
-                  "seed of the per-(level,row) hashes");
+  store_flags.Register(&parser);
   parser.AddBool("json", &json,
                  "machine-readable JSON lines instead of the table");
   parser.AddBool("help", &help, "print usage");
-  const Status parse_status = parser.Parse(argc, argv);
-  if (!parse_status.ok()) {
-    std::fprintf(stderr, "%s\n%s", parse_status.ToString().c_str(),
+
+  // Every flag error exits 2 with the Status text and usage.
+  const auto flag_error = [&parser](const Status& status) {
+    std::fprintf(stderr, "%s\n%s", status.ToString().c_str(),
                  parser.Usage("bench_error_vs_d").c_str());
     return 2;
+  };
+  if (const Status parsed = parser.Parse(argc, argv); !parsed.ok()) {
+    return flag_error(parsed);
   }
   if (help) {
     std::fputs(parser.Usage("bench_error_vs_d").c_str(), stdout);
     return 0;
   }
-
-  const auto store_kind = core::ParseStoreKind(store_name);
-  if (!store_kind.ok()) {
-    std::fprintf(stderr, "%s\n%s", store_kind.status().ToString().c_str(),
-                 parser.Usage("bench_error_vs_d").c_str());
-    return 2;
+  const auto store_config = store_flags.ToConfig();
+  if (!store_config.ok()) {
+    return flag_error(store_config.status());
   }
-  core::StoreConfig store;  // dense by default
-  if (*store_kind == core::StoreKind::kSketch) {
-    store = core::StoreConfig::Sketch(static_cast<int32_t>(sketch_rows),
-                                      sketch_width,
-                                      static_cast<uint64_t>(sketch_seed));
-  }
-  if (const Status store_status = store.Validate(); !store_status.ok()) {
-    std::fprintf(stderr, "%s\n%s", store_status.ToString().c_str(),
-                 parser.Usage("bench_error_vs_d").c_str());
-    return 2;
-  }
+  const core::StoreConfig& store = *store_config;
 
   if (huge_d > 0) {
     return RunHugeDomainSmoke(store, huge_d, json);

@@ -30,7 +30,7 @@
 #include "futurerand/core/aggregator.h"
 #include "futurerand/sim/metrics.h"
 #include "futurerand/sim/pipeline.h"
-#include "futurerand/sim/workload_flags.h"
+#include "futurerand/sim/flag_groups.h"
 
 namespace {
 

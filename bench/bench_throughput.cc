@@ -35,6 +35,7 @@
 #include "futurerand/core/aggregator.h"
 #include "futurerand/core/snapshot.h"
 #include "futurerand/core/store.h"
+#include "futurerand/sim/flag_groups.h"
 #include "futurerand/sim/pipeline.h"
 
 namespace {
@@ -137,15 +138,10 @@ int Run(int argc, char** argv) {
   int64_t shards = 0;
   int64_t threads = ThreadPool::DefaultThreadCount();
   int64_t seed = 1;
-  bool dedup = false;
-  int64_t dedup_window = 0;
+  sim::DedupFlags dedup_flags;
   std::string checkpoint_mode = "full";
   double corrupt_rate = 0.0;
-  const core::StoreConfig sketch_defaults;
-  std::string store_name = "dense";
-  int64_t sketch_rows = sketch_defaults.sketch_rows;
-  int64_t sketch_width = sketch_defaults.sketch_width;
-  int64_t sketch_seed = static_cast<int64_t>(sketch_defaults.sketch_seed);
+  sim::StoreFlags store_flags;
   bool json = false;
   bool help = false;
 
@@ -164,12 +160,7 @@ int Run(int argc, char** argv) {
                   "aggregator shards (0 = one per worker thread)");
   parser.AddInt64("threads", &threads, "worker threads");
   parser.AddInt64("seed", &seed, "base seed");
-  parser.AddBool("dedup", &dedup,
-                 "ingest with DedupPolicy::kIdempotent (measures the "
-                 "per-client boundary-bitmap overhead)");
-  parser.AddInt64("dedup-window", &dedup_window,
-                  "bound the dedup bitmaps to this many boundaries behind "
-                  "each client's frontier (0 = unbounded); requires --dedup");
+  dedup_flags.Register(&parser);
   parser.AddString("checkpoint-mode", &checkpoint_mode,
                    "full | delta: delta adds a stage that dirties ~1% of "
                    "the shards and serializes only those");
@@ -177,25 +168,19 @@ int Run(int argc, char** argv) {
                    "P(one bit of an outgoing batch flips): the ingest "
                    "stage then runs the NACK retransmission loop and "
                    "reports the retransmission count");
-  parser.AddString("store", &store_name,
-                   "per-shard aggregate storage: dense (exact) | sketch "
-                   "(count-sketch levels, bounded extra error, O(levels*R*W) "
-                   "memory per shard)");
-  parser.AddInt64("sketch-rows", &sketch_rows,
-                  "count-sketch depth R in [1, 64]; only with --store=sketch");
-  parser.AddInt64("sketch-width", &sketch_width,
-                  "count-sketch width W, a power of two in [8, 2^30]; only "
-                  "with --store=sketch");
-  parser.AddInt64("sketch-seed", &sketch_seed,
-                  "seed of the per-(level,row) hashes");
+  store_flags.Register(&parser);
   parser.AddBool("json", &json,
                  "print one machine-readable JSON line instead of a table");
   parser.AddBool("help", &help, "print usage");
-  const Status parse_status = parser.Parse(argc, argv);
-  if (!parse_status.ok()) {
-    std::fprintf(stderr, "%s\n%s", parse_status.ToString().c_str(),
+
+  // Every flag error exits 2 with the Status text and usage.
+  const auto flag_error = [&parser](const Status& status) {
+    std::fprintf(stderr, "%s\n%s", status.ToString().c_str(),
                  parser.Usage("bench_throughput").c_str());
     return 2;
+  };
+  if (const Status parsed = parser.Parse(argc, argv); !parsed.ok()) {
+    return flag_error(parsed);
   }
   if (help) {
     std::fputs(parser.Usage("bench_throughput").c_str(), stdout);
@@ -203,52 +188,35 @@ int Run(int argc, char** argv) {
   }
 
   if (threads < 1 || shards < 0) {
-    std::fprintf(stderr,
-                 "InvalidArgument: --threads must be >= 1 and --shards "
-                 ">= 0\n%s",
-                 parser.Usage("bench_throughput").c_str());
-    return 2;
+    return flag_error(Status::InvalidArgument(
+        "--threads must be >= 1 and --shards >= 0"));
   }
   const auto randomizer = rand::ParseRandomizerKind(randomizer_name);
   if (!randomizer.ok()) {
-    std::fprintf(stderr, "%s\n", randomizer.status().ToString().c_str());
-    return 2;
+    return flag_error(randomizer.status());
   }
-  core::CheckpointMode mode = core::CheckpointMode::kFull;
-  if (checkpoint_mode == "delta") {
-    mode = core::CheckpointMode::kDelta;
-  } else if (checkpoint_mode != "full") {
-    std::fprintf(stderr,
-                 "InvalidArgument: --checkpoint-mode must be full or "
-                 "delta\n%s",
-                 parser.Usage("bench_throughput").c_str());
-    return 2;
+  const auto mode = core::ParseCheckpointMode(checkpoint_mode);
+  if (!mode.ok()) {
+    return flag_error(mode.status());
+  }
+  const auto store = store_flags.ToConfig();
+  if (!store.ok()) {
+    return flag_error(store.status());
   }
   sim::FaultOptions faults;
   faults.channel.corrupt_rate = corrupt_rate;
-  faults.dedup =
-      dedup ? core::DedupPolicy::kIdempotent : core::DedupPolicy::kStrict;
-  faults.dedup_window = core::DedupWindowPolicy{dedup_window};
-
   core::ProtocolConfig config = bench::MakeConfig(d, k, eps);
   config.randomizer = *randomizer;
-  const auto store_kind = core::ParseStoreKind(store_name);
-  if (!store_kind.ok()) {
-    std::fprintf(stderr, "%s\n%s", store_kind.status().ToString().c_str(),
-                 parser.Usage("bench_throughput").c_str());
-    return 2;
-  }
-  if (*store_kind == core::StoreKind::kSketch) {
-    config.store = core::StoreConfig::Sketch(
-        static_cast<int32_t>(sketch_rows), sketch_width,
-        static_cast<uint64_t>(sketch_seed));
-  }
-  for (const Status& status : {config.Validate(), faults.Validate()}) {
+  config.store = *store;
+  for (const Status& status :
+       {dedup_flags.ToPolicies(&faults.dedup, &faults.dedup_window),
+        config.Validate()}) {
     if (!status.ok()) {
-      std::fprintf(stderr, "%s\n%s", status.ToString().c_str(),
-                   parser.Usage("bench_throughput").c_str());
-      return 2;
+      return flag_error(status);
     }
+  }
+  if (const Status valid = faults.Validate(); !valid.ok()) {
+    return flag_error(valid);
   }
   const auto population = MakePopulation(n, d, k);
   if (!population.ok()) {
@@ -271,7 +239,7 @@ int Run(int argc, char** argv) {
     return Fail(delivery.status());
   }
   const auto post =
-      MeasurePostStream(sink.aggregator(), n, effective_shards, mode);
+      MeasurePostStream(sink.aggregator(), n, effective_shards, *mode);
   if (!post.ok()) {
     return Fail(post.status());
   }
@@ -285,8 +253,7 @@ int Run(int argc, char** argv) {
   if (!protocol_name.empty()) {
     const auto protocol = sim::ParseProtocolKind(protocol_name);
     if (!protocol.ok()) {
-      std::fprintf(stderr, "%s\n", protocol.status().ToString().c_str());
-      return 2;
+      return flag_error(protocol.status());
     }
     const auto workload = sim::Workload::Generate(
         bench::MakeWorkload(sim::WorkloadKind::kUniformChanges, n, d, k),
@@ -318,16 +285,16 @@ int Run(int argc, char** argv) {
         .Add("k", k)
         .Add("eps", eps)
         .Add("randomizer", rand::RandomizerKindToString(*randomizer))
-        .Add("store", core::StoreKindToString(*store_kind))
-        .Add("sketch_rows", *store_kind == core::StoreKind::kSketch
+        .Add("store", core::StoreKindToString(config.store.kind))
+        .Add("sketch_rows", config.store.kind == core::StoreKind::kSketch
                                 ? static_cast<int64_t>(config.store.sketch_rows)
                                 : int64_t{0})
-        .Add("sketch_width", *store_kind == core::StoreKind::kSketch
+        .Add("sketch_width", config.store.kind == core::StoreKind::kSketch
                                  ? config.store.sketch_width
                                  : int64_t{0})
         .Add("store_bytes_per_shard", store_bytes_per_shard)
-        .Add("dedup", dedup ? 1 : 0)
-        .Add("dedup_window", dedup_window)
+        .Add("dedup", dedup_flags.dedup ? 1 : 0)
+        .Add("dedup_window", dedup_flags.dedup_window)
         .Add("wire_version", 2)
         .Add("corrupt_rate", corrupt_rate)
         .Add("checksum_rejected", delivery->batches_checksum_rejected)
@@ -358,7 +325,7 @@ int Run(int argc, char** argv) {
         .Add("ingest_records_per_sec",
              Rate(reports, stages.ingest))
         .Add("query_records_per_sec", Rate(d, post->query_seconds));
-    if (mode == core::CheckpointMode::kDelta) {
+    if (*mode == core::CheckpointMode::kDelta) {
       line.Add("dirty_shards", post->dirty_shards)
           .Add("delta_checkpoint_sec", post->delta_seconds)
           .Add("delta_checkpoint_bytes", post->delta_bytes)
@@ -382,7 +349,7 @@ int Run(int argc, char** argv) {
               rand::RandomizerKindToString(*randomizer),
               static_cast<long long>(n), static_cast<long long>(d),
               static_cast<long long>(k), eps, effective_shards,
-              pool.num_threads(), core::StoreKindToString(*store_kind),
+              pool.num_threads(), core::StoreKindToString(config.store.kind),
               static_cast<long long>(store_bytes_per_shard));
   TablePrinter table({"stage", "seconds", "items", "items/sec"});
   auto add_row = [&table](const std::string& stage, double seconds,
@@ -406,7 +373,7 @@ int Run(int argc, char** argv) {
   add_row("checkpoint+restore", post->checkpoint_seconds,
           post->checkpoint_bytes);
   add_row("state memory", 0.0, post->state_bytes);
-  if (mode == core::CheckpointMode::kDelta) {
+  if (*mode == core::CheckpointMode::kDelta) {
     add_row("delta checkpoint", post->delta_seconds, post->delta_bytes);
   }
   if (!protocol_name.empty()) {

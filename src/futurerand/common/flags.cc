@@ -105,12 +105,11 @@ void FlagParser::AddBool(const std::string& name, bool* target,
 }
 
 Status FlagParser::Parse(int argc, const char* const* argv) {
-  positional_args_.clear();
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
-      positional_args_.push_back(arg);
-      continue;
+      return Status::InvalidArgument("unexpected argument: " + arg +
+                                     " (flags take the form --name=value)");
     }
     std::string name = arg.substr(2);
     std::string value;

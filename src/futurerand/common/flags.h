@@ -1,8 +1,8 @@
 // A minimal command-line flag parser for the tools and harnesses.
 //
 // Supports --name=value and --name value forms, plus bare --bool_flag.
-// Unknown flags and malformed values are errors (tools should not silently
-// ignore typos in experiment parameters).
+// Unknown flags, malformed values and stray non-flag arguments are errors
+// (tools should not silently ignore typos in experiment parameters).
 
 #ifndef FUTURERAND_COMMON_FLAGS_H_
 #define FUTURERAND_COMMON_FLAGS_H_
@@ -11,7 +11,6 @@
 #include <functional>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "futurerand/common/status.h"
 
@@ -36,14 +35,11 @@ class FlagParser {
   /// Accepts --name, --name=true/false/1/0.
   void AddBool(const std::string& name, bool* target, const std::string& help);
 
-  /// Parses argv[1..argc-1]. On success the bound variables are updated and
-  /// positional (non-flag) arguments are available via positional_args().
+  /// Parses argv[1..argc-1]. On success the bound variables are updated.
+  /// Every argument must be a flag or the value of the flag before it: a
+  /// stray argument (`input.csv`, `-n=7`, or the `false` of
+  /// `--bool_flag false`) is an InvalidArgument naming it.
   Status Parse(int argc, const char* const* argv);
-
-  /// Non-flag arguments in order of appearance.
-  const std::vector<std::string>& positional_args() const {
-    return positional_args_;
-  }
 
   /// A formatted help string listing every flag with its default and help
   /// text.
@@ -62,7 +58,6 @@ class FlagParser {
   void Register(const std::string& name, Flag flag);
 
   std::map<std::string, Flag> flags_;
-  std::vector<std::string> positional_args_;
 };
 
 }  // namespace futurerand

@@ -7,6 +7,30 @@
 
 namespace futurerand::core {
 
+Result<CheckpointMode> ParseCheckpointMode(const std::string& name) {
+  if (name == "full") {
+    return CheckpointMode::kFull;
+  }
+  if (name == "delta") {
+    return CheckpointMode::kDelta;
+  }
+  return Status::InvalidArgument("--checkpoint-mode must be full or delta");
+}
+
+Status ValidateCheckpointChain(CheckpointMode mode, int64_t compact_every) {
+  if (mode == CheckpointMode::kDelta && compact_every < 1) {
+    return Status::InvalidArgument("checkpoint_compact_every must be >= 1");
+  }
+  return Status::OK();
+}
+
+CheckpointMode NextCheckpointMode(CheckpointMode mode, int64_t compact_every,
+                                  bool has_base, int64_t checkpoints_taken) {
+  const bool full = mode == CheckpointMode::kFull || !has_base ||
+                    checkpoints_taken % compact_every == 0;
+  return full ? CheckpointMode::kFull : CheckpointMode::kDelta;
+}
+
 ShardedAggregator::ShardedAggregator(int64_t num_periods,
                                      std::vector<double> level_scales,
                                      DedupPolicy dedup,

@@ -23,6 +23,7 @@
 #include <memory>
 #include <mutex>
 #include <span>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -60,6 +61,23 @@ enum class CheckpointMode {
   /// deltas would leave an unrecoverable seq gap).
   kDelta,
 };
+
+/// Parses "full" / "delta" (the --checkpoint-mode flag spelling).
+Result<CheckpointMode> ParseCheckpointMode(const std::string& name);
+
+/// OK iff a checkpoint chain's compaction cadence is usable: under kDelta
+/// every `compact_every`-th checkpoint is a full compaction, so it must be
+/// >= 1 (1 degrades to all-full). kFull ignores the cadence.
+Status ValidateCheckpointChain(CheckpointMode mode, int64_t compact_every);
+
+/// The durable-chain rule the simulator and the ingest service share:
+/// what the next checkpoint of a chain serializes, given whether the chain
+/// has a full base yet and how many checkpoints were taken before. A full
+/// compaction blob under kFull, for the first checkpoint of a chain, and
+/// every `compact_every`-th checkpoint; a delta of the dirtied shards
+/// otherwise. Assumes ValidateCheckpointChain(mode, compact_every) is OK.
+CheckpointMode NextCheckpointMode(CheckpointMode mode, int64_t compact_every,
+                                  bool has_base, int64_t checkpoints_taken);
 
 /// Thread-safe sharded aggregator. Move-only (but moving is NOT thread-safe:
 /// quiesce all other calls first). Safe for concurrent Ingest*, Estimate*,

@@ -81,10 +81,8 @@ Status ServiceConfig::Validate() const {
     return Status::InvalidArgument(
         "checkpoint_interval_ms needs a checkpoint_path");
   }
-  if (checkpoint_mode == core::CheckpointMode::kDelta &&
-      checkpoint_compact_every < 1) {
-    return Status::InvalidArgument("checkpoint_compact_every must be >= 1");
-  }
+  FR_RETURN_NOT_OK(
+      core::ValidateCheckpointChain(checkpoint_mode, checkpoint_compact_every));
   return Status::OK();
 }
 
@@ -640,27 +638,20 @@ void IngestServer::CloseListeners() {
 }
 
 Status IngestServer::DoCheckpoint(bool final) {
-  // Mirrors the runner's durable-chain policy: a full compaction blob
-  // under kFull mode, for the first checkpoint of a chain, on the forced
-  // final compaction, and every checkpoint_compact_every-th checkpoint;
-  // a delta of the dirtied shards otherwise.
+  // The shared durable-chain rule (core::NextCheckpointMode), plus a
+  // forced full compaction for the final checkpoint.
   int64_t taken;
   {
     const std::lock_guard<std::mutex> lock(stats_mutex_);
     taken = stats_.checkpoints_taken;
   }
-  const bool full =
-      config_.checkpoint_mode == core::CheckpointMode::kFull ||
-      !checkpoint_base_taken_ || final ||
-      taken % config_.checkpoint_compact_every == 0;
-  std::string blob;
-  if (full) {
-    FR_ASSIGN_OR_RETURN(blob,
-                        aggregator_.Checkpoint(core::CheckpointMode::kFull));
-  } else {
-    FR_ASSIGN_OR_RETURN(
-        blob, aggregator_.Checkpoint(core::CheckpointMode::kDelta));
-  }
+  const core::CheckpointMode mode =
+      final ? core::CheckpointMode::kFull
+            : core::NextCheckpointMode(config_.checkpoint_mode,
+                                       config_.checkpoint_compact_every,
+                                       checkpoint_base_taken_, taken);
+  const bool full = mode == core::CheckpointMode::kFull;
+  FR_ASSIGN_OR_RETURN(const std::string blob, aggregator_.Checkpoint(mode));
   std::string framed;
   FR_RETURN_NOT_OK(AppendFrame(blob, &framed));
   if (full) {

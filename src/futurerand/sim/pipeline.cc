@@ -172,25 +172,19 @@ Status InProcessSink::EndTick(int64_t tick, DeliveryMetrics* delivery) {
   if (faults_.checkpoint_every <= 0 || tick % faults_.checkpoint_every != 0) {
     return Status::OK();
   }
-  // Extend the durable chain: a full compaction blob every
-  // checkpoint_compact_every checkpoints (always, under kFull mode and for
-  // the very first checkpoint), a delta of the dirtied shards otherwise.
-  const bool full =
-      faults_.checkpoint_mode == core::CheckpointMode::kFull ||
-      checkpoint_base_.empty() ||
-      delivery->checkpoints_taken % faults_.checkpoint_compact_every == 0;
-  if (full) {
-    FR_ASSIGN_OR_RETURN(checkpoint_base_,
-                        aggregator_.Checkpoint(core::CheckpointMode::kFull));
+  // Extend the durable chain by the shared rule (core::NextCheckpointMode).
+  const core::CheckpointMode mode = core::NextCheckpointMode(
+      faults_.checkpoint_mode, faults_.checkpoint_compact_every,
+      /*has_base=*/!checkpoint_base_.empty(), delivery->checkpoints_taken);
+  FR_ASSIGN_OR_RETURN(std::string blob, aggregator_.Checkpoint(mode));
+  delivery->checkpoint_bytes += static_cast<int64_t>(blob.size());
+  if (mode == core::CheckpointMode::kFull) {
+    checkpoint_base_ = std::move(blob);
     checkpoint_deltas_.clear();
-    delivery->checkpoint_bytes += static_cast<int64_t>(checkpoint_base_.size());
   } else {
-    FR_ASSIGN_OR_RETURN(std::string delta,
-                        aggregator_.Checkpoint(core::CheckpointMode::kDelta));
-    delivery->checkpoint_bytes += static_cast<int64_t>(delta.size());
-    delivery->delta_checkpoint_bytes += static_cast<int64_t>(delta.size());
+    delivery->delta_checkpoint_bytes += static_cast<int64_t>(blob.size());
     ++delivery->delta_checkpoints_taken;
-    checkpoint_deltas_.push_back(std::move(delta));
+    checkpoint_deltas_.push_back(std::move(blob));
   }
   ++delivery->checkpoints_taken;
   // Simulated crash/restart: rebuild from scratch and replay the whole

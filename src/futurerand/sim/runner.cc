@@ -329,12 +329,8 @@ Status FaultOptions::Validate() const {
   if (checkpoint_every < 0) {
     return Status::InvalidArgument("checkpoint_every must be >= 0");
   }
-  if (checkpoint_mode == core::CheckpointMode::kDelta &&
-      checkpoint_compact_every < 1) {
-    // Only delta mode reads the compaction cadence (runner.h documents it
-    // as ignored under kFull).
-    return Status::InvalidArgument("checkpoint_compact_every must be >= 1");
-  }
+  FR_RETURN_NOT_OK(
+      core::ValidateCheckpointChain(checkpoint_mode, checkpoint_compact_every));
   if (retransmit_budget < 1) {
     return Status::InvalidArgument("retransmit_budget must be >= 1");
   }

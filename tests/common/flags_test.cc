@@ -105,13 +105,26 @@ TEST(FlagParserTest, MissingValueIsError) {
   EXPECT_FALSE(ParseArgs(&parser, {"--n"}).ok());
 }
 
-TEST(FlagParserTest, PositionalArgumentsCollected) {
+TEST(FlagParserTest, StrayArgumentsAreErrors) {
   int64_t n = 0;
+  bool flag = true;
   FlagParser parser;
   parser.AddInt64("n", &n, "users");
-  ASSERT_TRUE(ParseArgs(&parser, {"input.csv", "--n=3", "extra"}).ok());
-  EXPECT_EQ(parser.positional_args(),
-            (std::vector<std::string>{"input.csv", "extra"}));
+  parser.AddBool("flag", &flag, "toggle");
+
+  const Status file = ParseArgs(&parser, {"input.csv"});
+  EXPECT_EQ(file.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(file.message().find("input.csv"), std::string::npos);
+
+  // A bare bool flag takes no separate value: `false` is a stray argument,
+  // not the flag's value.
+  const Status bool_value = ParseArgs(&parser, {"--flag", "false"});
+  EXPECT_EQ(bool_value.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(bool_value.message().find("false"), std::string::npos);
+
+  // Single-dash spellings are stray too.
+  EXPECT_EQ(ParseArgs(&parser, {"-n=7"}).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(FlagParserTest, UsageListsFlagsWithDefaults) {

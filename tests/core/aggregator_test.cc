@@ -335,5 +335,37 @@ TEST(AggregatorStoreTest, SketchEstimatesInvariantUnderShardCount) {
   }
 }
 
+TEST(CheckpointChainTest, ParseCheckpointModeSpellings) {
+  EXPECT_EQ(ParseCheckpointMode("full").ValueOrDie(), CheckpointMode::kFull);
+  EXPECT_EQ(ParseCheckpointMode("delta").ValueOrDie(), CheckpointMode::kDelta);
+  EXPECT_EQ(ParseCheckpointMode("Delta").status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(CheckpointChainTest, CompactionCadenceMustBePositiveUnderDelta) {
+  EXPECT_TRUE(ValidateCheckpointChain(CheckpointMode::kDelta, 1).ok());
+  EXPECT_EQ(ValidateCheckpointChain(CheckpointMode::kDelta, 0).code(),
+            StatusCode::kInvalidArgument);
+  // kFull never reads the cadence.
+  EXPECT_TRUE(ValidateCheckpointChain(CheckpointMode::kFull, 0).ok());
+}
+
+TEST(CheckpointChainTest, NextCheckpointModeFollowsTheChainRule) {
+  // Under kDelta with a cadence of 3: full first (no base), then two
+  // deltas, then a compaction on every third checkpoint.
+  std::vector<CheckpointMode> chain;
+  for (int64_t taken = 0; taken < 7; ++taken) {
+    chain.push_back(NextCheckpointMode(CheckpointMode::kDelta, 3,
+                                       /*has_base=*/taken > 0, taken));
+  }
+  const CheckpointMode full = CheckpointMode::kFull;
+  const CheckpointMode delta = CheckpointMode::kDelta;
+  EXPECT_EQ(chain, (std::vector<CheckpointMode>{full, delta, delta, full,
+                                                delta, delta, full}));
+  // No base yet always means full; kFull mode is always full.
+  EXPECT_EQ(NextCheckpointMode(CheckpointMode::kDelta, 3, false, 5), full);
+  EXPECT_EQ(NextCheckpointMode(CheckpointMode::kFull, 3, true, 5), full);
+}
+
 }  // namespace
 }  // namespace futurerand::core

@@ -27,10 +27,10 @@
 #include "futurerand/common/threadpool.h"
 #include "futurerand/net/client.h"
 #include "futurerand/net/server.h"
+#include "futurerand/sim/flag_groups.h"
 #include "futurerand/sim/pipeline.h"
 #include "futurerand/sim/runner.h"
 #include "futurerand/sim/workload.h"
-#include "futurerand/sim/workload_flags.h"
 
 namespace {
 
@@ -81,21 +81,8 @@ int Run(int argc, char** argv) {
   int64_t seed = 2;
   int64_t workload_seed = 1;
   int64_t threads = ThreadPool::DefaultThreadCount();
-  double drop_rate = 0.0;
-  double dup_rate = 0.0;
-  double reorder_rate = 0.0;
-  double corrupt_rate = 0.0;
-  double burst_enter_rate = 0.0;
-  double burst_exit_rate = 0.0;
-  double burst_drop_rate = 0.0;
-  double burst_corrupt_rate = 0.0;
-  double outage_rate = 0.0;
-  double outage_recovery_rate = 0.0;
-  double delay_rate = 0.0;
-  int64_t delay_max_ticks = 0;
-  int64_t retransmit_budget = 32;
-  bool dedup = false;
-  int64_t dedup_window = 0;
+  sim::ChannelFlags channel_flags;
+  sim::DedupFlags dedup_flags;
   std::string checkpoint;
   bool do_shutdown = true;
   bool verify = false;
@@ -122,39 +109,8 @@ int Run(int argc, char** argv) {
   parser.AddInt64("workload-seed", &workload_seed, "workload seed");
   parser.AddInt64("threads", &threads,
                   "local worker threads (fleet advance + verify run)");
-  parser.AddDouble("drop-rate", &drop_rate, "P(report lost in the channel)");
-  parser.AddDouble("dup-rate", &dup_rate,
-                   "P(report delivered twice); requires --dedup (and a "
-                   "--dedup server)");
-  parser.AddDouble("reorder-rate", &reorder_rate,
-                   "P(delivered batch arrives shuffled)");
-  parser.AddDouble("corrupt-rate", &corrupt_rate,
-                   "P(one bit of the encoded batch flips in flight); the "
-                   "server NACKs and frload retransmits");
-  parser.AddDouble("burst-enter-rate", &burst_enter_rate,
-                   "Gilbert-Elliott P(good->bad) per channel traversal");
-  parser.AddDouble("burst-exit-rate", &burst_exit_rate,
-                   "Gilbert-Elliott P(bad->good)");
-  parser.AddDouble("burst-drop-rate", &burst_drop_rate,
-                   "drop rate while the channel is in the bad state");
-  parser.AddDouble("burst-corrupt-rate", &burst_corrupt_rate,
-                   "corrupt rate while in the bad state");
-  parser.AddDouble("outage-rate", &outage_rate,
-                   "P(a client goes dark), evaluated per report");
-  parser.AddDouble("outage-recovery-rate", &outage_recovery_rate,
-                   "P(a dark client recovers), evaluated per report");
-  parser.AddDouble("delay-rate", &delay_rate,
-                   "P(a delivered report is delayed into a later tick)");
-  parser.AddInt64("delay-max-ticks", &delay_max_ticks,
-                  "uniform delay bound in ticks");
-  parser.AddInt64("retransmit-budget", &retransmit_budget,
-                  "max TOTAL transmissions per batch (N = initial + up to "
-                  "N-1 resends), same contract as the simulator");
-  parser.AddBool("dedup", &dedup,
-                 "fault mix requires idempotent ingest; the server must be "
-                 "started with --dedup too");
-  parser.AddInt64("dedup-window", &dedup_window,
-                  "bounded dedup memory (must match the server)");
+  channel_flags.Register(&parser);
+  dedup_flags.Register(&parser);
   parser.AddString("checkpoint", &checkpoint,
                    "the server's checkpoint file; --verify restores it "
                    "after shutdown and compares estimates");
@@ -170,49 +126,44 @@ int Run(int argc, char** argv) {
                  "print one {\"bench\":\"frload\",...} line");
   parser.AddBool("help", &help, "print usage");
 
-  const Status parse_status = parser.Parse(argc, argv);
-  if (!parse_status.ok()) {
-    std::fprintf(stderr, "%s\n%s", parse_status.ToString().c_str(),
+  // Every flag error exits 2 with the Status text and usage, before any
+  // socket traffic.
+  const auto flag_error = [&parser](const Status& status) {
+    std::fprintf(stderr, "%s\n%s", status.ToString().c_str(),
                  parser.Usage("frload").c_str());
     return 2;
+  };
+  if (const Status parsed = parser.Parse(argc, argv); !parsed.ok()) {
+    return flag_error(parsed);
   }
   if (help) {
     std::fputs(parser.Usage("frload").c_str(), stdout);
     return 0;
   }
   if (uds.empty() && port < 0) {
-    std::fprintf(stderr, "InvalidArgument: need --uds or --port\n%s",
-                 parser.Usage("frload").c_str());
-    return 2;
+    return flag_error(Status::InvalidArgument("need --uds or --port"));
   }
   if (connections < 1 || threads < 1) {
-    std::fprintf(stderr,
-                 "InvalidArgument: --connections and --threads must be "
-                 ">= 1\n");
-    return 2;
+    return flag_error(Status::InvalidArgument(
+        "--connections and --threads must be >= 1"));
   }
   if (verify && checkpoint.empty()) {
-    std::fprintf(stderr,
-                 "InvalidArgument: --verify needs --checkpoint (the "
-                 "server's checkpoint file)\n");
-    return 2;
+    return flag_error(Status::InvalidArgument(
+        "--verify needs --checkpoint (the server's checkpoint file)"));
   }
   if (verify && !do_shutdown) {
-    std::fprintf(stderr,
-                 "InvalidArgument: --verify needs --shutdown (only the "
-                 "shutdown checkpoint is quiesced)\n");
-    return 2;
+    return flag_error(Status::InvalidArgument(
+        "--verify needs --shutdown (only the shutdown checkpoint is "
+        "quiesced)"));
   }
 
   const auto protocol = sim::ParseProtocolKind(protocol_name);
   if (!protocol.ok()) {
-    std::fprintf(stderr, "%s\n", protocol.status().ToString().c_str());
-    return 2;
+    return flag_error(protocol.status());
   }
   const auto randomizer = sim::RandomizerForProtocol(*protocol);
   if (!randomizer.ok()) {
-    std::fprintf(stderr, "%s\n", randomizer.status().ToString().c_str());
-    return 2;
+    return flag_error(randomizer.status());
   }
 
   core::ProtocolConfig config;
@@ -221,33 +172,24 @@ int Run(int argc, char** argv) {
   config.epsilon = eps;
   config.randomizer = *randomizer;
 
-  // The same FaultOptions the in-process verify run gets; validated here
-  // so a bad fault mix fails before any socket traffic.
+  // The same FaultOptions the in-process verify run gets.
   sim::FaultOptions faults;
-  faults.channel.drop_rate = drop_rate;
-  faults.channel.duplicate_rate = dup_rate;
-  faults.channel.reorder_rate = reorder_rate;
-  faults.channel.corrupt_rate = corrupt_rate;
-  faults.channel.burst_enter_rate = burst_enter_rate;
-  faults.channel.burst_exit_rate = burst_exit_rate;
-  faults.channel.burst_drop_rate = burst_drop_rate;
-  faults.channel.burst_corrupt_rate = burst_corrupt_rate;
-  faults.channel.outage_enter_rate = outage_rate;
-  faults.channel.outage_exit_rate = outage_recovery_rate;
-  faults.channel.delay_rate = delay_rate;
-  faults.channel.delay_ticks_max = delay_max_ticks;
-  faults.retransmit_budget = retransmit_budget;
-  faults.dedup =
-      dedup ? core::DedupPolicy::kIdempotent : core::DedupPolicy::kStrict;
-  faults.dedup_window = core::DedupWindowPolicy{dedup_window};
-  FRLOAD_REQUIRE_OK(faults.Validate());
-  FRLOAD_REQUIRE_OK(config.Validate());
+  for (const Status& status :
+       {channel_flags.ApplyTo(&faults),
+        dedup_flags.ToPolicies(&faults.dedup, &faults.dedup_window)}) {
+    if (!status.ok()) {
+      return flag_error(status);
+    }
+  }
+  for (const Status& status : {faults.Validate(), config.Validate()}) {
+    if (!status.ok()) {
+      return flag_error(status);
+    }
+  }
 
   const auto workload_config = workload_flags.ToConfig(n, d, k);
   if (!workload_config.ok()) {
-    std::fprintf(stderr, "%s\n%s", workload_config.status().ToString().c_str(),
-                 parser.Usage("frload").c_str());
-    return 2;
+    return flag_error(workload_config.status());
   }
   const auto workload = sim::Workload::Generate(
       *workload_config, static_cast<uint64_t>(workload_seed));

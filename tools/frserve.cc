@@ -18,6 +18,7 @@
 #include "futurerand/common/json.h"
 #include "futurerand/net/server.h"
 #include "futurerand/randomizer/randomizer.h"
+#include "futurerand/sim/flag_groups.h"
 
 namespace {
 
@@ -43,13 +44,11 @@ int Run(int argc, char** argv) {
   std::string randomizer = "future_rand";
   int64_t shards = 0;
   int64_t workers = 2;
-  bool dedup = false;
-  int64_t dedup_window = 0;
+  sim::DedupFlags dedup_flags;
   int64_t queue_capacity = 128;
   std::string checkpoint;
   int64_t checkpoint_interval_ms = 0;
-  std::string checkpoint_mode = "full";
-  int64_t checkpoint_compact_every = 8;
+  sim::CheckpointFlags checkpoint_flags;
   std::string restore;
   bool force_poll = false;
   bool json = false;
@@ -73,11 +72,7 @@ int Run(int argc, char** argv) {
   parser.AddInt64("shards", &shards,
                   "aggregator shards (0 = one per worker)");
   parser.AddInt64("workers", &workers, "ingest worker threads");
-  parser.AddBool("dedup", &dedup,
-                 "idempotent ingest (absorb duplicates/retries)");
-  parser.AddInt64("dedup-window", &dedup_window,
-                  "bounded per-client dedup memory (0 = unbounded); "
-                  "requires --dedup");
+  dedup_flags.Register(&parser);
   parser.AddInt64("queue-capacity", &queue_capacity,
                   "batches a worker queue holds before answering kOverload");
   parser.AddString("checkpoint", &checkpoint,
@@ -85,12 +80,7 @@ int Run(int argc, char** argv) {
   parser.AddInt64("checkpoint-interval-ms", &checkpoint_interval_ms,
                   "live checkpoint cadence (0 = only on control frames "
                   "and at shutdown)");
-  parser.AddString("checkpoint-mode", &checkpoint_mode,
-                   "full | delta (delta appends dirtied shards, with "
-                   "periodic full compactions that rewrite the file)");
-  parser.AddInt64("checkpoint-compact-every", &checkpoint_compact_every,
-                  "under --checkpoint-mode=delta, rewrite with a full "
-                  "blob every this many checkpoints");
+  checkpoint_flags.Register(&parser);
   parser.AddString("restore", &restore,
                    "checkpoint file to restore before serving (warm "
                    "restart)");
@@ -100,20 +90,21 @@ int Run(int argc, char** argv) {
                  "print one {\"bench\":\"frserve\",...} stats line on exit");
   parser.AddBool("help", &help, "print usage");
 
-  const Status parse_status = parser.Parse(argc, argv);
-  if (!parse_status.ok()) {
-    std::fprintf(stderr, "%s\n%s", parse_status.ToString().c_str(),
+  // Every flag error exits 2 with the Status text and usage.
+  const auto flag_error = [&parser](const Status& status) {
+    std::fprintf(stderr, "%s\n%s", status.ToString().c_str(),
                  parser.Usage("frserve").c_str());
     return 2;
+  };
+  if (const Status parsed = parser.Parse(argc, argv); !parsed.ok()) {
+    return flag_error(parsed);
   }
   if (help) {
     std::fputs(parser.Usage("frserve").c_str(), stdout);
     return 0;
   }
   if (uds.empty() && port < 0) {
-    std::fprintf(stderr, "InvalidArgument: need --uds and/or --port\n%s",
-                 parser.Usage("frserve").c_str());
-    return 2;
+    return flag_error(Status::InvalidArgument("need --uds and/or --port"));
   }
 
   net::ServiceConfig config;
@@ -121,31 +112,28 @@ int Run(int argc, char** argv) {
   config.protocol.max_changes = k;
   config.protocol.epsilon = eps;
   config.protocol.longitudinal_alpha = alpha;
-  if (const auto kind = rand::ParseRandomizerKind(randomizer); kind.ok()) {
-    config.protocol.randomizer = *kind;
-  } else {
-    std::fprintf(stderr, "%s\n", kind.status().ToString().c_str());
-    return 2;
+  const auto kind = rand::ParseRandomizerKind(randomizer);
+  if (!kind.ok()) {
+    return flag_error(kind.status());
   }
+  config.protocol.randomizer = *kind;
   config.num_shards = static_cast<int>(shards);
   config.num_workers = static_cast<int>(workers);
-  config.dedup =
-      dedup ? core::DedupPolicy::kIdempotent : core::DedupPolicy::kStrict;
-  config.dedup_window = core::DedupWindowPolicy{dedup_window};
   config.worker_queue_capacity = static_cast<size_t>(queue_capacity);
   config.checkpoint_path = checkpoint;
   config.checkpoint_interval_ms = checkpoint_interval_ms;
-  if (checkpoint_mode == "full") {
-    config.checkpoint_mode = core::CheckpointMode::kFull;
-  } else if (checkpoint_mode == "delta") {
-    config.checkpoint_mode = core::CheckpointMode::kDelta;
-  } else {
-    std::fprintf(stderr,
-                 "InvalidArgument: --checkpoint-mode must be full or delta\n");
-    return 2;
-  }
-  config.checkpoint_compact_every = checkpoint_compact_every;
   config.force_poll = force_poll;
+  for (const Status& status :
+       {dedup_flags.ToPolicies(&config.dedup, &config.dedup_window),
+        checkpoint_flags.ToChain(&config.checkpoint_mode,
+                                 &config.checkpoint_compact_every)}) {
+    if (!status.ok()) {
+      return flag_error(status);
+    }
+  }
+  if (const Status valid = config.Validate(); !valid.ok()) {
+    return flag_error(valid);
+  }
 
   auto server = net::IngestServer::Create(config);
   if (!server.ok()) {
