@@ -211,14 +211,11 @@ Status ShardedAggregator::IngestRegistrations(
       batch, pool, outcome,
       [&batch](Server& server, const size_t* indices, size_t count,
                int64_t* accepted) {
-        for (size_t i = 0; i < count; ++i) {
-          const RegistrationMessage& message =
-              batch[indices == nullptr ? i : indices[i]];
-          FR_RETURN_NOT_OK(
-              server.RegisterClient(message.client_id, message.level));
-          ++*accepted;
+        if (indices == nullptr) {
+          return server.RegisterClients(batch.first(count), accepted);
         }
-        return Status::OK();
+        return server.RegisterClients(
+            batch, std::span<const size_t>(indices, count), accepted);
       });
 }
 

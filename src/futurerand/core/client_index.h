@@ -1,14 +1,21 @@
-// ClientIndex: an append-only open-addressing map from client id to a dense
-// int32 slot, backing the Server's columnar per-client state. The client
-// population only ever grows (registration has no inverse), so the table
-// needs no tombstones and a lookup is one hash + a short linear probe over
-// a flat int32 array — in the report hot path this replaces chained
-// unordered_map nodes (pointer-chasing, two cache misses per lookup) with
-// at most one miss for table sizes that fit in cache.
+// ClientIndex: an append-only map from client id to a dense int32 slot,
+// backing the Server's columnar per-client state. The client population
+// only ever grows (registration has no inverse), so nothing is ever
+// removed.
+//
+// Registered populations are almost always an ascending arithmetic
+// progression: a fleet registers first_id..first_id+n-1 in order, and a
+// mod-K shard sees every K-th id, still in order. While that holds the
+// index stores three integers and nothing else, and a lookup is pure
+// arithmetic with no memory touched. The first id off the progression
+// materializes the slot -> id list and an open-addressing hash table once;
+// from then on a lookup is one hash and a short linear probe over a flat
+// int32 array.
 
 #ifndef FUTURERAND_CORE_CLIENT_INDEX_H_
 #define FUTURERAND_CORE_CLIENT_INDEX_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -23,29 +30,23 @@ class ClientIndex {
  public:
   /// The slot of `id`, or -1 if absent.
   int32_t Find(int64_t id) const {
-    if (ids_.empty()) {
-      return -1;
-    }
-    // Registered populations are almost always a dense arithmetic
-    // progression (a fleet registers first_id..first_id+n-1 in order; a
-    // mod-K shard sees every K-th id, still in order). While that holds,
-    // the slot is pure arithmetic — no memory touched at all, where the
-    // hash probe below costs a cache miss per lookup in the report hot
-    // path. The table is maintained on every Insert regardless, so the
-    // first irregular id just flips this off with no rebuild.
-    if (regular_) {
-      const int64_t offset = id - first_id_;
-      if (offset < 0) {
+    if (progression_) {
+      // Unsigned offsets: every registered id is >= first_id_, and the
+      // distance from first_id_ to any larger int64 fits in a uint64.
+      if (id < first_id_) {
         return -1;
       }
-      if (stride_ == 1) {
-        return offset < size() ? static_cast<int32_t>(offset) : -1;
+      const uint64_t offset =
+          static_cast<uint64_t>(id) - static_cast<uint64_t>(first_id_);
+      uint64_t slot = offset;
+      if (stride_ != 1) {
+        if (offset % stride_ != 0) {
+          return -1;
+        }
+        slot = offset / stride_;
       }
-      if (offset % stride_ != 0) {
-        return -1;
-      }
-      const int64_t slot = offset / stride_;
-      return slot < size() ? static_cast<int32_t>(slot) : -1;
+      return slot < static_cast<uint64_t>(size_) ? static_cast<int32_t>(slot)
+                                                 : -1;
     }
     size_t bucket = Hash(id) & mask_;
     while (true) {
@@ -63,51 +64,70 @@ class ClientIndex {
   /// Appends `id` (which must not be present — use Find first) and returns
   /// its new slot.
   int32_t Insert(int64_t id) {
-    FR_CHECK_MSG(ids_.size() <
-                     static_cast<size_t>(std::numeric_limits<int32_t>::max()),
+    FR_CHECK_MSG(size_ < std::numeric_limits<int32_t>::max(),
                  "client index exceeds 2^31 - 1 entries");
-    if ((ids_.size() + 1) * 2 > table_.size()) {
-      Rehash(table_.empty() ? kInitialBuckets : table_.size() * 2);
-    }
-    const auto slot = static_cast<int32_t>(ids_.size());
-    if (ids_.empty()) {
+    const auto slot = static_cast<int32_t>(size_);
+    if (size_ == 0) {
       first_id_ = id;
-    } else if (ids_.size() == 1) {
-      stride_ = id - first_id_;
-      if (stride_ <= 0) {
-        regular_ = false;
+    } else {
+      const int64_t last = IdAt(slot - 1);
+      const bool rises = id > last;
+      ascending_ = ascending_ && rises;
+      // A rising id makes the unsigned difference the true distance, so
+      // the progression test cannot overflow, however far apart the ids.
+      const uint64_t step =
+          static_cast<uint64_t>(id) - static_cast<uint64_t>(last);
+      if (progression_ && rises && size_ == 1) {
+        stride_ = step;
+      } else if (progression_ && !(rises && step == stride_)) {
+        Materialize();
       }
-    } else if (regular_ &&
-               id != first_id_ + stride_ * static_cast<int64_t>(
-                                               ids_.size())) {
-      regular_ = false;
     }
-    ids_.push_back(id);
-    size_t bucket = Hash(id) & mask_;
-    while (table_[bucket] >= 0) {
-      bucket = (bucket + 1) & mask_;
+    if (!progression_) {
+      if ((ids_.size() + 1) * 2 > table_.size()) {
+        Rehash(table_.empty() ? kInitialBuckets : table_.size() * 2);
+      }
+      ids_.push_back(id);
+      Place(id, slot);
     }
-    table_[bucket] = slot;
+    ++size_;
     return slot;
   }
 
-  /// Slot -> id, in insertion order.
-  const std::vector<int64_t>& ids() const { return ids_; }
-
-  int64_t size() const { return static_cast<int64_t>(ids_.size()); }
-
-  void Reserve(size_t n) {
-    ids_.reserve(n);
-    size_t buckets = kInitialBuckets;
-    while (buckets < n * 2) {
-      buckets *= 2;
+  /// The id in `slot` (0 <= slot < size()).
+  int64_t IdAt(int32_t slot) const {
+    if (progression_) {
+      // Two's-complement wrap: the true value fits in an int64 by
+      // construction, the unsigned product just keeps the steps defined.
+      return static_cast<int64_t>(static_cast<uint64_t>(first_id_) +
+                                  stride_ * static_cast<uint64_t>(slot));
     }
+    return ids_[static_cast<size_t>(slot)];
+  }
+
+  int64_t size() const { return size_; }
+
+  /// True iff slot order is ascending id order (always so while the ids
+  /// form a progression).
+  bool ascending() const { return ascending_; }
+
+  /// Makes room for `n` ids in total. Allocates only once the index has
+  /// left the progression; until then the request is remembered, so a
+  /// later materialization is sized for it.
+  void Reserve(size_t n) {
+    reserved_ = std::max(reserved_, n);
+    if (progression_) {
+      return;
+    }
+    ids_.reserve(n);
+    const size_t buckets = BucketsFor(n);
     if (buckets > table_.size()) {
       Rehash(buckets);
     }
   }
 
-  /// Heap bytes of the index itself (for memory accounting).
+  /// Heap bytes of the index itself (for memory accounting): zero while
+  /// the ids form a progression.
   int64_t ApproxMemoryBytes() const {
     return static_cast<int64_t>(ids_.capacity() * sizeof(int64_t) +
                                 table_.capacity() * sizeof(int32_t));
@@ -115,6 +135,15 @@ class ClientIndex {
 
  private:
   static constexpr size_t kInitialBuckets = 16;
+
+  // The power-of-two table size that keeps `n` ids at most half full.
+  static size_t BucketsFor(size_t n) {
+    size_t buckets = kInitialBuckets;
+    while (buckets < n * 2) {
+      buckets *= 2;
+    }
+    return buckets;
+  }
 
   // SplitMix64 finalizer: full-avalanche, so sequential ids spread evenly.
   static uint64_t Hash(int64_t id) {
@@ -127,26 +156,47 @@ class ClientIndex {
     return x;
   }
 
+  // Leaves the progression: writes out its ids and hashes them, sized for
+  // the reserved count or one more than today's, whichever is larger.
+  void Materialize() {
+    const size_t capacity =
+        std::max(reserved_, static_cast<size_t>(size_) + 1);
+    ids_.reserve(capacity);
+    for (int32_t slot = 0; slot < size_; ++slot) {
+      ids_.push_back(IdAt(slot));
+    }
+    progression_ = false;
+    Rehash(BucketsFor(capacity));
+  }
+
+  void Place(int64_t id, int32_t slot) {
+    size_t bucket = Hash(id) & mask_;
+    while (table_[bucket] >= 0) {
+      bucket = (bucket + 1) & mask_;
+    }
+    table_[bucket] = slot;
+  }
+
   void Rehash(size_t new_buckets) {
     table_.assign(new_buckets, -1);
     mask_ = new_buckets - 1;
     for (size_t slot = 0; slot < ids_.size(); ++slot) {
-      size_t bucket = Hash(ids_[slot]) & mask_;
-      while (table_[bucket] >= 0) {
-        bucket = (bucket + 1) & mask_;
-      }
-      table_[bucket] = static_cast<int32_t>(slot);
+      Place(ids_[slot], static_cast<int32_t>(slot));
     }
   }
 
-  std::vector<int64_t> ids_;    // slot -> id
+  int64_t size_ = 0;
+  // While progression_ holds, slot s holds first_id_ + stride_ * s
+  // (stride_ >= 1, ascending) and ids_/table_ stay empty; the first id off
+  // the progression clears it for good.
+  bool progression_ = true;
+  bool ascending_ = true;
+  int64_t first_id_ = 0;
+  uint64_t stride_ = 1;
+  size_t reserved_ = 0;         // largest Reserve request so far
+  std::vector<int64_t> ids_;    // slot -> id, once materialized
   std::vector<int32_t> table_;  // open-addressed buckets; -1 = empty
   size_t mask_ = 0;             // table_.size() - 1 (power of two)
-  // While the ids form first_id_ + stride_ * slot (stride_ > 0), Find is
-  // arithmetic; the first id off the progression clears regular_ forever.
-  bool regular_ = true;
-  int64_t first_id_ = 0;
-  int64_t stride_ = 1;
 };
 
 }  // namespace futurerand::core

@@ -167,7 +167,7 @@ Status Server::RegisterClientStrict(int64_t client_id, int level) {
     return Status::AlreadyExists("client already registered");
   }
   clients_.Insert(client_id);
-  client_levels_.push_back(level);
+  client_levels_.push_back(static_cast<int8_t>(level));
   // Only the active policy's column is populated (the other stays empty).
   if (dedup_policy_ == DedupPolicy::kIdempotent) {
     seen_boundaries_.emplace_back();
@@ -191,6 +191,59 @@ Status Server::RegisterClient(int64_t client_id, int level) {
     }
   }
   return RegisterClientStrict(client_id, level);
+}
+
+Status Server::RegisterClients(std::span<const RegistrationMessage> batch,
+                               int64_t* accepted) {
+  return RegisterRecords(batch, /*indices=*/nullptr, batch.size(), accepted);
+}
+
+Status Server::RegisterClients(std::span<const RegistrationMessage> batch,
+                               std::span<const size_t> indices,
+                               int64_t* accepted) {
+  return RegisterRecords(batch, indices.data(), indices.size(), accepted);
+}
+
+Status Server::RegisterRecords(std::span<const RegistrationMessage> batch,
+                               const size_t* indices, size_t count,
+                               int64_t* accepted) {
+  // Size the columns for the ids not yet known, so a retransmitted batch
+  // under kIdempotent grows nothing.
+  size_t fresh = 0;
+  for (size_t i = 0; i < count; ++i) {
+    const RegistrationMessage& message =
+        batch[indices == nullptr ? i : indices[i]];
+    fresh += clients_.Find(message.client_id) < 0 ? 1 : 0;
+  }
+  ReserveClients(fresh);
+  int64_t done = 0;
+  Status status;
+  for (size_t i = 0; i < count && status.ok(); ++i) {
+    const RegistrationMessage& message =
+        batch[indices == nullptr ? i : indices[i]];
+    status = RegisterClient(message.client_id, message.level);
+    done += status.ok() ? 1 : 0;
+  }
+  if (accepted != nullptr) {
+    *accepted = done;
+  }
+  return status;
+}
+
+void Server::ReserveClients(size_t additional) {
+  const size_t size = client_levels_.size();
+  const size_t needed = size + additional;
+  if (needed <= client_levels_.capacity()) {
+    return;
+  }
+  const size_t capacity = std::max(needed, 2 * size);
+  clients_.Reserve(capacity);
+  client_levels_.reserve(capacity);
+  if (dedup_policy_ == DedupPolicy::kIdempotent) {
+    seen_boundaries_.reserve(capacity);
+  } else {
+    last_report_time_.reserve(capacity);
+  }
 }
 
 int64_t Server::BitmapWordsAtLevel(int level) const {
@@ -478,18 +531,22 @@ Result<std::vector<double>> Server::EstimateAllConsistent() const {
 
 Status Server::Merge(const Server& other) {
   FR_RETURN_NOT_OK(CheckMergeCompatible(other));
-  const std::vector<int64_t>& other_ids = other.clients_.ids();
-  for (size_t slot = 0; slot < other_ids.size(); ++slot) {
+  const auto other_clients = static_cast<int32_t>(other.num_clients());
+  ReserveClients(static_cast<size_t>(other_clients));
+  for (int32_t slot = 0; slot < other_clients; ++slot) {
     // Strict registration regardless of policy: merged shards partition the
     // client population, so a shared id is a sharding bug, not a retry.
-    FR_RETURN_NOT_OK(RegisterClientStrict(other_ids[slot],
-                                          other.client_levels_[slot]));
+    FR_RETURN_NOT_OK(RegisterClientStrict(
+        other.clients_.IdAt(slot),
+        other.client_levels_[static_cast<size_t>(slot)]));
     // RegisterClientStrict pushed a default column entry; overwrite it with
     // the source client's dedup state.
     if (dedup_policy_ == DedupPolicy::kIdempotent) {
-      seen_boundaries_.back() = other.seen_boundaries_[slot];
+      seen_boundaries_.back() =
+          other.seen_boundaries_[static_cast<size_t>(slot)];
     } else {
-      last_report_time_.back() = other.last_report_time_[slot];
+      last_report_time_.back() =
+          other.last_report_time_[static_cast<size_t>(slot)];
     }
   }
   duplicates_dropped_ += other.duplicates_dropped_;
@@ -563,7 +620,7 @@ int64_t Server::ApproxMemoryBytes() const {
   bytes += static_cast<int64_t>(level_scales_.capacity() * sizeof(double));
   bytes += static_cast<int64_t>(level_counts_.capacity() * sizeof(int64_t));
   bytes += clients_.ApproxMemoryBytes();
-  bytes += static_cast<int64_t>(client_levels_.capacity() * sizeof(int32_t));
+  bytes += static_cast<int64_t>(client_levels_.capacity() * sizeof(int8_t));
   bytes +=
       static_cast<int64_t>(last_report_time_.capacity() * sizeof(int64_t));
   bytes += static_cast<int64_t>(seen_boundaries_.capacity() *

@@ -168,6 +168,21 @@ class Server {
   /// no-op (a different level is still an error).
   Status RegisterClient(int64_t client_id, int level);
 
+  /// Batch registration: RegisterClient over batch[i] in order, stopping
+  /// at the first error (registrations before it stay). The per-client
+  /// columns are sized once for the batch's new ids (exactly, when the
+  /// server was empty) rather than grown record by record. `*accepted`
+  /// (optional) receives the number of registrations consumed without
+  /// error, including absorbed re-registrations.
+  Status RegisterClients(std::span<const RegistrationMessage> batch,
+                         int64_t* accepted = nullptr);
+
+  /// RegisterClients over a sub-sequence: registers batch[indices[i]] in
+  /// index order (the sharded ingest's routing, as for SubmitReports).
+  Status RegisterClients(std::span<const RegistrationMessage> batch,
+                         std::span<const size_t> indices,
+                         int64_t* accepted = nullptr);
+
   /// Ingests the report a level-h client emitted at time t (a multiple of
   /// 2^h). Under kStrict, t must be strictly later than the client's
   /// previous report; under kIdempotent, reports arrive in any order, a
@@ -302,6 +317,17 @@ class Server {
   void AddSums(const Server& other);
   Status RegisterClientStrict(int64_t client_id, int level);
 
+  /// Shared body of both RegisterClients overloads.
+  Status RegisterRecords(std::span<const RegistrationMessage> batch,
+                         const size_t* indices, size_t count,
+                         int64_t* accepted);
+
+  /// Makes room for `additional` more clients in the index and in every
+  /// populated column: exactly size + additional when that at least
+  /// doubles the columns, else double, so a stream of small batches still
+  /// costs amortized O(1) per client.
+  void ReserveClients(size_t additional);
+
   /// CheckAndRecordReport's verdict on one record. The first two accept
   /// it; every other value rejects it, and RejectionStatus spells that
   /// rejection as the Status callers see. A plain enum keeps the per-record
@@ -359,10 +385,12 @@ class Server {
 
   // Per-client state, columnar: clients_ maps id -> dense slot, and the
   // vectors below are indexed by slot (only the policy's column is
-  // populated). One flat-hash probe plus contiguous column loads per
-  // report, instead of two chained unordered_map lookups.
+  // populated). An arithmetic slot lookup (a hash probe once ids leave
+  // their progression) plus contiguous column loads per report. A kStrict
+  // client costs 9 bytes: its level and its last report time.
   ClientIndex clients_;
-  std::vector<int32_t> client_levels_;  // sampled order h per slot
+  // Sampled order h per slot; h < num_orders <= 64 fits a byte.
+  std::vector<int8_t> client_levels_;
   // kStrict: the client's last accepted report time (monotonicity check);
   // 0 = never reported.
   std::vector<int64_t> last_report_time_;

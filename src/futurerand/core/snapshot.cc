@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <functional>
+#include <numeric>
+#include <queue>
 #include <utility>
 
 #include "futurerand/common/macros.h"
@@ -21,6 +24,8 @@ using wire_internal::ConsumeChecksum;
 using wire_internal::ConsumeHeader;
 using wire_internal::GetVarint64;
 using wire_internal::PutVarint64;
+using wire_internal::WrappingAdd;
+using wire_internal::WrappingSub;
 using wire_internal::ZigZagDecode;
 using wire_internal::ZigZagEncode;
 
@@ -105,14 +110,25 @@ struct ServerStateCodec {
     PutVarint64(static_cast<uint64_t>(server.out_of_window_dropped_), &out);
 
     // Clients in id order: slot (insertion) order would make equal states
-    // encode to different bytes.
-    std::vector<int64_t> ids = server.clients_.ids();
-    std::sort(ids.begin(), ids.end());
-    PutVarint64(ids.size(), &out);
+    // encode to different bytes. Fleets and mod-K shards register in id
+    // order, so the slots usually are that order already and no sort runs.
+    const ClientIndex& index = server.clients_;
+    const auto num_clients = static_cast<int32_t>(index.size());
+    std::vector<int32_t> by_id;  // slots in id order; empty = slot order
+    if (!index.ascending()) {
+      by_id.resize(static_cast<size_t>(num_clients));
+      std::iota(by_id.begin(), by_id.end(), 0);
+      std::sort(by_id.begin(), by_id.end(), [&index](int32_t a, int32_t b) {
+        return index.IdAt(a) < index.IdAt(b);
+      });
+    }
+    PutVarint64(static_cast<uint64_t>(num_clients), &out);
     int64_t previous_id = 0;
-    for (const int64_t id : ids) {
-      const auto slot = static_cast<size_t>(server.clients_.Find(id));
-      PutVarint64(ZigZagEncode(id - previous_id), &out);
+    for (int32_t i = 0; i < num_clients; ++i) {
+      const int32_t client = by_id.empty() ? i : by_id[static_cast<size_t>(i)];
+      const auto slot = static_cast<size_t>(client);
+      const int64_t id = index.IdAt(client);
+      PutVarint64(ZigZagEncode(WrappingSub(id, previous_id)), &out);
       PutVarint64(static_cast<uint64_t>(server.client_levels_[slot]), &out);
       previous_id = id;
       if (server.dedup_policy_ == DedupPolicy::kIdempotent) {
@@ -250,8 +266,7 @@ struct ServerStateCodec {
 
     FR_ASSIGN_OR_RETURN(const uint64_t num_clients, GetVarint64(&bytes));
     FR_RETURN_NOT_OK(CheckPlausibleCount(num_clients, 3, bytes));
-    server.clients_.Reserve(num_clients);
-    server.client_levels_.reserve(num_clients);
+    server.ReserveClients(num_clients);
     int64_t previous_id = 0;
     for (uint64_t c = 0; c < num_clients; ++c) {
       FR_ASSIGN_OR_RETURN(const uint64_t id_delta, GetVarint64(&bytes));
@@ -263,7 +278,7 @@ struct ServerStateCodec {
         return Status::InvalidArgument(
             "direct-estimator snapshot registers a client above level 0");
       }
-      const int64_t id = previous_id + ZigZagDecode(id_delta);
+      const int64_t id = WrappingAdd(previous_id, ZigZagDecode(id_delta));
       const int level = static_cast<int>(raw_level);
       previous_id = id;
       if (server.clients_.Find(id) >= 0) {
@@ -272,7 +287,7 @@ struct ServerStateCodec {
       // Columns are populated directly (not via RegisterClientStrict):
       // level_counts_ came from the blob's own level section above.
       server.clients_.Insert(id);
-      server.client_levels_.push_back(level);
+      server.client_levels_.push_back(static_cast<int8_t>(level));
       if (policy == DedupPolicy::kIdempotent) {
         FR_ASSIGN_OR_RETURN(Server::BoundaryBitmap bitmap,
                             DecodeBoundaryBitmap(server, level, &bytes));
@@ -365,6 +380,9 @@ struct ServerStateCodec {
       targets.push_back(std::move(target));
     }
     const auto shards = static_cast<int64_t>(new_num_shards);
+    const auto target_of = [shards](int64_t id) {
+      return static_cast<size_t>(((id % shards) + shards) % shards);
+    };
     for (Server& source : sources) {
       FR_RETURN_NOT_OK(targets[0].CheckMergeCompatible(source));
       // Interval sums are per-shard aggregates — they cannot be attributed
@@ -373,21 +391,47 @@ struct ServerStateCodec {
       targets[0].AddSums(source);
       targets[0].duplicates_dropped_ += source.duplicates_dropped_;
       targets[0].out_of_window_dropped_ += source.out_of_window_dropped_;
-      const std::vector<int64_t>& source_ids = source.clients_.ids();
-      for (size_t slot = 0; slot < source_ids.size(); ++slot) {
-        const int64_t id = source_ids[slot];
-        Server& target =
-            targets[static_cast<size_t>(((id % shards) + shards) % shards)];
-        FR_RETURN_NOT_OK(
-            target.RegisterClientStrict(id, source.client_levels_[slot]));
-        // RegisterClientStrict pushed a default column entry; overwrite it
-        // with the source client's dedup state.
-        if (source.dedup_policy_ == DedupPolicy::kIdempotent) {
-          target.seen_boundaries_.back() =
-              std::move(source.seen_boundaries_[slot]);
-        } else {
-          target.last_report_time_.back() = source.last_report_time_[slot];
-        }
+    }
+    // Count each target's clients first, so its columns are sized once.
+    std::vector<size_t> incoming(targets.size(), 0);
+    for (const Server& source : sources) {
+      for (int32_t slot = 0; slot < source.clients_.size(); ++slot) {
+        ++incoming[target_of(source.clients_.IdAt(slot))];
+      }
+    }
+    for (size_t s = 0; s < targets.size(); ++s) {
+      targets[s].ReserveClients(incoming[s]);
+    }
+    // Hand the clients out in ascending id order, merging the sources,
+    // whose decoded slots are in id order already. Every target then
+    // registers its ids in order, so a contiguous population stays a
+    // progression in each mod-M target and its index costs no heap.
+    using Head = std::pair<int64_t, size_t>;  // (next id, source)
+    std::priority_queue<Head, std::vector<Head>, std::greater<>> heads;
+    std::vector<int32_t> next(sources.size(), 0);
+    for (size_t s = 0; s < sources.size(); ++s) {
+      if (sources[s].num_clients() > 0) {
+        heads.emplace(sources[s].clients_.IdAt(0), s);
+      }
+    }
+    while (!heads.empty()) {
+      const auto [id, from] = heads.top();
+      heads.pop();
+      Server& source = sources[from];
+      const auto slot = static_cast<size_t>(next[from]++);
+      if (next[from] < source.num_clients()) {
+        heads.emplace(source.clients_.IdAt(next[from]), from);
+      }
+      Server& target = targets[target_of(id)];
+      FR_RETURN_NOT_OK(
+          target.RegisterClientStrict(id, source.client_levels_[slot]));
+      // RegisterClientStrict pushed a default column entry; overwrite it
+      // with the source client's dedup state.
+      if (source.dedup_policy_ == DedupPolicy::kIdempotent) {
+        target.seen_boundaries_.back() =
+            std::move(source.seen_boundaries_[slot]);
+      } else {
+        target.last_report_time_.back() = source.last_report_time_[slot];
       }
     }
     return targets;

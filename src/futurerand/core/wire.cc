@@ -144,6 +144,8 @@ Status ConsumeChecksum(std::string_view* bytes) {
 namespace {
 
 using wire_internal::Fnv1a64Step;
+using wire_internal::WrappingAdd;
+using wire_internal::WrappingSub;
 using wire_internal::ZigZagDecode;
 using wire_internal::ZigZagEncode;
 using wire_internal::kKindRegistrationV2;
@@ -152,19 +154,6 @@ using wire_internal::kKindReportV2;
 // The longest varint: ceil(64 / 7) bytes.
 constexpr size_t kMaxVarintBytes = 10;
 constexpr size_t kTrailerBytes = 8;
-
-// Id and time deltas in two's complement. The wrap makes the delta of ids
-// at opposite ends of the int64 range (and the sum a forged delta decodes
-// to) defined, and leaves the bytes of every batch whose deltas fit in an
-// int64 unchanged.
-int64_t WrappingSub(int64_t a, int64_t b) {
-  return static_cast<int64_t>(static_cast<uint64_t>(a) -
-                              static_cast<uint64_t>(b));
-}
-int64_t WrappingAdd(int64_t a, int64_t b) {
-  return static_cast<int64_t>(static_cast<uint64_t>(a) +
-                              static_cast<uint64_t>(b));
-}
 
 // Writes a transport batch (kinds 6-7) in one pass: each byte goes through
 // a raw pointer into a buffer sized for the usual batch and is folded into

@@ -202,6 +202,19 @@ inline int64_t ZigZagDecode(uint64_t value) {
          -static_cast<int64_t>(value & 1);
 }
 
+/// Id and time deltas in two's complement. The wrap makes the delta of
+/// ids at opposite ends of the int64 range (and the sum a forged delta
+/// decodes to) defined, and leaves the bytes of every blob whose deltas
+/// fit in an int64 unchanged.
+inline int64_t WrappingSub(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) -
+                              static_cast<uint64_t>(b));
+}
+inline int64_t WrappingAdd(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                              static_cast<uint64_t>(b));
+}
+
 /// FNV-1a 64-bit hash, the integrity checksum of the snapshot blobs and
 /// the transport batches.
 uint64_t Fnv1a64(std::string_view bytes);

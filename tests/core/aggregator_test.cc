@@ -4,8 +4,10 @@
 // the lazy snapshot (queries after later ingests see the new data) and the
 // façade's validation behavior.
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -365,6 +367,144 @@ TEST(CheckpointChainTest, NextCheckpointModeFollowsTheChainRule) {
   // No base yet always means full; kFull mode is always full.
   EXPECT_EQ(NextCheckpointMode(CheckpointMode::kDelta, 3, false, 5), full);
   EXPECT_EQ(NextCheckpointMode(CheckpointMode::kFull, 3, true, 5), full);
+}
+
+
+// ---------------------------------------------------------------------------
+// Per-client memory. ApproxMemoryBytes charges each column its capacity
+// times its element size and the client index its own heap, so a
+// fleet-shaped population (ids 1..n in one registration batch, as
+// ClientFleet::EncodeRegistrations ships them) pins the per-client cost
+// exactly: the index of an id progression costs nothing — in every mod-K
+// shard too — and the batch sizes each column exactly.
+
+std::vector<RegistrationMessage> FleetRegistrations(int64_t n,
+                                                    uint64_t seed) {
+  Rng rng(seed);
+  std::vector<RegistrationMessage> registrations;
+  for (int64_t u = 0; u < n; ++u) {
+    registrations.push_back(
+        {1 + u, static_cast<int>(rng.NextInt(
+                    static_cast<uint64_t>(TestConfig().num_orders())))});
+  }
+  return registrations;
+}
+
+// A level byte and the last report time.
+constexpr int64_t kStrictBytesPerClient = 1 + 8;
+// A level byte and the boundary bitmap's base word, frontier and word
+// vector (8 + 8 + 24 bytes with a three-pointer std::vector); its words
+// are charged separately as reports set them.
+constexpr int64_t kIdempotentBytesPerClient = 1 + 40;
+
+TEST(AggregatorMemoryTest, FleetShapedPopulationCostsItsColumnsExactly) {
+  constexpr int64_t kClients = 1000;
+  const std::vector<RegistrationMessage> registrations =
+      FleetRegistrations(kClients, 5);
+  for (const int shards : {1, 4}) {
+    for (const DedupPolicy policy :
+         {DedupPolicy::kStrict, DedupPolicy::kIdempotent}) {
+      SCOPED_TRACE(testing::Message()
+                   << DedupPolicyToString(policy) << " " << shards
+                   << " shards");
+      const int64_t per_client = policy == DedupPolicy::kStrict
+                                     ? kStrictBytesPerClient
+                                     : kIdempotentBytesPerClient;
+      ShardedAggregator aggregator =
+          ShardedAggregator::ForProtocol(TestConfig(), shards, policy)
+              .ValueOrDie();
+      const int64_t empty = aggregator.ApproxMemoryBytes();
+      ASSERT_TRUE(aggregator.IngestRegistrations(registrations).ok());
+      EXPECT_EQ(aggregator.ApproxMemoryBytes(),
+                empty + kClients * per_client);
+
+      // Every client reports at its boundaries up to d/2; under
+      // kIdempotent each that reported holds one bitmap word (d/2 < 64
+      // boundaries), and a restored copy is sized the same way.
+      int64_t words = 0;
+      for (int64_t t = 1; t <= kPeriods / 2; ++t) {
+        std::vector<ReportMessage> tick;
+        for (const RegistrationMessage& client : registrations) {
+          if (t % (int64_t{1} << client.level) == 0) {
+            tick.push_back({client.client_id, t, 1});
+          }
+        }
+        ASSERT_TRUE(aggregator.IngestReports(tick).ok());
+      }
+      for (const RegistrationMessage& client : registrations) {
+        words += (int64_t{1} << client.level) <= kPeriods / 2 ? 1 : 0;
+      }
+      const int64_t word_bytes =
+          policy == DedupPolicy::kIdempotent ? words * 8 : 0;
+      EXPECT_EQ(aggregator.ApproxMemoryBytes(),
+                empty + kClients * per_client + word_bytes);
+      ShardedAggregator restored =
+          ShardedAggregator::ForProtocol(TestConfig(), shards, policy)
+              .ValueOrDie();
+      ASSERT_TRUE(
+          restored.Restore(aggregator.Checkpoint().ValueOrDie()).ok());
+      EXPECT_EQ(restored.ApproxMemoryBytes(),
+                empty + kClients * per_client + word_bytes);
+    }
+  }
+}
+
+TEST(AggregatorMemoryTest, ReshardedRestoreKeepsTheColumnsExact) {
+  // A 4-shard checkpoint restored into M shards: each target registers its
+  // ids in ascending order, so ids 1..n stay a progression in every mod-M
+  // shard and no index is materialized.
+  constexpr int64_t kClients = 1000;
+  const std::vector<RegistrationMessage> registrations =
+      FleetRegistrations(kClients, 7);
+  for (const DedupPolicy policy :
+       {DedupPolicy::kStrict, DedupPolicy::kIdempotent}) {
+    ShardedAggregator source =
+        ShardedAggregator::ForProtocol(TestConfig(), 4, policy).ValueOrDie();
+    ASSERT_TRUE(source.IngestRegistrations(registrations).ok());
+    const std::string blob = source.Checkpoint().ValueOrDie();
+    const int64_t per_client = policy == DedupPolicy::kStrict
+                                   ? kStrictBytesPerClient
+                                   : kIdempotentBytesPerClient;
+    for (const int shards : {1, 2, 3}) {
+      SCOPED_TRACE(testing::Message()
+                   << DedupPolicyToString(policy) << " 4 -> " << shards
+                   << " shards");
+      ShardedAggregator target =
+          ShardedAggregator::ForProtocol(TestConfig(), shards, policy)
+              .ValueOrDie();
+      const int64_t empty = target.ApproxMemoryBytes();
+      ASSERT_TRUE(target.Restore(blob).ok());
+      EXPECT_EQ(target.ApproxMemoryBytes(), empty + kClients * per_client);
+    }
+  }
+}
+
+TEST(AggregatorMemoryTest, SmallBatchesGrowGeometricallyAndRetriesGrowNothing) {
+  constexpr int64_t kClients = 1000;
+  const std::vector<RegistrationMessage> registrations =
+      FleetRegistrations(kClients, 6);
+  ShardedAggregator aggregator =
+      ShardedAggregator::ForProtocol(TestConfig(), 1,
+                                     DedupPolicy::kIdempotent)
+          .ValueOrDie();
+  const int64_t empty = aggregator.ApproxMemoryBytes();
+  const std::span<const RegistrationMessage> all(registrations);
+  for (size_t begin = 0; begin < all.size(); begin += 7) {
+    ASSERT_TRUE(aggregator
+                    .IngestRegistrations(all.subspan(
+                        begin, std::min<size_t>(7, all.size() - begin)))
+                    .ok());
+  }
+  // Doubling growth: never more than twice the exact size.
+  const int64_t grown = aggregator.ApproxMemoryBytes() - empty;
+  EXPECT_GE(grown, kClients * kIdempotentBytesPerClient);
+  EXPECT_LE(grown, 2 * kClients * kIdempotentBytesPerClient);
+  // A retransmitted registration batch is absorbed without allocating.
+  IngestOutcome outcome;
+  ASSERT_TRUE(
+      aggregator.IngestRegistrations(registrations, nullptr, &outcome).ok());
+  EXPECT_EQ(outcome.deduped, kClients);
+  EXPECT_EQ(aggregator.ApproxMemoryBytes() - empty, grown);
 }
 
 }  // namespace

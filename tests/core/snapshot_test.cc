@@ -5,6 +5,7 @@
 // restore silently.
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -841,6 +842,159 @@ TEST(ReshardTest, ReshardedRestoreBreaksTheDeltaChain) {
   EXPECT_EQ(delta.status().code(), StatusCode::kFailedPrecondition);
   ASSERT_TRUE(target.Checkpoint(CheckpointMode::kFull).ok());
   EXPECT_TRUE(target.Checkpoint(CheckpointMode::kDelta).ok());
+}
+
+
+// ---------------------------------------------------------------------------
+// Pinned bytes. The snapshot layout is normative (docs/FORMATS.md): how the
+// server holds its clients in memory must never show in a blob. Two small
+// servers are pinned byte for byte; fleet-shaped aggregators (ids 1..n in
+// one registration batch, so the index stays a progression in every
+// shard) by size and FNV-1a 64.
+
+Server GoldenServer(DedupPolicy policy) {
+  Server server =
+      Server::WithScales(8, {1.0, 2.0, 3.0, 4.0}, policy).ValueOrDie();
+  // Registered out of id order, so the encoder must sort.
+  EXPECT_TRUE(server.RegisterClient(5, 0).ok());
+  EXPECT_TRUE(server.RegisterClient(-3, 1).ok());
+  EXPECT_TRUE(server.RegisterClient(9, 2).ok());
+  EXPECT_TRUE(server.SubmitReport(5, 1, 1).ok());
+  EXPECT_TRUE(server.SubmitReport(5, 3, -1).ok());
+  EXPECT_TRUE(server.SubmitReport(-3, 2, -1).ok());
+  EXPECT_TRUE(server.SubmitReport(9, 4, 1).ok());
+  EXPECT_TRUE(server.SubmitReport(-3, 6, 1).ok());
+  return server;
+}
+
+ShardedAggregator GoldenFleetAggregator(int shards, DedupPolicy policy) {
+  constexpr int64_t kClients = 1000;
+  constexpr int64_t kHorizon = 64;
+  ShardedAggregator aggregator =
+      ShardedAggregator::WithScales(
+          kHorizon, {1.0, 0.5, 0.25, 2.0, 4.0, 8.0, 3.0}, shards, policy)
+          .ValueOrDie();
+  Rng rng(20261018);
+  std::vector<RegistrationMessage> registrations;
+  for (int64_t u = 0; u < kClients; ++u) {
+    registrations.push_back({1 + u, static_cast<int>(rng.NextInt(7))});
+  }
+  EXPECT_TRUE(aggregator.IngestRegistrations(registrations).ok());
+  for (int64_t t = 1; t <= kHorizon / 2; ++t) {
+    std::vector<ReportMessage> tick;
+    for (const RegistrationMessage& client : registrations) {
+      if (t % (int64_t{1} << client.level) == 0) {
+        tick.push_back({client.client_id, t, rng.NextSign()});
+      }
+    }
+    EXPECT_TRUE(aggregator.IngestReports(tick).ok());
+  }
+  return aggregator;
+}
+
+TEST(CheckpointGoldenTest, SmallServerBytesAreFixed) {
+  EXPECT_EQ(
+      EncodeServerState(GoldenServer(DedupPolicy::kStrict)),
+      std::string(
+          "FRW\x01\x03\x08\x00\x00\x00\x04"
+          "\x00\x00\x00\x00\x00\x00\xf0\x3f\x01"
+          "\x00\x00\x00\x00\x00\x00\x00\x40\x01"
+          "\x00\x00\x00\x00\x00\x00\x08\x40\x01"
+          "\x00\x00\x00\x00\x00\x00\x10\x40\x00"
+          "\x02\x00\x01\x00\x00\x00\x00\x00\x01\x00\x02\x00\x02\x00\x00"
+          "\x00\x00\x03\x05\x01\x06\x10\x00\x03\x08\x02\x04"
+          "\x64\x07\xa4\x1b\x89\xcc\xd4\xba",
+          81));
+  EXPECT_EQ(
+      EncodeServerState(GoldenServer(DedupPolicy::kIdempotent)),
+      std::string(
+          "FRW\x01\x03\x08\x01\x00\x00\x04"
+          "\x00\x00\x00\x00\x00\x00\xf0\x3f\x01"
+          "\x00\x00\x00\x00\x00\x00\x00\x40\x01"
+          "\x00\x00\x00\x00\x00\x00\x08\x40\x01"
+          "\x00\x00\x00\x00\x00\x00\x10\x40\x00"
+          "\x02\x00\x01\x00\x00\x00\x00\x00\x01\x00\x02\x00\x02\x00\x00"
+          "\x00\x00\x03\x05\x01\x00\x01\x05\x10\x00\x00\x01\x05\x08\x02"
+          "\x00\x01\x01"
+          "\xbc\xa8\x49\xf1\x88\x2d\xdb\x6f",
+          87));
+}
+
+TEST(CheckpointGoldenTest, FleetShapedCheckpointBytesAreFixed) {
+  struct Golden {
+    DedupPolicy policy;
+    int shards;
+    size_t size;
+    uint64_t fnv;
+  };
+  const Golden goldens[] = {
+      {DedupPolicy::kStrict, 1, 3245, 0x062a5d87c43a80acULL},
+      {DedupPolicy::kStrict, 4, 3880, 0xc163cda3fbee48d5ULL},
+      {DedupPolicy::kIdempotent, 1, 6163, 0x9837ba50b8f9d94bULL},
+      {DedupPolicy::kIdempotent, 4, 6799, 0x0b720d2ab55e8315ULL},
+  };
+  for (const Golden& golden : goldens) {
+    SCOPED_TRACE(testing::Message()
+                 << DedupPolicyToString(golden.policy) << " " << golden.shards
+                 << " shards");
+    ShardedAggregator aggregator =
+        GoldenFleetAggregator(golden.shards, golden.policy);
+    const std::string blob = aggregator.Checkpoint().ValueOrDie();
+    EXPECT_EQ(blob.size(), golden.size);
+    EXPECT_EQ(wire_internal::Fnv1a64(blob), golden.fnv);
+    // And a restored copy re-encodes to the same bytes.
+    ShardedAggregator restored =
+        ShardedAggregator::WithScales(
+            64, {1.0, 0.5, 0.25, 2.0, 4.0, 8.0, 3.0}, golden.shards,
+            golden.policy)
+            .ValueOrDie();
+    ASSERT_TRUE(restored.Restore(blob).ok());
+    const std::string again = restored.Checkpoint().ValueOrDie();
+    EXPECT_EQ(wire_internal::Fnv1a64(again), golden.fnv);
+  }
+}
+
+TEST(CheckpointGoldenTest, ExtremeIdsRoundTrip) {
+  // Legal ids at both ends of the int64 range: the id deltas between them
+  // wrap (in two's complement) on encode and decode alike.
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  for (const DedupPolicy policy :
+       {DedupPolicy::kStrict, DedupPolicy::kIdempotent}) {
+    SCOPED_TRACE(DedupPolicyToString(policy));
+    ShardedAggregator source =
+        ShardedAggregator::ForProtocol(TestConfig(), 1, policy).ValueOrDie();
+    ASSERT_TRUE(source
+                    .IngestRegistrations(std::vector<RegistrationMessage>{
+                        {kMin, 0}, {1, 1}, {kMax, 2}})
+                    .ok());
+    ASSERT_TRUE(source
+                    .IngestReports(std::vector<ReportMessage>{
+                        {kMin, 4, 1}, {1, 4, -1}, {kMax, 4, 1}, {kMin, 5, -1}})
+                    .ok());
+    const std::string blob = source.Checkpoint().ValueOrDie();
+    for (const int shards : {1, 3}) {
+      ShardedAggregator restored =
+          ShardedAggregator::ForProtocol(TestConfig(), shards, policy)
+              .ValueOrDie();
+      ASSERT_TRUE(restored.Restore(blob).ok()) << shards << " shards";
+      EXPECT_EQ(restored.num_clients(), 3);
+      EXPECT_EQ(restored.EstimateAll().ValueOrDie(),
+                source.EstimateAll().ValueOrDie());
+      // The restored state remembers every client's dedup state: the next
+      // reports land, and under kStrict a stale one is still refused.
+      const ReportMessage next{kMax, 8, -1};
+      ASSERT_TRUE(restored.IngestReports({&next, 1}).ok());
+      if (policy == DedupPolicy::kStrict) {
+        const ReportMessage stale{kMin, 5, 1};
+        EXPECT_FALSE(restored.IngestReports({&stale, 1}).ok());
+      }
+    }
+    const std::string shard =
+        DecodeAggregatorState(blob).ValueOrDie().shards.at(0);
+    EXPECT_EQ(EncodeServerState(DecodeServerState(shard).ValueOrDie()),
+              shard);
+  }
 }
 
 }  // namespace
