@@ -1,5 +1,6 @@
 #include "futurerand/core/server.h"
 
+#include <bit>
 #include <cmath>
 #include <utility>
 
@@ -24,7 +25,11 @@ Server::Server(int64_t num_periods, std::vector<double> level_scales,
       store_config_(store.Canonical()),
       estimator_spec_(estimator),
       sums_(MakeAggregateStore(store_config_, num_periods)),
-      level_counts_(level_scales_.size(), 0) {}
+      level_counts_(level_scales_.size(), 0) {
+  if (dedup_policy_ == DedupPolicy::kIdempotent) {
+    span_arenas_.resize(level_scales_.size());
+  }
+}
 
 Status EstimatorSpec::Validate() const {
   if (mode != Mode::kDyadic && mode != Mode::kDirect) {
@@ -144,6 +149,16 @@ Result<Server> Server::WithScales(int64_t num_periods,
     return Status::InvalidArgument(
         "dedup window exceeds the horizon; use 0 for unbounded");
   }
+  if (policy == DedupPolicy::kIdempotent &&
+      (window.bounded() ? window.window_boundaries : num_periods) >
+          DedupWindowPolicy::kMaxRetainedBoundaries) {
+    // A client's first report commits its whole span (SpanWordsAtLevel),
+    // so an uncapped one would let a single report, or a 5-byte snapshot
+    // record, commit d/64 words.
+    return Status::InvalidArgument(
+        "kIdempotent dedup keeps at most 8192 boundaries per client; "
+        "a longer horizon needs a dedup window of at most 8192");
+  }
   const auto expected =
       static_cast<size_t>(Log2Exact(static_cast<uint64_t>(num_periods)) + 1);
   if (level_scales.size() != expected) {
@@ -168,11 +183,12 @@ Status Server::RegisterClientStrict(int64_t client_id, int level) {
   }
   clients_.Insert(client_id);
   client_levels_.push_back(static_cast<int8_t>(level));
-  // Only the active policy's column is populated (the other stays empty).
+  // Only the active policy's columns are populated (the others stay empty).
   if (dedup_policy_ == DedupPolicy::kIdempotent) {
-    seen_boundaries_.emplace_back();
-  } else {
-    last_report_time_.push_back(0);
+    span_ranks_.push_back(kNoSpan);
+  }
+  if (HasWatermarks()) {
+    watermarks_.push_back(0);
   }
   ++level_counts_[static_cast<size_t>(level)];
   return Status::OK();
@@ -240,9 +256,10 @@ void Server::ReserveClients(size_t additional) {
   clients_.Reserve(capacity);
   client_levels_.reserve(capacity);
   if (dedup_policy_ == DedupPolicy::kIdempotent) {
-    seen_boundaries_.reserve(capacity);
-  } else {
-    last_report_time_.reserve(capacity);
+    span_ranks_.reserve(capacity);
+  }
+  if (HasWatermarks()) {
+    watermarks_.reserve(capacity);
   }
 }
 
@@ -251,28 +268,75 @@ int64_t Server::BitmapWordsAtLevel(int level) const {
   return (boundaries + 63) / 64;
 }
 
-void Server::EvictBehindWindow(BoundaryBitmap* bitmap,
-                               int64_t frontier) const {
-  // Keep every boundary in [frontier - window + 1 .. frontier]; older words
-  // are dropped whole, so up to 63 extra boundaries survive until the
-  // frontier crosses their word. Called BEFORE the frontier bit is
-  // materialized, so a large frontier jump (first report after a long
-  // outage) never allocates words it would immediately evict — the
-  // materialized span stays O(window) regardless of the jump size.
+int64_t Server::SpanWordsAtLevel(int level) const {
+  const int64_t full = BitmapWordsAtLevel(level);
+  if (!dedup_window_.bounded()) {
+    return full;
+  }
+  // A window of W boundaries starting at bit o of a word covers
+  // ceil((o + W) / 64) words, at most (W + 62)/64 + 1 at o = 63.
+  return std::min(full, (dedup_window_.window_boundaries + 62) / 64 + 1);
+}
+
+int64_t Server::WindowBaseWord(int64_t frontier) const {
+  // Keep every boundary in [frontier - window + 1 .. frontier]; older
+  // words are dropped whole, so up to 63 extra boundaries survive until
+  // the frontier crosses their word.
   const int64_t keep_from = frontier - dedup_window_.window_boundaries + 1;
-  const int64_t keep_word = keep_from <= 0 ? 0 : keep_from >> 6;
-  if (keep_word <= bitmap->base_word) {
-    return;
+  return keep_from <= 0 ? 0 : keep_from >> 6;
+}
+
+uint32_t Server::AppendSpan(int level) {
+  std::vector<uint64_t>& arena = span_arenas_[static_cast<size_t>(level)];
+  const auto words = static_cast<size_t>(SpanWordsAtLevel(level));
+  const size_t spans = arena.size() / words;
+  if (arena.size() == arena.capacity()) {
+    // Double. While the arena is still on its track of powers of two,
+    // stop at one span per registered client of the level, so a level
+    // whose clients all report ends exactly sized. Off that track (after
+    // such a stop, or an exact reservation) only double, so registrations
+    // interleaved with first reports still cost amortized O(1).
+    size_t grown = std::max<size_t>(2 * spans, 1);
+    if (std::has_single_bit(spans)) {
+      const auto registered =
+          static_cast<size_t>(level_counts_[static_cast<size_t>(level)]);
+      grown = std::min(grown, std::max(registered, spans + 1));
+    }
+    arena.reserve(grown * words);
   }
-  const auto drop = static_cast<size_t>(keep_word - bitmap->base_word);
-  if (drop >= bitmap->words.size()) {
-    // The whole materialized span fell behind the new window.
-    bitmap->words.clear();
-  } else {
-    bitmap->words.erase(bitmap->words.begin(),
-                        bitmap->words.begin() + static_cast<int64_t>(drop));
+  arena.resize(arena.size() + words, 0);
+  return static_cast<uint32_t>(spans);
+}
+
+uint64_t* Server::SpanOf(size_t slot, int level) {
+  return const_cast<uint64_t*>(std::as_const(*this).SpanOf(slot, level));
+}
+
+const uint64_t* Server::SpanOf(size_t slot, int level) const {
+  return span_arenas_[static_cast<size_t>(level)].data() +
+         static_cast<size_t>(span_ranks_[slot]) *
+             static_cast<size_t>(SpanWordsAtLevel(level));
+}
+
+void Server::EvictBehindWindow(uint64_t* span, int64_t span_words,
+                               int64_t drop) {
+  const int64_t kept = std::max<int64_t>(span_words - drop, 0);
+  std::copy(span + (span_words - kept), span + span_words, span);
+  std::fill(span + kept, span + span_words, 0);
+}
+
+void Server::AdoptDedupState(const Server& source, size_t source_slot,
+                             int level) {
+  if (HasWatermarks()) {
+    watermarks_.back() = source.watermarks_[source_slot];
   }
-  bitmap->base_word = keep_word;
+  if (dedup_policy_ == DedupPolicy::kIdempotent &&
+      source.span_ranks_[source_slot] != kNoSpan) {
+    const size_t slot = span_ranks_.size() - 1;
+    span_ranks_[slot] = AppendSpan(level);
+    const uint64_t* words = source.SpanOf(source_slot, level);
+    std::copy(words, words + SpanWordsAtLevel(level), SpanOf(slot, level));
+  }
 }
 
 Status Server::RejectionStatus(ReportCheck check) {
@@ -295,35 +359,40 @@ Status Server::RejectionStatus(ReportCheck check) {
   return Status::Internal("accepted report has no rejection status");
 }
 
-Server::ReportCheck Server::RecordBoundary(BoundaryBitmap* seen,
+Server::ReportCheck Server::RecordBoundary(size_t slot, int level,
                                            int64_t boundary) {
-  const int64_t word = boundary >> 6;
-  if (boundary > seen->frontier && dedup_window_.bounded()) {
-    // This report is about to advance the frontier: evict against the new
-    // frontier first, so the resize below only materializes words inside
-    // the window (a boundary above the frontier can never be a duplicate,
-    // so the report is guaranteed to land).
-    EvictBehindWindow(seen, boundary);
+  if (span_ranks_[slot] == kNoSpan) {
+    // First report: nothing to compare against, so it always lands.
+    span_ranks_[slot] = AppendSpan(level);
   }
-  if (word < seen->base_word) {
+  uint64_t* span = SpanOf(slot, level);
+  int64_t base_word = 0;
+  if (dedup_window_.bounded()) {
+    int64_t& watermark = watermarks_[slot];
+    const int64_t keep_word = WindowBaseWord(boundary);
+    if (keep_word > watermark) {
+      // Only a boundary above the frontier moves the watermark (it is
+      // WindowBaseWord(frontier) already), and such a report always lands,
+      // so evicting first keeps a frontier jump inside the fixed span.
+      EvictBehindWindow(span, SpanWordsAtLevel(level), keep_word - watermark);
+      watermark = keep_word;
+    }
+    base_word = watermark;
+  }
+  const int64_t word = boundary >> 6;
+  if (word < base_word) {
     // Evicted horizon: the bit is gone, so a first delivery and a
     // retransmission are indistinguishable. Refuse to guess.
     ++out_of_window_dropped_;
     return ReportCheck::kAbsorb;
   }
-  const auto slot = static_cast<size_t>(word - seen->base_word);
-  if (slot >= seen->words.size()) {
-    seen->words.resize(slot + 1, 0);
-  }
+  uint64_t& bits = span[word - base_word];
   const uint64_t bit = uint64_t{1} << (boundary & 63);
-  if ((seen->words[slot] & bit) != 0) {
+  if ((bits & bit) != 0) {
     ++duplicates_dropped_;
     return ReportCheck::kAbsorb;
   }
-  seen->words[slot] |= bit;
-  if (boundary > seen->frontier) {
-    seen->frontier = boundary;
-  }
+  bits |= bit;
   return ReportCheck::kApply;
 }
 
@@ -350,10 +419,10 @@ inline Server::ReportCheck Server::CheckAndRecordReport(int64_t client_id,
   }
   *level_out = level;
   if (dedup_policy_ == DedupPolicy::kIdempotent) {
-    return RecordBoundary(&seen_boundaries_[static_cast<size_t>(client_slot)],
+    return RecordBoundary(static_cast<size_t>(client_slot), level,
                           (time >> level) - 1);
   }
-  int64_t& last_time = last_report_time_[static_cast<size_t>(client_slot)];
+  int64_t& last_time = watermarks_[static_cast<size_t>(client_slot)];
   if (time <= last_time) {
     return ReportCheck::kStale;
   }
@@ -536,18 +605,9 @@ Status Server::Merge(const Server& other) {
   for (int32_t slot = 0; slot < other_clients; ++slot) {
     // Strict registration regardless of policy: merged shards partition the
     // client population, so a shared id is a sharding bug, not a retry.
-    FR_RETURN_NOT_OK(RegisterClientStrict(
-        other.clients_.IdAt(slot),
-        other.client_levels_[static_cast<size_t>(slot)]));
-    // RegisterClientStrict pushed a default column entry; overwrite it with
-    // the source client's dedup state.
-    if (dedup_policy_ == DedupPolicy::kIdempotent) {
-      seen_boundaries_.back() =
-          other.seen_boundaries_[static_cast<size_t>(slot)];
-    } else {
-      last_report_time_.back() =
-          other.last_report_time_[static_cast<size_t>(slot)];
-    }
+    const int level = other.client_levels_[static_cast<size_t>(slot)];
+    FR_RETURN_NOT_OK(RegisterClientStrict(other.clients_.IdAt(slot), level));
+    AdoptDedupState(other, static_cast<size_t>(slot), level);
   }
   duplicates_dropped_ += other.duplicates_dropped_;
   out_of_window_dropped_ += other.out_of_window_dropped_;
@@ -612,22 +672,21 @@ double Server::ScaleAtLevel(int level) const {
 }
 
 int64_t Server::ApproxMemoryBytes() const {
-  // Columns are charged their capacity; bitmaps additionally charge their
-  // word storage. An estimate, but monotone in the real footprint, which is
-  // what sizing a DedupWindowPolicy needs.
+  // Columns and span arenas are charged their capacity. An estimate, but
+  // monotone in the real footprint, which is what sizing a
+  // DedupWindowPolicy needs.
   int64_t bytes = static_cast<int64_t>(sizeof(Server));
   bytes += sums_->ApproxMemoryBytes();
   bytes += static_cast<int64_t>(level_scales_.capacity() * sizeof(double));
   bytes += static_cast<int64_t>(level_counts_.capacity() * sizeof(int64_t));
   bytes += clients_.ApproxMemoryBytes();
   bytes += static_cast<int64_t>(client_levels_.capacity() * sizeof(int8_t));
-  bytes +=
-      static_cast<int64_t>(last_report_time_.capacity() * sizeof(int64_t));
-  bytes += static_cast<int64_t>(seen_boundaries_.capacity() *
-                                sizeof(BoundaryBitmap));
-  for (const BoundaryBitmap& bitmap : seen_boundaries_) {
-    bytes +=
-        static_cast<int64_t>(bitmap.words.capacity() * sizeof(uint64_t));
+  bytes += static_cast<int64_t>(watermarks_.capacity() * sizeof(int64_t));
+  bytes += static_cast<int64_t>(span_ranks_.capacity() * sizeof(uint32_t));
+  bytes += static_cast<int64_t>(span_arenas_.capacity() *
+                                sizeof(std::vector<uint64_t>));
+  for (const std::vector<uint64_t>& arena : span_arenas_) {
+    bytes += static_cast<int64_t>(arena.capacity() * sizeof(uint64_t));
   }
   return bytes;
 }

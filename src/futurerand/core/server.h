@@ -47,10 +47,14 @@ enum class DedupPolicy {
 const char* DedupPolicyToString(DedupPolicy policy);
 
 /// Bounds the memory of the kIdempotent boundary bitmaps for year-scale
-/// streams. Unbounded (the default), a level-h client's bitmap grows to
-/// d/2^h bits and never shrinks; bounded, the server keeps exact seen-bits
-/// only for a trailing window behind each client's newest boundary and
-/// evicts everything older.
+/// streams. Unbounded (the default), a level-h client's first report
+/// commits its whole bitmap: d/2^h bits, rounded up to 64-bit words.
+/// Bounded, the server keeps exact seen-bits only for a trailing window
+/// behind each client's newest boundary and evicts everything older, so a
+/// client holds at most (window + 62)/64 + 1 words (plus an 8-byte
+/// eviction watermark) however long the stream runs. Either way a client
+/// keeps at most kMaxRetainedBoundaries boundaries, so a horizon longer
+/// than that needs a window.
 ///
 /// Semantics: a report whose boundary is inside the retained window behaves
 /// bit-identically to the unbounded policy. A report older than the evicted
@@ -62,10 +66,20 @@ struct DedupWindowPolicy {
   /// Boundaries of exact dedup memory retained behind each client's newest
   /// boundary. 0 = unbounded (never evict, never drop). Eviction works in
   /// whole 64-boundary words, so up to 63 extra boundaries may be
-  /// retained. Must not exceed the server's num_periods (checked at
-  /// construction): no level has more than d boundaries, so a larger
-  /// window would just be a non-canonical spelling of unbounded.
+  /// retained; the words a client holds are fixed at
+  /// min(its full bitmap, (window + 62)/64 + 1). Must not exceed the
+  /// server's num_periods (checked at construction): no level has more
+  /// than d boundaries, so a larger window would just be a non-canonical
+  /// spelling of unbounded.
   int64_t window_boundaries = 0;
+
+  /// The most boundaries a kIdempotent server keeps per client: an
+  /// unbounded window needs num_periods <= this, and a bounded one must
+  /// not exceed it (checked at construction). A client's first report
+  /// commits its whole span, so this caps that span at 129 words (1032 B),
+  /// and with it what one snapshot client record can make a restore
+  /// allocate.
+  static constexpr int64_t kMaxRetainedBoundaries = int64_t{1} << 13;
 
   /// True iff eviction is enabled.
   bool bounded() const { return window_boundaries > 0; }
@@ -298,16 +312,8 @@ class Server {
  private:
   friend struct ServerStateCodec;  // core/snapshot.cc: checkpoint wire format
 
-  /// Dedup state of one kIdempotent client: a bitmap over its dyadic
-  /// boundaries, materialized lazily (words appear as the client's stream
-  /// advances) and evicted from the front under a bounded window. Bit b of
-  /// the logical bitmap lives at words[b/64 - base_word] once materialized;
-  /// everything below 64*base_word has been evicted.
-  struct BoundaryBitmap {
-    int64_t base_word = 0;   // first still-materialized 64-boundary word
-    int64_t frontier = -1;   // highest boundary seen; -1 = none yet
-    std::vector<uint64_t> words;
-  };
+  /// span_ranks_ value of a client that has not reported yet.
+  static constexpr uint32_t kNoSpan = UINT32_MAX;
 
   Server(int64_t num_periods, std::vector<double> level_scales,
          DedupPolicy policy, DedupWindowPolicy window, StoreConfig store,
@@ -353,9 +359,10 @@ class Server {
                                    int8_t report, int* level_out);
 
   /// The kIdempotent dedup step of CheckAndRecordReport: records
-  /// `boundary` (0-based, in units of the client's level) in `seen`, or
-  /// absorbs it as a retransmission or an out-of-window straggler.
-  ReportCheck RecordBoundary(BoundaryBitmap* seen, int64_t boundary);
+  /// `boundary` (0-based, in units of the level) in the span of the
+  /// level-`level` client at `slot`, or absorbs it as a retransmission or
+  /// an out-of-window straggler.
+  ReportCheck RecordBoundary(size_t slot, int level, int64_t boundary);
 
   /// Shared body of both SubmitReports overloads: applies
   /// batch[indices ? indices[i] : i] for i in [0..count).
@@ -364,14 +371,41 @@ class Server {
                        int64_t* accepted);
 
   /// Words of a full kIdempotent boundary bitmap for a level-h client:
-  /// one bit per multiple of 2^h in [1..d]. The upper bound on any
-  /// BoundaryBitmap's base_word + words.size().
+  /// one bit per multiple of 2^h in [1..d].
   int64_t BitmapWordsAtLevel(int level) const;
 
-  /// Evicts whole words that fell behind the window ending at `frontier`.
-  /// Called before the frontier bit is materialized, so a frontier jump
-  /// never allocates words that would be evicted right away.
-  void EvictBehindWindow(BoundaryBitmap* bitmap, int64_t frontier) const;
+  /// S_h, the fixed words of every level-h span: the full bitmap when the
+  /// window is unbounded, else at most the words a window can straddle.
+  int64_t SpanWordsAtLevel(int level) const;
+
+  /// The eviction watermark a bounded window keeps for a client whose
+  /// highest boundary is `frontier`: the first word still held.
+  int64_t WindowBaseWord(int64_t frontier) const;
+
+  /// Appends a zeroed span to the level's arena and returns its rank. The
+  /// arena grows geometrically, and a level whose clients all report ends
+  /// exactly sized.
+  uint32_t AppendSpan(int level);
+
+  /// The span of the level-h client at `slot`; it must have reported.
+  uint64_t* SpanOf(size_t slot, int level);
+  const uint64_t* SpanOf(size_t slot, int level) const;
+
+  /// Copies the dedup state of `source`'s client at `source_slot` into
+  /// this server's newest slot, which RegisterClientStrict just added for
+  /// the same client (Merge and resharding).
+  void AdoptDedupState(const Server& source, size_t source_slot, int level);
+
+  /// Moves a span's window up by `drop` whole words: the words behind the
+  /// new watermark are evicted and the freed top words are zeroed.
+  static void EvictBehindWindow(uint64_t* span, int64_t span_words,
+                                int64_t drop);
+
+  /// True iff the per-slot watermark column is populated: under kStrict,
+  /// and under kIdempotent with a bounded window.
+  bool HasWatermarks() const {
+    return dedup_policy_ == DedupPolicy::kStrict || dedup_window_.bounded();
+  }
 
   DedupPolicy dedup_policy_;
   DedupWindowPolicy dedup_window_;
@@ -384,22 +418,35 @@ class Server {
   std::unique_ptr<AggregateStore> sums_;
 
   // Per-client state, columnar: clients_ maps id -> dense slot, and the
-  // vectors below are indexed by slot (only the policy's column is
+  // vectors below are indexed by slot (only the policy's columns are
   // populated). An arithmetic slot lookup (a hash probe once ids leave
   // their progression) plus contiguous column loads per report. A kStrict
-  // client costs 9 bytes: its level and its last report time.
+  // client costs 9 bytes: its level and its last report time. A
+  // kIdempotent client costs 5: its level and its span rank, plus an
+  // 8-byte watermark under a bounded window, plus S_h words once it has
+  // reported.
   ClientIndex clients_;
   // Sampled order h per slot; h < num_orders <= 64 fits a byte.
   std::vector<int8_t> client_levels_;
-  // kStrict: the client's last accepted report time (monotonicity check);
-  // 0 = never reported.
-  std::vector<int64_t> last_report_time_;
-  // kIdempotent: the windowed boundary bitmap per slot.
-  std::vector<BoundaryBitmap> seen_boundaries_;
+  // Stale-report watermark per slot. kStrict: the client's last accepted
+  // report time (monotonicity check; 0 = never reported). kIdempotent with
+  // a bounded window: base_word, the first 64-boundary word its span still
+  // holds; everything below 64 * base_word is evicted. Empty otherwise.
+  std::vector<int64_t> watermarks_;
+  // kIdempotent: per slot, the rank of the client's span in its level's
+  // arena; kNoSpan until its first report.
+  std::vector<uint32_t> span_ranks_;
 
   std::vector<int64_t> level_counts_;
   int64_t duplicates_dropped_ = 0;
   int64_t out_of_window_dropped_ = 0;
+
+  // kIdempotent: per level h, the spans of its reporting clients back to
+  // back, S_h words each. Word w of a span holds boundaries
+  // 64 * (base_word + w) .. 64 * (base_word + w) + 63; the client's
+  // frontier is the span's highest set bit. Empty under kStrict, and kept
+  // last, behind the members the kStrict per-report path reads.
+  std::vector<std::vector<uint64_t>> span_arenas_;
 };
 
 }  // namespace futurerand::core

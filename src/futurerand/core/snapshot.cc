@@ -132,19 +132,29 @@ struct ServerStateCodec {
       PutVarint64(static_cast<uint64_t>(server.client_levels_[slot]), &out);
       previous_id = id;
       if (server.dedup_policy_ == DedupPolicy::kIdempotent) {
-        // Only the materialized window is serialized: the eviction
-        // watermark (base_word) plus the live words. A client that never
-        // reported has an empty bitmap (base_word 0) and costs two zero
-        // bytes.
-        const Server::BoundaryBitmap& bitmap = server.seen_boundaries_[slot];
-        PutVarint64(static_cast<uint64_t>(bitmap.base_word), &out);
-        PutVarint64(bitmap.words.size(), &out);
-        for (const uint64_t word : bitmap.words) {
-          PutVarint64(word, &out);
+        // Only the live window is serialized: the eviction watermark
+        // (base_word) plus the words up to the frontier's, which is the
+        // span's highest non-zero word. A client that never reported has
+        // no span (base_word 0) and costs two zero bytes.
+        const int level = server.client_levels_[slot];
+        const uint64_t* span = nullptr;
+        int64_t live = 0;
+        if (server.span_ranks_[slot] != Server::kNoSpan) {
+          span = server.SpanOf(slot, level);
+          live = server.SpanWordsAtLevel(level);
+          while (live > 0 && span[live - 1] == 0) {
+            --live;
+          }
+        }
+        const int64_t base_word =
+            server.dedup_window_.bounded() ? server.watermarks_[slot] : 0;
+        PutVarint64(static_cast<uint64_t>(base_word), &out);
+        PutVarint64(static_cast<uint64_t>(live), &out);
+        for (int64_t w = 0; w < live; ++w) {
+          PutVarint64(span[w], &out);
         }
       } else {
-        PutVarint64(static_cast<uint64_t>(server.last_report_time_[slot]),
-                    &out);
+        PutVarint64(static_cast<uint64_t>(server.watermarks_[slot]), &out);
       }
     }
     AppendChecksum(&out);
@@ -269,6 +279,7 @@ struct ServerStateCodec {
     server.ReserveClients(num_clients);
     int64_t previous_id = 0;
     for (uint64_t c = 0; c < num_clients; ++c) {
+      const auto slot = static_cast<size_t>(c);
       FR_ASSIGN_OR_RETURN(const uint64_t id_delta, GetVarint64(&bytes));
       FR_ASSIGN_OR_RETURN(const uint64_t raw_level, GetVarint64(&bytes));
       if (raw_level >= orders) {
@@ -280,18 +291,24 @@ struct ServerStateCodec {
       }
       const int64_t id = WrappingAdd(previous_id, ZigZagDecode(id_delta));
       const int level = static_cast<int>(raw_level);
-      previous_id = id;
-      if (server.clients_.Find(id) >= 0) {
-        return Status::InvalidArgument("snapshot repeats a client id");
+      // The encoder writes clients in ascending id order, so any other
+      // order (a repeat included) is corruption or forgery, and would
+      // re-encode to different bytes.
+      if (c > 0 && id <= previous_id) {
+        return Status::InvalidArgument(
+            "snapshot client ids not strictly ascending");
       }
+      previous_id = id;
       // Columns are populated directly (not via RegisterClientStrict):
       // level_counts_ came from the blob's own level section above.
       server.clients_.Insert(id);
       server.client_levels_.push_back(static_cast<int8_t>(level));
       if (policy == DedupPolicy::kIdempotent) {
-        FR_ASSIGN_OR_RETURN(Server::BoundaryBitmap bitmap,
-                            DecodeBoundaryBitmap(server, level, &bytes));
-        server.seen_boundaries_.push_back(std::move(bitmap));
+        server.span_ranks_.push_back(Server::kNoSpan);
+        if (window.bounded()) {
+          server.watermarks_.push_back(0);
+        }
+        FR_RETURN_NOT_OK(DecodeSpan(&server, slot, level, &bytes));
       } else {
         FR_ASSIGN_OR_RETURN(const uint64_t last, GetVarint64(&bytes));
         if (last > raw_periods ||
@@ -299,7 +316,7 @@ struct ServerStateCodec {
           return Status::InvalidArgument(
               "snapshot last report time invalid for level");
         }
-        server.last_report_time_.push_back(static_cast<int64_t>(last));
+        server.watermarks_.push_back(static_cast<int64_t>(last));
       }
     }
     if (!bytes.empty()) {
@@ -308,55 +325,67 @@ struct ServerStateCodec {
     return server;
   }
 
-  // Reads one client's (base_word, num_words, words) triplet and rebuilds
-  // the in-memory invariants: the frontier is the highest set bit, the last
-  // word is never zero, no bit exceeds the level's boundary count, and an
-  // eviction watermark requires a bounded window. A client that never
-  // reported decodes to an empty bitmap (base_word 0, frontier -1).
-  static Result<Server::BoundaryBitmap> DecodeBoundaryBitmap(
-      const Server& server, int level, std::string_view* bytes) {
+  // Reads one client's (base_word, num_words, words) triplet into a span
+  // of its level's arena, accepting only what the live server can hold:
+  // the last word is never zero, no bit exceeds the level's boundary count,
+  // and base_word is the watermark the window keeps for that frontier (0
+  // when unbounded or before any report), so the words fit the level's
+  // fixed span. A client that never reported gets no span.
+  static Status DecodeSpan(Server* server, size_t slot, int level,
+                           std::string_view* bytes) {
     FR_ASSIGN_OR_RETURN(const uint64_t raw_base, GetVarint64(bytes));
     FR_ASSIGN_OR_RETURN(const uint64_t raw_words, GetVarint64(bytes));
     const auto full_words =
-        static_cast<uint64_t>(server.BitmapWordsAtLevel(level));
+        static_cast<uint64_t>(server->BitmapWordsAtLevel(level));
     if (raw_base > full_words || raw_words > full_words ||
         raw_base + raw_words > full_words) {
       return Status::InvalidArgument("snapshot bitmap exceeds level size");
     }
-    if (raw_base != 0 && !server.dedup_window_.bounded()) {
+    const bool bounded = server->dedup_window_.bounded();
+    if (raw_base != 0 && !bounded) {
       return Status::InvalidArgument(
           "snapshot eviction watermark without a bounded window");
     }
-    FR_RETURN_NOT_OK(CheckPlausibleCount(raw_words, 1, *bytes));
-    Server::BoundaryBitmap bitmap;
-    bitmap.base_word = static_cast<int64_t>(raw_base);
-    bitmap.words.resize(raw_words);
-    for (uint64_t w = 0; w < raw_words; ++w) {
-      FR_ASSIGN_OR_RETURN(bitmap.words[w], GetVarint64(bytes));
-    }
-    if (bitmap.words.empty()) {
+    if (raw_words == 0) {
       if (raw_base != 0) {
         return Status::InvalidArgument(
             "snapshot bitmap watermark without live words");
       }
-      return bitmap;
+      return Status::OK();
     }
-    const uint64_t top = bitmap.words.back();
+    if (raw_words > static_cast<uint64_t>(server->SpanWordsAtLevel(level))) {
+      return Status::InvalidArgument("snapshot bitmap exceeds the window");
+    }
+    FR_RETURN_NOT_OK(CheckPlausibleCount(raw_words, 1, *bytes));
+    // The whole fixed span is committed, as at a live first report. The
+    // server's construction capped it (kMaxRetainedBoundaries) at 129
+    // words, so this record of at least 5 bytes commits at most 1032.
+    server->span_ranks_[slot] = server->AppendSpan(level);
+    uint64_t* span = server->SpanOf(slot, level);
+    for (uint64_t w = 0; w < raw_words; ++w) {
+      FR_ASSIGN_OR_RETURN(span[w], GetVarint64(bytes));
+    }
+    const uint64_t top = span[raw_words - 1];
     if (top == 0) {
-      // The live bitmap never keeps trailing zero words (a word is only
-      // materialized to set a bit in it), so a canonical blob has none.
+      // The live span's frontier word is its highest non-zero word, and
+      // only words up to it are written, so a canonical blob has none.
       return Status::InvalidArgument("snapshot bitmap trailing zero word");
     }
-    bitmap.frontier =
-        (bitmap.base_word +
-         static_cast<int64_t>(bitmap.words.size()) - 1) * 64 +
+    const int64_t frontier =
+        static_cast<int64_t>(raw_base + raw_words - 1) * 64 +
         (std::bit_width(top) - 1);
-    const int64_t boundaries = server.num_periods_ >> level;
-    if (bitmap.frontier >= boundaries) {
+    if (frontier >= (server->num_periods_ >> level)) {
       return Status::InvalidArgument(
           "snapshot bitmap bit beyond the level horizon");
     }
-    return bitmap;
+    if (bounded) {
+      if (static_cast<int64_t>(raw_base) != server->WindowBaseWord(frontier)) {
+        return Status::InvalidArgument(
+            "snapshot eviction watermark does not match the frontier");
+      }
+      server->watermarks_[slot] = static_cast<int64_t>(raw_base);
+    }
+    return Status::OK();
   }
 
   // Re-buckets decoded shards by client id; see ReshardServerStates.
@@ -392,15 +421,30 @@ struct ServerStateCodec {
       targets[0].duplicates_dropped_ += source.duplicates_dropped_;
       targets[0].out_of_window_dropped_ += source.out_of_window_dropped_;
     }
-    // Count each target's clients first, so its columns are sized once.
+    // Count each target's clients and spans first, so its columns and
+    // arenas are sized once, exactly.
+    const size_t orders = first.level_scales_.size();
     std::vector<size_t> incoming(targets.size(), 0);
+    std::vector<size_t> incoming_spans(targets.size() * orders, 0);
     for (const Server& source : sources) {
       for (int32_t slot = 0; slot < source.clients_.size(); ++slot) {
-        ++incoming[target_of(source.clients_.IdAt(slot))];
+        const size_t target = target_of(source.clients_.IdAt(slot));
+        ++incoming[target];
+        if (source.dedup_policy_ == DedupPolicy::kIdempotent &&
+            source.span_ranks_[static_cast<size_t>(slot)] != Server::kNoSpan) {
+          const auto level = static_cast<size_t>(
+              source.client_levels_[static_cast<size_t>(slot)]);
+          ++incoming_spans[target * orders + level];
+        }
       }
     }
     for (size_t s = 0; s < targets.size(); ++s) {
       targets[s].ReserveClients(incoming[s]);
+      for (size_t h = 0; h < targets[s].span_arenas_.size(); ++h) {
+        targets[s].span_arenas_[h].reserve(
+            incoming_spans[s * orders + h] *
+            static_cast<size_t>(first.SpanWordsAtLevel(static_cast<int>(h))));
+      }
     }
     // Hand the clients out in ascending id order, merging the sources,
     // whose decoded slots are in id order already. Every target then
@@ -417,22 +461,15 @@ struct ServerStateCodec {
     while (!heads.empty()) {
       const auto [id, from] = heads.top();
       heads.pop();
-      Server& source = sources[from];
+      const Server& source = sources[from];
       const auto slot = static_cast<size_t>(next[from]++);
       if (next[from] < source.num_clients()) {
         heads.emplace(source.clients_.IdAt(next[from]), from);
       }
       Server& target = targets[target_of(id)];
-      FR_RETURN_NOT_OK(
-          target.RegisterClientStrict(id, source.client_levels_[slot]));
-      // RegisterClientStrict pushed a default column entry; overwrite it
-      // with the source client's dedup state.
-      if (source.dedup_policy_ == DedupPolicy::kIdempotent) {
-        target.seen_boundaries_.back() =
-            std::move(source.seen_boundaries_[slot]);
-      } else {
-        target.last_report_time_.back() = source.last_report_time_[slot];
-      }
+      const int level = source.client_levels_[slot];
+      FR_RETURN_NOT_OK(target.RegisterClientStrict(id, level));
+      target.AdoptDedupState(source, slot, level);
     }
     return targets;
   }

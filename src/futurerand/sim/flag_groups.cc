@@ -118,7 +118,8 @@ void DedupFlags::Register(FlagParser* parser) {
   parser->AddInt64("dedup-window", &dedup_window,
                    "evict per-client dedup bits older than this many "
                    "boundaries behind each client's newest report (0 = "
-                   "keep everything); requires --dedup");
+                   "keep everything, which needs --d <= 8192; at most "
+                   "8192); requires --dedup");
 }
 
 Status DedupFlags::ToPolicies(core::DedupPolicy* policy,

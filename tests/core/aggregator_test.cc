@@ -371,12 +371,21 @@ TEST(CheckpointChainTest, NextCheckpointModeFollowsTheChainRule) {
 
 
 // ---------------------------------------------------------------------------
-// Per-client memory. ApproxMemoryBytes charges each column its capacity
-// times its element size and the client index its own heap, so a
-// fleet-shaped population (ids 1..n in one registration batch, as
-// ClientFleet::EncodeRegistrations ships them) pins the per-client cost
+// Per-client memory. ApproxMemoryBytes charges each column and each span
+// arena its capacity times its element size and the client index its own
+// heap, so a fleet-shaped population (ids 1..n in one registration batch,
+// as ClientFleet::EncodeRegistrations ships them) pins the per-client cost
 // exactly: the index of an id progression costs nothing — in every mod-K
-// shard too — and the batch sizes each column exactly.
+// shard too — the batch sizes each column exactly, and a level whose
+// clients all report fills its arena exactly.
+
+constexpr int64_t kMemoryPeriods = 512;
+
+ProtocolConfig MemoryConfig() {
+  ProtocolConfig config = TestConfig();
+  config.num_periods = kMemoryPeriods;
+  return config;
+}
 
 std::vector<RegistrationMessage> FleetRegistrations(int64_t n,
                                                     uint64_t seed) {
@@ -385,66 +394,111 @@ std::vector<RegistrationMessage> FleetRegistrations(int64_t n,
   for (int64_t u = 0; u < n; ++u) {
     registrations.push_back(
         {1 + u, static_cast<int>(rng.NextInt(
-                    static_cast<uint64_t>(TestConfig().num_orders())))});
+                    static_cast<uint64_t>(MemoryConfig().num_orders())))});
   }
   return registrations;
 }
 
-// A level byte and the last report time.
-constexpr int64_t kStrictBytesPerClient = 1 + 8;
-// A level byte and the boundary bitmap's base word, frontier and word
-// vector (8 + 8 + 24 bytes with a three-pointer std::vector); its words
-// are charged separately as reports set them.
-constexpr int64_t kIdempotentBytesPerClient = 1 + 40;
+// A dedup policy with its window (0 = unbounded).
+struct DedupCase {
+  DedupPolicy policy;
+  int64_t window;
+};
+
+constexpr DedupCase kDedupCases[] = {
+    {DedupPolicy::kStrict, 0},
+    {DedupPolicy::kIdempotent, 0},
+    {DedupPolicy::kIdempotent, 64},
+    {DedupPolicy::kIdempotent, 200},
+};
+
+std::string CaseName(const DedupCase& dedup) {
+  return std::string(DedupPolicyToString(dedup.policy)) + " window " +
+         std::to_string(dedup.window);
+}
+
+ShardedAggregator MemoryAggregator(const DedupCase& dedup, int shards) {
+  return ShardedAggregator::ForProtocol(MemoryConfig(), shards, dedup.policy,
+                                        DedupWindowPolicy{dedup.window})
+      .ValueOrDie();
+}
+
+// kStrict: a level byte and the last report time. kIdempotent: a level
+// byte and a span rank, plus the eviction watermark under a bounded
+// window; its span words are charged separately, once the client reports.
+int64_t BytesPerClient(const DedupCase& dedup) {
+  if (dedup.policy == DedupPolicy::kStrict) {
+    return 1 + 8;
+  }
+  return 1 + 4 + (dedup.window > 0 ? 8 : 0);
+}
+
+// S_h: a level-h span is the client's full bitmap, or under a window W at
+// most the (W + 62)/64 + 1 words a window can straddle.
+int64_t SpanWords(const DedupCase& dedup, int level) {
+  const int64_t full = ((kMemoryPeriods >> level) + 63) / 64;
+  return dedup.window > 0 ? std::min(full, (dedup.window + 62) / 64 + 1)
+                          : full;
+}
+
+// Sum over h of reporting_h * S_h * 8, for the clients whose first
+// boundary 2^h falls at or before `last_time`.
+int64_t SpanBytes(const DedupCase& dedup,
+                  const std::vector<RegistrationMessage>& registrations,
+                  int64_t last_time) {
+  if (dedup.policy == DedupPolicy::kStrict) {
+    return 0;
+  }
+  int64_t bytes = 0;
+  for (const RegistrationMessage& client : registrations) {
+    if ((int64_t{1} << client.level) <= last_time) {
+      bytes += SpanWords(dedup, client.level) * 8;
+    }
+  }
+  return bytes;
+}
+
+// Every client reports at each of its boundaries up to `last_time`.
+void IngestUpTo(const std::vector<RegistrationMessage>& registrations,
+                int64_t last_time, ShardedAggregator* aggregator) {
+  for (int64_t t = 1; t <= last_time; ++t) {
+    std::vector<ReportMessage> tick;
+    for (const RegistrationMessage& client : registrations) {
+      if (t % (int64_t{1} << client.level) == 0) {
+        tick.push_back({client.client_id, t, 1});
+      }
+    }
+    ASSERT_TRUE(aggregator->IngestReports(tick).ok());
+  }
+}
 
 TEST(AggregatorMemoryTest, FleetShapedPopulationCostsItsColumnsExactly) {
   constexpr int64_t kClients = 1000;
   const std::vector<RegistrationMessage> registrations =
       FleetRegistrations(kClients, 5);
   for (const int shards : {1, 4}) {
-    for (const DedupPolicy policy :
-         {DedupPolicy::kStrict, DedupPolicy::kIdempotent}) {
+    for (const DedupCase& dedup : kDedupCases) {
       SCOPED_TRACE(testing::Message()
-                   << DedupPolicyToString(policy) << " " << shards
-                   << " shards");
-      const int64_t per_client = policy == DedupPolicy::kStrict
-                                     ? kStrictBytesPerClient
-                                     : kIdempotentBytesPerClient;
-      ShardedAggregator aggregator =
-          ShardedAggregator::ForProtocol(TestConfig(), shards, policy)
-              .ValueOrDie();
+                   << CaseName(dedup) << ", " << shards << " shards");
+      const int64_t per_client = BytesPerClient(dedup);
+      ShardedAggregator aggregator = MemoryAggregator(dedup, shards);
       const int64_t empty = aggregator.ApproxMemoryBytes();
       ASSERT_TRUE(aggregator.IngestRegistrations(registrations).ok());
       EXPECT_EQ(aggregator.ApproxMemoryBytes(),
                 empty + kClients * per_client);
 
-      // Every client reports at its boundaries up to d/2; under
-      // kIdempotent each that reported holds one bitmap word (d/2 < 64
-      // boundaries), and a restored copy is sized the same way.
-      int64_t words = 0;
-      for (int64_t t = 1; t <= kPeriods / 2; ++t) {
-        std::vector<ReportMessage> tick;
-        for (const RegistrationMessage& client : registrations) {
-          if (t % (int64_t{1} << client.level) == 0) {
-            tick.push_back({client.client_id, t, 1});
-          }
-        }
-        ASSERT_TRUE(aggregator.IngestReports(tick).ok());
-      }
-      for (const RegistrationMessage& client : registrations) {
-        words += (int64_t{1} << client.level) <= kPeriods / 2 ? 1 : 0;
-      }
-      const int64_t word_bytes =
-          policy == DedupPolicy::kIdempotent ? words * 8 : 0;
-      EXPECT_EQ(aggregator.ApproxMemoryBytes(),
-                empty + kClients * per_client + word_bytes);
-      ShardedAggregator restored =
-          ShardedAggregator::ForProtocol(TestConfig(), shards, policy)
-              .ValueOrDie();
+      // Every client reports at its boundaries up to d/2. Under
+      // kIdempotent each client that reported holds one span of S_h
+      // words, and a restored copy is sized the same way.
+      IngestUpTo(registrations, kMemoryPeriods / 2, &aggregator);
+      const int64_t expected =
+          empty + kClients * per_client +
+          SpanBytes(dedup, registrations, kMemoryPeriods / 2);
+      EXPECT_EQ(aggregator.ApproxMemoryBytes(), expected);
+      ShardedAggregator restored = MemoryAggregator(dedup, shards);
       ASSERT_TRUE(
           restored.Restore(aggregator.Checkpoint().ValueOrDie()).ok());
-      EXPECT_EQ(restored.ApproxMemoryBytes(),
-                empty + kClients * per_client + word_bytes);
+      EXPECT_EQ(restored.ApproxMemoryBytes(), expected);
     }
   }
 }
@@ -452,30 +506,61 @@ TEST(AggregatorMemoryTest, FleetShapedPopulationCostsItsColumnsExactly) {
 TEST(AggregatorMemoryTest, ReshardedRestoreKeepsTheColumnsExact) {
   // A 4-shard checkpoint restored into M shards: each target registers its
   // ids in ascending order, so ids 1..n stay a progression in every mod-M
-  // shard and no index is materialized.
+  // shard and no index is materialized, and each target's arenas are
+  // sized for exactly the spans it receives.
   constexpr int64_t kClients = 1000;
   const std::vector<RegistrationMessage> registrations =
       FleetRegistrations(kClients, 7);
-  for (const DedupPolicy policy :
-       {DedupPolicy::kStrict, DedupPolicy::kIdempotent}) {
-    ShardedAggregator source =
-        ShardedAggregator::ForProtocol(TestConfig(), 4, policy).ValueOrDie();
-    ASSERT_TRUE(source.IngestRegistrations(registrations).ok());
-    const std::string blob = source.Checkpoint().ValueOrDie();
-    const int64_t per_client = policy == DedupPolicy::kStrict
-                                   ? kStrictBytesPerClient
-                                   : kIdempotentBytesPerClient;
-    for (const int shards : {1, 2, 3}) {
-      SCOPED_TRACE(testing::Message()
-                   << DedupPolicyToString(policy) << " 4 -> " << shards
-                   << " shards");
-      ShardedAggregator target =
-          ShardedAggregator::ForProtocol(TestConfig(), shards, policy)
-              .ValueOrDie();
-      const int64_t empty = target.ApproxMemoryBytes();
-      ASSERT_TRUE(target.Restore(blob).ok());
-      EXPECT_EQ(target.ApproxMemoryBytes(), empty + kClients * per_client);
+  for (const DedupCase& dedup : kDedupCases) {
+    // Registered only, then mid-stream: levels 0..5 have reported.
+    for (const int64_t last_time : {int64_t{0}, int64_t{40}}) {
+      ShardedAggregator source = MemoryAggregator(dedup, 4);
+      ASSERT_TRUE(source.IngestRegistrations(registrations).ok());
+      IngestUpTo(registrations, last_time, &source);
+      const std::string blob = source.Checkpoint().ValueOrDie();
+      const int64_t state = kClients * BytesPerClient(dedup) +
+                            SpanBytes(dedup, registrations, last_time);
+      for (const int shards : {1, 2, 3}) {
+        SCOPED_TRACE(testing::Message()
+                     << CaseName(dedup) << ", t=" << last_time << ", 4 -> "
+                     << shards << " shards");
+        ShardedAggregator target = MemoryAggregator(dedup, shards);
+        const int64_t empty = target.ApproxMemoryBytes();
+        ASSERT_TRUE(target.Restore(blob).ok());
+        EXPECT_EQ(target.ApproxMemoryBytes(), empty + state);
+      }
     }
+  }
+}
+
+TEST(AggregatorMemoryTest, InterleavedJoinsGrowSpanArenasGeometrically) {
+  // Clients that register and report one at a time: every first report
+  // needs a new span while the level's registered count is just one ahead
+  // of its spans. The footprint must still change only O(log n) times
+  // (each change is a reallocation), and stay within twice the live state.
+  constexpr int64_t kClients = 2000;
+  for (const int64_t window : {int64_t{0}, int64_t{64}}) {
+    SCOPED_TRACE(testing::Message() << "window " << window);
+    const DedupCase dedup{DedupPolicy::kIdempotent, window};
+    ShardedAggregator aggregator = MemoryAggregator(dedup, 1);
+    const int64_t empty = aggregator.ApproxMemoryBytes();
+    int64_t previous = empty;
+    int64_t changes = 0;
+    for (int64_t u = 0; u < kClients; ++u) {
+      const RegistrationMessage client{1 + u, 0};
+      ASSERT_TRUE(aggregator.IngestRegistrations({&client, 1}).ok());
+      const ReportMessage report{1 + u, 1 + u % kMemoryPeriods, 1};
+      ASSERT_TRUE(aggregator.IngestReports({&report, 1}).ok());
+      const int64_t bytes = aggregator.ApproxMemoryBytes();
+      changes += bytes != previous ? 1 : 0;
+      previous = bytes;
+    }
+    // The columns (which grow together) and the arena each double about
+    // log2(n) = 11 times.
+    EXPECT_LE(changes, 2 * 12 + 2);
+    const int64_t live = kClients * BytesPerClient(dedup) +
+                         kClients * SpanWords(dedup, 0) * 8;
+    EXPECT_LE(previous - empty, 2 * live);
   }
 }
 
@@ -483,10 +568,9 @@ TEST(AggregatorMemoryTest, SmallBatchesGrowGeometricallyAndRetriesGrowNothing) {
   constexpr int64_t kClients = 1000;
   const std::vector<RegistrationMessage> registrations =
       FleetRegistrations(kClients, 6);
-  ShardedAggregator aggregator =
-      ShardedAggregator::ForProtocol(TestConfig(), 1,
-                                     DedupPolicy::kIdempotent)
-          .ValueOrDie();
+  const DedupCase dedup{DedupPolicy::kIdempotent, 0};
+  const int64_t per_client = BytesPerClient(dedup);
+  ShardedAggregator aggregator = MemoryAggregator(dedup, 1);
   const int64_t empty = aggregator.ApproxMemoryBytes();
   const std::span<const RegistrationMessage> all(registrations);
   for (size_t begin = 0; begin < all.size(); begin += 7) {
@@ -497,8 +581,8 @@ TEST(AggregatorMemoryTest, SmallBatchesGrowGeometricallyAndRetriesGrowNothing) {
   }
   // Doubling growth: never more than twice the exact size.
   const int64_t grown = aggregator.ApproxMemoryBytes() - empty;
-  EXPECT_GE(grown, kClients * kIdempotentBytesPerClient);
-  EXPECT_LE(grown, 2 * kClients * kIdempotentBytesPerClient);
+  EXPECT_GE(grown, kClients * per_client);
+  EXPECT_LE(grown, 2 * kClients * per_client);
   // A retransmitted registration batch is absorbed without allocating.
   IngestOutcome outcome;
   ASSERT_TRUE(

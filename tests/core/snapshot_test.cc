@@ -4,6 +4,7 @@
 // bitmaps under kIdempotent) — and a corrupted or truncated blob must never
 // restore silently.
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -15,6 +16,7 @@
 #include "futurerand/core/aggregator.h"
 #include "futurerand/core/fleet.h"
 #include "futurerand/core/server.h"
+#include "futurerand/core/sketch_store.h"
 #include "futurerand/core/snapshot.h"
 #include "futurerand/core/wire.h"
 
@@ -164,6 +166,106 @@ TEST(ServerStateTest, TrailingBytesAreRejected) {
       EncodeServerState(PopulatedServer(DedupPolicy::kStrict, 4));
   blob.push_back('x');
   EXPECT_FALSE(DecodeServerState(blob).ok());
+}
+
+// Seals a dense kind-3 blob by hand: unit scales, zero sums and counters,
+// and `clients` (already varint-encoded) as the client section. Lets a test
+// forge what the encoder never writes, with a valid checksum.
+std::string HandSealedServerState(int64_t d, DedupPolicy policy,
+                                  int64_t window,
+                                  const std::vector<int64_t>& level_counts,
+                                  int64_t num_clients,
+                                  const std::string& clients) {
+  std::string out;
+  wire_internal::AppendHeader(wire_internal::kKindServerState, &out);
+  wire_internal::PutVarint64(static_cast<uint64_t>(d), &out);
+  wire_internal::PutVarint64(policy == DedupPolicy::kIdempotent ? 1 : 0,
+                             &out);
+  wire_internal::PutVarint64(static_cast<uint64_t>(window), &out);
+  wire_internal::PutVarint64(0, &out);  // dyadic estimator
+  wire_internal::PutVarint64(level_counts.size(), &out);
+  for (const int64_t count : level_counts) {
+    wire_internal::PutFixed64(0x3ff0000000000000ULL, &out);  // 1.0
+    wire_internal::PutVarint64(static_cast<uint64_t>(count), &out);
+  }
+  for (int64_t cell = 0; cell < 2 * d - 1; ++cell) {
+    wire_internal::PutVarint64(0, &out);
+  }
+  wire_internal::PutVarint64(0, &out);  // duplicates dropped
+  wire_internal::PutVarint64(0, &out);  // out-of-window dropped
+  wire_internal::PutVarint64(static_cast<uint64_t>(num_clients), &out);
+  out += clients;
+  wire_internal::AppendChecksum(&out);
+  return out;
+}
+
+// One kStrict client record: id delta, level, last report time.
+std::string StrictClient(int64_t id_delta, int level, int64_t last) {
+  std::string out;
+  wire_internal::PutVarint64(wire_internal::ZigZagEncode(id_delta), &out);
+  wire_internal::PutVarint64(static_cast<uint64_t>(level), &out);
+  wire_internal::PutVarint64(static_cast<uint64_t>(last), &out);
+  return out;
+}
+
+Status DecodeStatus(const std::string& blob) {
+  return DecodeServerState(blob).status();
+}
+
+TEST(ServerStateTest, ClientIdsMustStrictlyAscend) {
+  const std::vector<int64_t> counts = {2, 0, 0, 0};
+  // The control: ids 5 then 9 decode.
+  EXPECT_TRUE(DecodeServerState(
+                  HandSealedServerState(8, DedupPolicy::kStrict, 0, counts, 2,
+                                        StrictClient(5, 0, 3) +
+                                            StrictClient(4, 0, 0)))
+                  .ok());
+  // Ids 9 then 5: out of order.
+  EXPECT_EQ(DecodeStatus(HandSealedServerState(
+                             8, DedupPolicy::kStrict, 0, counts, 2,
+                             StrictClient(9, 0, 3) + StrictClient(-4, 0, 0)))
+                .code(),
+            StatusCode::kInvalidArgument);
+  // Ids 5 then 5: a repeat.
+  EXPECT_EQ(DecodeStatus(HandSealedServerState(
+                             8, DedupPolicy::kStrict, 0, counts, 2,
+                             StrictClient(5, 0, 3) + StrictClient(0, 0, 0)))
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(ServerStateTest, WindowedWatermarkMustMatchTheFrontier) {
+  // d = 1024, window 64, one level-0 client whose only report set boundary
+  // 191 (bit 63 of word 2). The live server keeps base_word
+  // (191 - 64 + 1) >> 6 = 2 for that frontier, and nothing else.
+  const std::vector<int64_t> counts = {1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0};
+  const auto client = [](uint64_t base_word,
+                         const std::vector<uint64_t>& words) {
+    std::string out;
+    wire_internal::PutVarint64(wire_internal::ZigZagEncode(1), &out);
+    wire_internal::PutVarint64(0, &out);  // level
+    wire_internal::PutVarint64(base_word, &out);
+    wire_internal::PutVarint64(words.size(), &out);
+    for (const uint64_t word : words) {
+      wire_internal::PutVarint64(word, &out);
+    }
+    return out;
+  };
+  constexpr uint64_t kTopBit = uint64_t{1} << 63;
+  const auto seal = [&counts](const std::string& clients) {
+    return HandSealedServerState(1024, DedupPolicy::kIdempotent, 64, counts,
+                                 1, clients);
+  };
+  const std::string canonical = seal(client(2, {kTopBit}));
+  ASSERT_TRUE(DecodeServerState(canonical).ok());
+  EXPECT_EQ(EncodeServerState(DecodeServerState(canonical).ValueOrDie()),
+            canonical);
+  // A stale watermark: base_word 1 claims word 1 is still held.
+  EXPECT_EQ(DecodeStatus(seal(client(1, {0, kTopBit}))).code(),
+            StatusCode::kInvalidArgument);
+  // A watermark ahead of the frontier: word 2 evicted under its own bit.
+  EXPECT_EQ(DecodeStatus(seal(client(3, {1}))).code(),
+            StatusCode::kInvalidArgument);
 }
 
 // ---------------------------------------------------------------------------
@@ -691,6 +793,64 @@ TEST(SketchServerStateTest, RoundTripIsBitIdentical) {
   EXPECT_EQ(EncodeServerState(restored), blob);
 }
 
+TEST(SketchServerStateTest, OversizedDedupSpanIsRejectedBeforeAllocation) {
+  // d = 2^40 under a sketch store takes only a few hundred cells, and a
+  // level-0 client that reported once is a 5-byte record. With no window
+  // that record would commit the level's full span of 2^34 words (128
+  // GiB); the retained-boundary cap refuses the blob at construction,
+  // before any span exists.
+  constexpr int64_t kD = int64_t{1} << 40;
+  const StoreConfig store = StoreConfig::Sketch(3, 8, 7);
+  const int orders = 41;
+  const auto seal = [&](int64_t window) {
+    std::string out;
+    wire_internal::AppendHeader(wire_internal::kKindServerStateSketch, &out);
+    wire_internal::PutVarint64(static_cast<uint64_t>(kD), &out);
+    wire_internal::PutVarint64(static_cast<uint64_t>(store.sketch_rows),
+                               &out);
+    wire_internal::PutVarint64(static_cast<uint64_t>(store.sketch_width),
+                               &out);
+    wire_internal::PutVarint64(store.sketch_seed, &out);
+    wire_internal::PutVarint64(1, &out);  // kIdempotent
+    wire_internal::PutVarint64(static_cast<uint64_t>(window), &out);
+    wire_internal::PutVarint64(0, &out);  // dyadic estimator
+    wire_internal::PutVarint64(static_cast<uint64_t>(orders), &out);
+    for (int h = 0; h < orders; ++h) {
+      wire_internal::PutFixed64(0x3ff0000000000000ULL, &out);  // 1.0
+      wire_internal::PutVarint64(h == 0 ? 1 : 0, &out);
+    }
+    const int64_t cells =
+        SketchStore::CellCount(kD, store.sketch_rows, store.sketch_width);
+    for (int64_t cell = 0; cell < cells; ++cell) {
+      wire_internal::PutVarint64(0, &out);
+    }
+    wire_internal::PutVarint64(0, &out);  // duplicates dropped
+    wire_internal::PutVarint64(0, &out);  // out-of-window dropped
+    wire_internal::PutVarint64(1, &out);  // one client:
+    wire_internal::PutVarint64(wire_internal::ZigZagEncode(1), &out);
+    wire_internal::PutVarint64(0, &out);  // level 0
+    wire_internal::PutVarint64(0, &out);  // base_word
+    wire_internal::PutVarint64(1, &out);  // num_words
+    wire_internal::PutVarint64(1, &out);  // boundary 0 seen
+    wire_internal::AppendChecksum(&out);
+    return out;
+  };
+  // The control: under a 64-boundary window the same client holds a
+  // 2-word span, and the blob round-trips.
+  const std::string windowed = seal(64);
+  const Result<Server> restored = DecodeServerState(windowed);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(EncodeServerState(restored.ValueOrDie()), windowed);
+  EXPECT_LT(restored.ValueOrDie().ApproxMemoryBytes(), int64_t{1} << 20);
+
+  const std::string unbounded = seal(0);
+  EXPECT_LT(unbounded.size(), size_t{2048});
+  const Status status = DecodeStatus(unbounded);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("boundaries per client"), std::string::npos)
+      << status.ToString();
+}
+
 TEST(SketchServerStateTest, EveryTruncationIsRejected) {
   const std::string blob =
       EncodeServerState(PopulatedSketchServer(DedupPolicy::kStrict, 12));
@@ -850,7 +1010,7 @@ TEST(ReshardTest, ReshardedRestoreBreaksTheDeltaChain) {
 // server holds its clients in memory must never show in a blob. Two small
 // servers are pinned byte for byte; fleet-shaped aggregators (ids 1..n in
 // one registration batch, so the index stays a progression in every
-// shard) by size and FNV-1a 64.
+// shard) and bounded-window states by size and FNV-1a 64.
 
 Server GoldenServer(DedupPolicy policy) {
   Server server =
@@ -951,6 +1111,148 @@ TEST(CheckpointGoldenTest, FleetShapedCheckpointBytesAreFixed) {
     ASSERT_TRUE(restored.Restore(blob).ok());
     const std::string again = restored.Checkpoint().ValueOrDie();
     EXPECT_EQ(wire_internal::Fnv1a64(again), golden.fnv);
+  }
+}
+
+// A bounded-window server holding each kind of windowed client state: a
+// frontier jump after an outage, stragglers delivered late inside (or just
+// behind) the window, duplicates, and a client that never reported.
+Server GoldenWindowedServer(int64_t window) {
+  constexpr int64_t kHorizon = 1024;
+  Server server =
+      Server::WithScales(kHorizon,
+                         {1.0, 0.5, 0.25, 2.0, 4.0, 8.0, 3.0, 1.5, 6.0, 0.75,
+                          5.0},
+                         DedupPolicy::kIdempotent, DedupWindowPolicy{window})
+          .ValueOrDie();
+  Rng rng(1024 + static_cast<uint64_t>(window));
+  const auto submit = [&](int64_t id, int64_t t) {
+    EXPECT_TRUE(server.SubmitReport(id, t, rng.NextSign()).ok())
+        << "id " << id << " t " << t;
+  };
+  // Frontier jump: three early reports, an outage, then a report near the
+  // horizon, a straggler right behind it and one from before the outage.
+  EXPECT_TRUE(server.RegisterClient(3, 0).ok());
+  for (const int64_t t : {1, 2, 3, 1000, 998, 2}) {
+    submit(3, t);
+  }
+  // Stragglers: a level-1 client whose every seventh boundary arrives late,
+  // some inside the window and some behind it, plus retransmissions.
+  EXPECT_TRUE(server.RegisterClient(7, 1).ok());
+  for (int64_t t = 2; t <= 600; t += 2) {
+    if (t % 14 != 0) {
+      submit(7, t);
+    }
+  }
+  for (const int64_t t : {588, 560, 476, 600, 588, 462, 14, 598}) {
+    submit(7, t);
+  }
+  // Registered, never reported.
+  EXPECT_TRUE(server.RegisterClient(11, 2).ok());
+  // A deeper client delivered newest first.
+  EXPECT_TRUE(server.RegisterClient(-5, 4).ok());
+  for (int64_t t = 1024; t >= 16; t -= 16) {
+    submit(-5, t);
+  }
+  // A level-6 client with a single mid-stream report.
+  EXPECT_TRUE(server.RegisterClient(20, 6).ok());
+  submit(20, 448);
+  return server;
+}
+
+// A windowed 3-shard aggregator fed a seeded at-least-once stream: each
+// tick every client reports for a time up to 100 periods back (on its
+// level's grid), sometimes twice, and one client in five goes silent for
+// most of the horizon before jumping ahead.
+ShardedAggregator GoldenWindowedAggregator(int64_t window) {
+  constexpr int64_t kClients = 240;
+  constexpr int64_t kHorizon = 1024;
+  const std::vector<double> scales(11, 1.0);
+  ShardedAggregator aggregator =
+      ShardedAggregator::WithScales(kHorizon, scales, 3,
+                                    DedupPolicy::kIdempotent,
+                                    DedupWindowPolicy{window})
+          .ValueOrDie();
+  Rng rng(4242 + static_cast<uint64_t>(window));
+  std::vector<RegistrationMessage> registrations;
+  for (int64_t u = 0; u < kClients; ++u) {
+    registrations.push_back({1 + u, static_cast<int>(rng.NextInt(4))});
+  }
+  EXPECT_TRUE(aggregator.IngestRegistrations(registrations).ok());
+  for (int64_t t = 1; t <= kHorizon; t += 3) {
+    std::vector<ReportMessage> tick;
+    for (const RegistrationMessage& client : registrations) {
+      const bool silent = client.client_id % 5 == 0;
+      if (silent && t > 8 && t < 900) {
+        continue;
+      }
+      const int64_t step = int64_t{1} << client.level;
+      const int64_t back = static_cast<int64_t>(rng.NextInt(101));
+      const int64_t time = std::max<int64_t>(t - back, 1);
+      const int64_t aligned = time - (time % step);
+      if (aligned < step) {
+        continue;
+      }
+      const int8_t value = rng.NextSign();
+      tick.push_back({client.client_id, aligned, value});
+      if (rng.NextBernoulli(0.2)) {
+        tick.push_back({client.client_id, aligned, value});
+      }
+    }
+    EXPECT_TRUE(aggregator.IngestReports(tick).ok());
+  }
+  return aggregator;
+}
+
+TEST(CheckpointGoldenTest, WindowedCheckpointBytesAreFixed) {
+  struct Golden {
+    int64_t window;
+    size_t server_size;
+    uint64_t server_fnv;
+    size_t aggregator_size;
+    uint64_t aggregator_fnv;
+  };
+  const Golden goldens[] = {
+      {1, 2212, 0xe3bdb1a4ee669a5fULL, 9478, 0xbaca0e94340c07d0ULL},
+      {64, 2223, 0x99b4360122422beaULL, 11529, 0xdd77229223d6a2b8ULL},
+      {65, 2223, 0xecdd87299fc02f10ULL, 11557, 0x9ef8be3ac9967407ULL},
+      {70, 2223, 0x697d16e1c16ecf3bULL, 11515, 0xab322d401938a4a0ULL},
+  };
+  for (const Golden& golden : goldens) {
+    SCOPED_TRACE(testing::Message() << "window " << golden.window);
+    const std::string blob =
+        EncodeServerState(GoldenWindowedServer(golden.window));
+    EXPECT_EQ(blob.size(), golden.server_size);
+    EXPECT_EQ(wire_internal::Fnv1a64(blob), golden.server_fnv);
+    EXPECT_EQ(EncodeServerState(DecodeServerState(blob).ValueOrDie()), blob);
+
+    ShardedAggregator aggregator = GoldenWindowedAggregator(golden.window);
+    const std::string checkpoint = aggregator.Checkpoint().ValueOrDie();
+    // The stream exercised every verdict.
+    EXPECT_GT(aggregator.duplicates_dropped(), 0);
+    EXPECT_GT(aggregator.out_of_window_dropped(), 0);
+    EXPECT_EQ(checkpoint.size(), golden.aggregator_size);
+    EXPECT_EQ(wire_internal::Fnv1a64(checkpoint), golden.aggregator_fnv);
+    // Restored into the same and into other shard counts, the state answers
+    // and counts alike; into the same count it re-encodes to the same bytes.
+    for (const int shards : {1, 3, 4}) {
+      SCOPED_TRACE(testing::Message() << shards << " shards");
+      ShardedAggregator restored =
+          ShardedAggregator::WithScales(1024, std::vector<double>(11, 1.0),
+                                        shards, DedupPolicy::kIdempotent,
+                                        DedupWindowPolicy{golden.window})
+              .ValueOrDie();
+      ASSERT_TRUE(restored.Restore(checkpoint).ok());
+      EXPECT_EQ(restored.EstimateAll().ValueOrDie(),
+                aggregator.EstimateAll().ValueOrDie());
+      EXPECT_EQ(restored.duplicates_dropped(),
+                aggregator.duplicates_dropped());
+      EXPECT_EQ(restored.out_of_window_dropped(),
+                aggregator.out_of_window_dropped());
+      if (shards == 3) {
+        EXPECT_EQ(restored.Checkpoint().ValueOrDie(), checkpoint);
+      }
+    }
   }
 }
 
