@@ -30,14 +30,14 @@ void ThreadPool::Submit(std::function<void()> task) {
     std::unique_lock<std::mutex> lock(mutex_);
     FR_CHECK_MSG(!shutting_down_, "Submit after shutdown");
     queue_.push_back(std::move(task));
-    ++in_flight_;
+    ++unfinished_;
   }
   work_available_.notify_one();
 }
 
 void ThreadPool::Wait() {
   std::unique_lock<std::mutex> lock(mutex_);
-  all_done_.wait(lock, [this] { return in_flight_ == 0; });
+  all_done_.wait(lock, [this] { return unfinished_ == 0; });
 }
 
 void ThreadPool::ParallelFor(
@@ -76,8 +76,8 @@ void ThreadPool::WorkerLoop() {
     task();
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      --in_flight_;
-      if (in_flight_ == 0) {
+      --unfinished_;
+      if (unfinished_ == 0) {
         all_done_.notify_all();
       }
     }

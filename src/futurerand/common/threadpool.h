@@ -50,7 +50,7 @@ class ThreadPool {
   std::condition_variable work_available_;
   std::condition_variable all_done_;
   std::deque<std::function<void()>> queue_;
-  int64_t in_flight_ = 0;
+  int64_t unfinished_ = 0;
   bool shutting_down_ = false;
   std::vector<std::thread> workers_;
 };

@@ -277,6 +277,9 @@ struct ServerStateCodec {
     FR_ASSIGN_OR_RETURN(const uint64_t num_clients, GetVarint64(&bytes));
     FR_RETURN_NOT_OK(CheckPlausibleCount(num_clients, 3, bytes));
     server.ReserveClients(num_clients);
+    // The level section's counts feed the estimators (kDirect's n_0·u0
+    // offset, the GLS variances), so they must match the clients below.
+    std::vector<int64_t> decoded_counts(static_cast<size_t>(orders), 0);
     int64_t previous_id = 0;
     for (uint64_t c = 0; c < num_clients; ++c) {
       const auto slot = static_cast<size_t>(c);
@@ -300,9 +303,11 @@ struct ServerStateCodec {
       }
       previous_id = id;
       // Columns are populated directly (not via RegisterClientStrict):
-      // level_counts_ came from the blob's own level section above.
+      // level_counts_ came from the blob's own level section above and
+      // is checked against decoded_counts once every client is read.
       server.clients_.Insert(id);
       server.client_levels_.push_back(static_cast<int8_t>(level));
+      ++decoded_counts[static_cast<size_t>(level)];
       if (policy == DedupPolicy::kIdempotent) {
         server.span_ranks_.push_back(Server::kNoSpan);
         if (window.bounded()) {
@@ -321,6 +326,10 @@ struct ServerStateCodec {
     }
     if (!bytes.empty()) {
       return Status::InvalidArgument("trailing bytes after snapshot");
+    }
+    if (decoded_counts != server.level_counts_) {
+      return Status::InvalidArgument(
+          "snapshot level counts mismatch its clients' levels");
     }
     return server;
   }

@@ -82,8 +82,9 @@ enum class Verdict : uint8_t {
   kAck = kFrsVerdictAck,            // applied; outcome counts are valid
   kNack = kFrsVerdictNack,          // rejected as corrupt (kDataLoss):
                                     // retransmit the same pristine bytes
-  kOverload = kFrsVerdictOverload,  // worker queue full, nothing consumed:
-                                    // resend the SAME bytes later
+  kOverload = kFrsVerdictOverload,  // nothing consumed: resend the SAME
+                                    // bytes later (IngestServer no longer
+                                    // sends it)
   kError = kFrsVerdictError,        // rejected for a non-retryable reason
                                     // (status carries the code)
 };

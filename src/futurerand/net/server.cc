@@ -68,9 +68,6 @@ Status ServiceConfig::Validate() const {
   if (num_workers < 1) {
     return Status::InvalidArgument("num_workers must be >= 1");
   }
-  if (worker_queue_capacity < 1) {
-    return Status::InvalidArgument("worker_queue_capacity must be >= 1");
-  }
   if (max_write_buffer_bytes < 1) {
     return Status::InvalidArgument("max_write_buffer_bytes must be >= 1");
   }
@@ -86,37 +83,6 @@ Status ServiceConfig::Validate() const {
   return Status::OK();
 }
 
-bool IngestServer::BoundedQueue::TryPush(WorkItem item) {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (closed_ || items_.size() >= capacity_) {
-      return false;
-    }
-    items_.push_back(std::move(item));
-  }
-  ready_.notify_one();
-  return true;
-}
-
-bool IngestServer::BoundedQueue::Pop(WorkItem* item) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  ready_.wait(lock, [this] { return closed_ || !items_.empty(); });
-  if (items_.empty()) {
-    return false;
-  }
-  *item = std::move(items_.front());
-  items_.pop_front();
-  return true;
-}
-
-void IngestServer::BoundedQueue::Close() {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    closed_ = true;
-  }
-  ready_.notify_all();
-}
-
 Result<std::unique_ptr<IngestServer>> IngestServer::Create(
     const ServiceConfig& config) {
   FR_RETURN_NOT_OK(config.Validate());
@@ -126,33 +92,31 @@ Result<std::unique_ptr<IngestServer>> IngestServer::Create(
                       core::ShardedAggregator::ForProtocol(
                           config.protocol, shards, config.dedup,
                           config.dedup_window));
-  FR_ASSIGN_OR_RETURN(Poller poller, Poller::Create(config.force_poll));
-  std::unique_ptr<IngestServer> server(new IngestServer(
-      config, std::move(aggregator), std::move(poller)));
-  int pipe_fds[2];
-  if (::pipe(pipe_fds) != 0) {
-    return Status::IoError(std::string("pipe: ") + std::strerror(errno));
-  }
-  server->wake_read_.reset(pipe_fds[0]);
-  server->wake_write_.reset(pipe_fds[1]);
-  FR_RETURN_NOT_OK(SetNonBlocking(server->wake_read_.get()));
-  FR_RETURN_NOT_OK(SetNonBlocking(server->wake_write_.get()));
-  FR_RETURN_NOT_OK(server->poller_.Add(server->wake_read_.get(),
-                                       /*want_read=*/true,
-                                       /*want_write=*/false));
-  for (int w = 0; w < config.num_workers; ++w) {
-    server->queues_.push_back(
-        std::make_unique<BoundedQueue>(config.worker_queue_capacity));
+  std::unique_ptr<IngestServer> server(
+      new IngestServer(config, std::move(aggregator)));
+  for (int index = 0; index < config.num_workers; ++index) {
+    FR_ASSIGN_OR_RETURN(Poller poller, Poller::Create(config.force_poll));
+    auto loop = std::make_unique<Loop>(std::move(poller));
+    loop->index = index;
+    int pipe_fds[2];
+    if (::pipe(pipe_fds) != 0) {
+      return Status::IoError(std::string("pipe: ") + std::strerror(errno));
+    }
+    loop->wake_read.reset(pipe_fds[0]);
+    loop->wake_write.reset(pipe_fds[1]);
+    FR_RETURN_NOT_OK(SetNonBlocking(loop->wake_read.get()));
+    FR_RETURN_NOT_OK(SetNonBlocking(loop->wake_write.get()));
+    FR_RETURN_NOT_OK(loop->poller.Add(loop->wake_read.get(),
+                                      /*want_read=*/true,
+                                      /*want_write=*/false));
+    server->loops_.push_back(std::move(loop));
   }
   return server;
 }
 
 IngestServer::IngestServer(const ServiceConfig& config,
-                           core::ShardedAggregator aggregator,
-                           Poller poller)
-    : config_(config),
-      aggregator_(std::move(aggregator)),
-      poller_(std::move(poller)) {}
+                           core::ShardedAggregator aggregator)
+    : config_(config), aggregator_(std::move(aggregator)) {}
 
 IngestServer::~IngestServer() {
   if (started_ && !joined_) {
@@ -168,8 +132,8 @@ Result<int> IngestServer::AddTcpListener(const std::string& host,
   }
   FR_ASSIGN_OR_RETURN(TcpListener listener, ListenTcp(host, port));
   FR_RETURN_NOT_OK(SetNonBlocking(listener.fd.get()));
-  FR_RETURN_NOT_OK(poller_.Add(listener.fd.get(), /*want_read=*/true,
-                               /*want_write=*/false));
+  FR_RETURN_NOT_OK(loops_.front()->poller.Add(
+      listener.fd.get(), /*want_read=*/true, /*want_write=*/false));
   listeners_.push_back(std::move(listener.fd));
   return listener.port;
 }
@@ -180,13 +144,13 @@ Status IngestServer::AddUnixListener(const std::string& path) {
   }
   FR_ASSIGN_OR_RETURN(FdGuard fd, ListenUnix(path));
   FR_RETURN_NOT_OK(SetNonBlocking(fd.get()));
-  FR_RETURN_NOT_OK(
-      poller_.Add(fd.get(), /*want_read=*/true, /*want_write=*/false));
+  FR_RETURN_NOT_OK(loops_.front()->poller.Add(fd.get(), /*want_read=*/true,
+                                              /*want_write=*/false));
   listeners_.push_back(std::move(fd));
   return Status::OK();
 }
 
-Status IngestServer::Start() {
+Status IngestServer::Launch() {
   if (started_) {
     return Status::FailedPrecondition("Start called twice");
   }
@@ -199,163 +163,156 @@ Status IngestServer::Start() {
         std::chrono::steady_clock::now() +
         std::chrono::milliseconds(config_.checkpoint_interval_ms);
   }
-  for (int w = 0; w < config_.num_workers; ++w) {
-    workers_.emplace_back([this, w] { WorkerLoop(w); });
+  for (size_t i = 1; i < loops_.size(); ++i) {
+    Loop* loop = loops_[i].get();
+    loop->thread = std::thread([this, loop] { RunLoop(loop); });
   }
-  io_thread_ = std::thread([this] { IoLoop(); });
   return Status::OK();
 }
 
+Status IngestServer::Start() {
+  FR_RETURN_NOT_OK(Launch());
+  Loop* primary = loops_.front().get();
+  primary->thread = std::thread([this, primary] { RunLoop(primary); });
+  return Status::OK();
+}
+
+Status IngestServer::Serve() {
+  FR_RETURN_NOT_OK(Launch());
+  RunLoop(loops_.front().get());
+  joined_ = true;
+  return serving_error_;
+}
+
 void IngestServer::RequestStop() {
+  // Async-signal-safe: an atomic store and one pipe write per loop.
   stop_requested_.store(true);
-  WakeIo();
+  for (const std::unique_ptr<Loop>& loop : loops_) {
+    Wake(loop.get());
+  }
 }
 
 Status IngestServer::Join() {
   if (!started_ || joined_) {
     return serving_error_;
   }
-  io_thread_.join();
-  for (std::thread& worker : workers_) {
-    worker.join();
-  }
+  // Loop 0 joins every other loop before it takes the final checkpoint.
+  loops_.front()->thread.join();
   joined_ = true;
   return serving_error_;
 }
 
 ServerStats IngestServer::stats() const {
-  const std::lock_guard<std::mutex> lock(stats_mutex_);
-  return stats_;
+  ServerStats total;
+  {
+    const std::lock_guard<std::mutex> lock(checkpoint_mutex_);
+    total = checkpoint_stats_;
+  }
+  for (const std::unique_ptr<Loop>& loop : loops_) {
+    const std::lock_guard<std::mutex> lock(loop->mutex);
+    const ServerStats& part = loop->stats;
+    total.connections_accepted += part.connections_accepted;
+    total.frames_received += part.frames_received;
+    total.batches_acked += part.batches_acked;
+    total.batches_nacked += part.batches_nacked;
+    total.batches_errored += part.batches_errored;
+    total.records_applied += part.records_applied;
+    total.records_deduped += part.records_deduped;
+    total.records_out_of_window += part.records_out_of_window;
+  }
+  return total;
 }
 
-void IngestServer::WakeIo() {
+void IngestServer::Wake(Loop* loop) {
   const char byte = 1;
   // A full pipe already guarantees a pending wakeup; EAGAIN is success.
-  (void)!::write(wake_write_.get(), &byte, 1);
+  (void)!::write(loop->wake_write.get(), &byte, 1);
 }
 
-void IngestServer::WorkerLoop(int index) {
-  WorkItem item;
-  while (queues_[index]->Pop(&item)) {
-    if (config_.before_ingest_hook) {
-      config_.before_ingest_hook(item.seq);
+void IngestServer::Fail(const Status& status) {
+  {
+    const std::lock_guard<std::mutex> lock(shutdown_mutex_);
+    if (serving_error_.ok()) {
+      serving_error_ = status;
     }
-    core::IngestOutcome outcome;
-    const Status ingested =
-        aggregator_.IngestEncoded(item.payload, nullptr, &outcome);
-    Completion completion;
-    completion.conn_id = item.conn_id;
-    completion.reply.seq = item.seq;
-    completion.reply.applied = outcome.applied;
-    completion.reply.deduped = outcome.deduped;
-    completion.reply.out_of_window = outcome.out_of_window;
-    completion.acked_ingest = true;
-    if (ingested.ok()) {
-      completion.reply.verdict = Verdict::kAck;
-    } else {
-      completion.reply.verdict = ingested.code() == StatusCode::kDataLoss
-                                     ? Verdict::kNack
-                                     : Verdict::kError;
-      completion.reply.status = ingested.code();
-    }
-    {
-      const std::lock_guard<std::mutex> lock(completions_mutex_);
-      completions_.push_back(std::move(completion));
-    }
-    // Decrement after publishing the completion, so in_flight_ == 0 with
-    // an empty completion list really means "everything replied".
-    in_flight_.fetch_sub(1);
-    WakeIo();
   }
+  RequestStop();
 }
 
-void IngestServer::IoLoop() {
+void IngestServer::RunLoop(Loop* loop) {
+  const bool primary = loop->index == 0;
   std::vector<PollEvent> events;
-  for (;;) {
+  while (!stop_requested_.load()) {
     int timeout_ms = -1;
-    if (config_.checkpoint_interval_ms > 0 && !draining_) {
-      const auto now = std::chrono::steady_clock::now();
+    if (primary && config_.checkpoint_interval_ms > 0) {
       const auto until = std::chrono::duration_cast<std::chrono::milliseconds>(
-          next_checkpoint_ - now);
+          next_checkpoint_ - std::chrono::steady_clock::now());
       timeout_ms = std::max<int>(0, static_cast<int>(until.count()));
     }
-    if (draining_) {
-      // Fallback heartbeat while waiting for workers to drain: the wake
-      // pipe is the primary signal, this bounds the race.
-      timeout_ms = 10;
-    }
-    const Result<int> waited = poller_.Wait(&events, timeout_ms);
+    const Result<int> waited = loop->poller.Wait(&events, timeout_ms);
     if (!waited.ok()) {
-      serving_error_ = waited.status();
+      Fail(waited.status());
       break;
     }
     for (const PollEvent& event : events) {
-      if (event.fd == wake_read_.get()) {
+      if (event.fd == loop->wake_read.get()) {
         char drain[256];
-        while (::read(wake_read_.get(), drain, sizeof(drain)) > 0) {
+        while (::read(loop->wake_read.get(), drain, sizeof(drain)) > 0) {
         }
+        AdoptHandoffs(loop);
         continue;
       }
-      const bool is_listener = std::any_of(
-          listeners_.begin(), listeners_.end(),
-          [&](const FdGuard& fd) { return fd.get() == event.fd; });
-      if (is_listener) {
+      if (primary && std::any_of(listeners_.begin(), listeners_.end(),
+                                 [&](const FdGuard& fd) {
+                                   return fd.get() == event.fd;
+                                 })) {
         if (event.readable) {
           AcceptAll(event.fd);
         }
         continue;
       }
-      const auto it = fd_to_conn_.find(event.fd);
-      if (it == fd_to_conn_.end()) {
-        continue;  // already closed this iteration
+      const auto it = loop->conns.find(event.fd);
+      if (it == loop->conns.end()) {
+        continue;  // already closed this sweep
       }
-      const uint64_t conn_id = it->second;
-      Connection* conn = conns_.at(conn_id).get();
+      Connection* conn = it->second.get();
       if (event.hangup && !event.readable) {
-        CloseConnection(conn_id);
+        CloseConnection(loop, conn);
         continue;
       }
       if (event.readable) {
-        HandleReadable(conn);
+        HandleReadable(loop, conn);
         if (conn->dead) {
           continue;  // closed during read
         }
       }
       if (event.writable) {
-        FlushOutbox(conn);
+        FlushOutbox(loop, conn);
       }
     }
-    DrainCompletions();
     // Closed connections were only unlinked during the sweep; destroy them
     // (and release their fds) now that no event can still reference them.
-    graveyard_.clear();
-    if (stop_requested_.load() && !draining_) {
-      draining_ = true;
-      CloseListeners();
-    }
-    if (config_.checkpoint_interval_ms > 0 && !draining_ &&
+    loop->graveyard.clear();
+    if (primary && config_.checkpoint_interval_ms > 0 &&
+        !stop_requested_.load() &&
         std::chrono::steady_clock::now() >= next_checkpoint_) {
-      if (ingests_since_checkpoint_ > 0) {
+      if (ingests_since_checkpoint_.load() > 0) {
         const Status checkpointed = DoCheckpoint(/*final=*/false);
         if (!checkpointed.ok()) {
-          serving_error_ = checkpointed;
-          break;
+          Fail(checkpointed);
         }
       }
       next_checkpoint_ =
           std::chrono::steady_clock::now() +
           std::chrono::milliseconds(config_.checkpoint_interval_ms);
     }
-    if (draining_ && in_flight_.load() == 0) {
-      // One more sweep: a worker may have published its last completion
-      // between DrainCompletions above and the in_flight_ read.
-      DrainCompletions();
-      FinishShutdown();
-      break;
-    }
   }
-  for (const std::unique_ptr<BoundedQueue>& queue : queues_) {
-    queue->Close();
+  if (primary) {
+    CloseListeners();
+    for (size_t i = 1; i < loops_.size(); ++i) {
+      loops_[i]->thread.join();
+    }
+    FinishShutdown();
   }
 }
 
@@ -368,50 +325,72 @@ void IngestServer::AcceptAll(int listener_fd) {
       }
       break;  // EAGAIN (drained) or a transient accept error
     }
+    FdGuard guard(fd);
     if (!SetNonBlocking(fd).ok()) {
-      ::close(fd);
       continue;
     }
-    auto conn = std::make_unique<Connection>();
-    conn->id = ++next_conn_id_;
-    conn->fd.reset(fd);
-    conn->worker = static_cast<int>(conn->id %
-                                    static_cast<uint64_t>(
-                                        config_.num_workers));
-    if (!poller_.Add(fd, /*want_read=*/true, /*want_write=*/false).ok()) {
-      continue;  // conn's FdGuard closes it
+    const uint64_t id = ++next_conn_id_;
+    Loop* owner =
+        loops_[static_cast<size_t>(id % loops_.size())].get();
+    if (owner->index == 0) {
+      AddConnection(owner, id, std::move(guard));
+      continue;
     }
-    fd_to_conn_[fd] = conn->id;
-    conns_[conn->id] = std::move(conn);
-    const std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.connections_accepted;
+    {
+      const std::lock_guard<std::mutex> lock(owner->mutex);
+      owner->handoff.emplace_back(id, std::move(guard));
+    }
+    Wake(owner);
   }
 }
 
-void IngestServer::HandleReadable(Connection* conn) {
+void IngestServer::AdoptHandoffs(Loop* loop) {
+  std::vector<std::pair<uint64_t, FdGuard>> adopted;
+  {
+    const std::lock_guard<std::mutex> lock(loop->mutex);
+    adopted.swap(loop->handoff);
+  }
+  for (auto& [id, fd] : adopted) {
+    AddConnection(loop, id, std::move(fd));
+  }
+}
+
+void IngestServer::AddConnection(Loop* loop, uint64_t id, FdGuard fd) {
+  if (!loop->poller.Add(fd.get(), /*want_read=*/true, /*want_write=*/false)
+           .ok()) {
+    return;  // the FdGuard closes it
+  }
+  auto conn = std::make_unique<Connection>();
+  conn->id = id;
+  conn->fd = std::move(fd);
+  const int key = conn->fd.get();
+  loop->conns[key] = std::move(conn);
+  const std::lock_guard<std::mutex> lock(loop->mutex);
+  ++loop->stats.connections_accepted;
+}
+
+void IngestServer::HandleReadable(Loop* loop, Connection* conn) {
   char buffer[kReadChunkBytes];
-  std::vector<std::string> frames;
   for (int round = 0; round < kMaxReadsPerEvent; ++round) {
     const ssize_t got = ::read(conn->fd.get(), buffer, sizeof(buffer));
     if (got < 0) {
       if (errno == EINTR) {
         continue;
       }
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        break;
+      if (errno != EAGAIN && errno != EWOULDBLOCK) {
+        CloseConnection(loop, conn);
       }
-      CloseConnection(conn->id);
       return;
     }
     if (got == 0) {
-      CloseConnection(conn->id);
+      CloseConnection(loop, conn);
       return;
     }
-    frames.clear();
+    loop->frames.clear();
     const Status fed = conn->parser.Feed(
-        std::string_view(buffer, static_cast<size_t>(got)), &frames);
-    for (std::string& payload : frames) {
-      ProcessFrame(conn, std::move(payload));
+        std::string_view(buffer, static_cast<size_t>(got)), &loop->frames);
+    for (std::string& payload : loop->frames) {
+      ProcessFrame(loop, conn, std::move(payload));
       if (conn->dead) {
         return;  // a frame closed the connection
       }
@@ -420,121 +399,114 @@ void IngestServer::HandleReadable(Connection* conn) {
       // Framing desync is unrecoverable on a byte stream: flush whatever
       // replies are pending and drop the connection.
       conn->closing = true;
-      if (!conn->paused) {
-        conn->paused = true;
-        UpdateInterest(conn);
-      }
-      if (conn->outbox.empty()) {
-        CloseConnection(conn->id);
-      }
-      return;
     }
-    if (conn->paused || conn->closing) {
-      return;  // backpressure kicked in mid-read
+    // One send for every reply this chunk produced.
+    FlushOutbox(loop, conn);
+    if (conn->dead || conn->paused || conn->closing) {
+      return;  // closed, or backpressure kicked in mid-read
+    }
+    if (static_cast<size_t>(got) < sizeof(buffer)) {
+      // A short read emptied the socket; level-triggered polling fires
+      // again when more arrives, so no read() is spent on EAGAIN.
+      return;
     }
   }
 }
 
-void IngestServer::ProcessFrame(Connection* conn, std::string payload) {
-  const uint64_t seq = ++conn->frames_received;
-  {
-    const std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.frames_received;
-  }
+void IngestServer::ProcessFrame(Loop* loop, Connection* conn,
+                                std::string payload) {
+  Reply reply;
+  reply.seq = ++conn->frames_received;
   // A payload that fails to classify is NOT a framing desync: the length
   // prefix parsed, so the stream is still synchronized and the damage is
   // confined to this payload — the signature of in-flight corruption that
   // hit the 3-byte magic. Route it through the ingest path like any batch:
-  // IngestEncoded's header check fails with kDataLoss, the worker answers
+  // IngestEncoded's header check fails with kDataLoss, the reply is
   // kNack, and the sender retransmits the pristine bytes. Closing the
   // connection here would kill the retransmit protocol exactly when it is
   // needed (and SIGPIPE the sender mid-recovery).
   const Result<PayloadType> type = ClassifyPayload(payload);
   const PayloadType routed = type.ok() ? *type : PayloadType::kBatch;
-  switch (routed) {
-    case PayloadType::kBatch: {
-      if (draining_) {
-        Reply reply;
-        reply.verdict = Verdict::kError;
-        reply.seq = seq;
-        reply.status = StatusCode::kFailedPrecondition;
-        EnqueueReply(conn, reply);
-        return;
+  if (routed == PayloadType::kBatch) {
+    if (stop_requested_.load()) {
+      // Shutting down: refused, not silently dropped.
+      reply.verdict = Verdict::kError;
+      reply.status = StatusCode::kFailedPrecondition;
+    } else {
+      core::IngestOutcome outcome;
+      const Status ingested =
+          aggregator_.IngestEncoded(payload, nullptr, &outcome);
+      ingests_since_checkpoint_.fetch_add(1);
+      reply.applied = outcome.applied;
+      reply.deduped = outcome.deduped;
+      reply.out_of_window = outcome.out_of_window;
+      if (!ingested.ok()) {
+        reply.verdict = ingested.code() == StatusCode::kDataLoss
+                            ? Verdict::kNack
+                            : Verdict::kError;
+        reply.status = ingested.code();
       }
-      WorkItem item;
-      item.conn_id = conn->id;
-      item.seq = seq;
-      item.payload = std::move(payload);
-      in_flight_.fetch_add(1);
-      if (!queues_[static_cast<size_t>(conn->worker)]->TryPush(
-              std::move(item))) {
-        in_flight_.fetch_sub(1);
-        Reply reply;
-        reply.verdict = Verdict::kOverload;
-        reply.seq = seq;
-        {
-          const std::lock_guard<std::mutex> lock(stats_mutex_);
-          ++stats_.batches_overloaded;
-        }
-        EnqueueReply(conn, reply);
-      }
-      return;
     }
-    case PayloadType::kControl: {
-      const Result<ControlOp> op = DecodeControl(payload);
-      Reply reply;
-      reply.seq = seq;
-      if (!op.ok()) {
-        reply.verdict = Verdict::kError;
-        reply.status = op.status().code();
-        EnqueueReply(conn, reply);
-        return;
+    {
+      const std::lock_guard<std::mutex> lock(loop->mutex);
+      ServerStats& stats = loop->stats;
+      ++stats.frames_received;
+      if (reply.verdict == Verdict::kAck) {
+        ++stats.batches_acked;
+      } else if (reply.verdict == Verdict::kNack) {
+        ++stats.batches_nacked;
+      } else {
+        ++stats.batches_errored;
       }
-      if (*op == ControlOp::kCheckpoint) {
-        const Status checkpointed =
-            config_.checkpoint_path.empty()
-                ? Status::FailedPrecondition(
-                      "server has no checkpoint_path configured")
-                : DoCheckpoint(/*final=*/false);
-        if (checkpointed.ok()) {
-          reply.verdict = Verdict::kAck;
-        } else {
-          reply.verdict = Verdict::kError;
-          reply.status = checkpointed.code();
-        }
-        EnqueueReply(conn, reply);
-        return;
-      }
-      // kShutdown: ack only after the drain, as this connection's final
-      // frame — the sender knows the final checkpoint exists once it
-      // reads the ack.
-      draining_ = true;
-      have_shutdown_ack_ = true;
-      shutdown_ack_conn_ = conn->id;
-      shutdown_ack_seq_ = seq;
-      CloseListeners();
-      return;
+      stats.records_applied += reply.applied;
+      stats.records_deduped += reply.deduped;
+      stats.records_out_of_window += reply.out_of_window;
     }
-    case PayloadType::kReply:
-      // Clients answer, servers ask: a reply arriving here is a protocol
-      // violation, not damage we can recover from.
-      CloseConnection(conn->id);
-      return;
-  }
-}
-
-void IngestServer::EnqueueReply(Connection* conn, const Reply& reply) {
-  if (conn->dead) {
+    FR_CHECK_OK(AppendFrame(EncodeReply(reply), &conn->outbox));
     return;
+  }
+  {
+    const std::lock_guard<std::mutex> lock(loop->mutex);
+    ++loop->stats.frames_received;
+  }
+  if (routed == PayloadType::kReply) {
+    // Clients answer, servers ask: a reply arriving here is a protocol
+    // violation, not damage we can recover from.
+    CloseConnection(loop, conn);
+    return;
+  }
+  const Result<ControlOp> op = DecodeControl(payload);
+  if (op.ok() && *op == ControlOp::kShutdown) {
+    // Acked only after the final checkpoint, as this connection's last
+    // frame — the sender knows the checkpoint exists once it reads the
+    // ack.
+    {
+      const std::lock_guard<std::mutex> lock(shutdown_mutex_);
+      if (!have_shutdown_ack_) {
+        have_shutdown_ack_ = true;
+        shutdown_ack_loop_ = loop->index;
+        shutdown_ack_conn_ = conn->id;
+        shutdown_ack_seq_ = reply.seq;
+      }
+    }
+    RequestStop();
+    return;
+  }
+  Status done = op.status();
+  if (op.ok()) {  // kCheckpoint
+    done = config_.checkpoint_path.empty()
+               ? Status::FailedPrecondition(
+                     "server has no checkpoint_path configured")
+               : DoCheckpoint(/*final=*/false);
+  }
+  if (!done.ok()) {
+    reply.verdict = Verdict::kError;
+    reply.status = done.code();
   }
   FR_CHECK_OK(AppendFrame(EncodeReply(reply), &conn->outbox));
-  FlushOutbox(conn);
 }
 
-void IngestServer::FlushOutbox(Connection* conn) {
-  if (conn->dead) {
-    return;
-  }
+void IngestServer::FlushOutbox(Loop* loop, Connection* conn) {
   size_t offset = 0;
   while (offset < conn->outbox.size()) {
     const ssize_t written =
@@ -547,14 +519,14 @@ void IngestServer::FlushOutbox(Connection* conn) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
         break;
       }
-      CloseConnection(conn->id);
+      CloseConnection(loop, conn);
       return;
     }
     offset += static_cast<size_t>(written);
   }
   conn->outbox.erase(0, offset);
   if (conn->outbox.empty() && conn->closing) {
-    CloseConnection(conn->id);
+    CloseConnection(loop, conn);
     return;
   }
   // Backpressure: a connection that will not read its replies stops being
@@ -565,92 +537,51 @@ void IngestServer::FlushOutbox(Connection* conn) {
   if (should_pause != conn->paused || should_write != conn->want_write) {
     conn->paused = should_pause;
     conn->want_write = should_write;
-    UpdateInterest(conn);
+    UpdateInterest(loop, conn);
   }
 }
 
-void IngestServer::UpdateInterest(Connection* conn) {
-  (void)poller_.Update(conn->fd.get(), /*want_read=*/!conn->paused,
-                       /*want_write=*/conn->want_write);
+void IngestServer::UpdateInterest(Loop* loop, Connection* conn) {
+  (void)loop->poller.Update(conn->fd.get(), /*want_read=*/!conn->paused,
+                            /*want_write=*/conn->want_write);
 }
 
-void IngestServer::CloseConnection(uint64_t conn_id) {
-  const auto it = conns_.find(conn_id);
-  if (it == conns_.end()) {
-    return;
+void IngestServer::CloseConnection(Loop* loop, Connection* conn) {
+  const auto it = loop->conns.find(conn->fd.get());
+  if (it == loop->conns.end() || it->second.get() != conn) {
+    return;  // already closed
   }
-  Connection* conn = it->second.get();
-  (void)poller_.Remove(conn->fd.get());
-  fd_to_conn_.erase(conn->fd.get());
+  (void)loop->poller.Remove(conn->fd.get());
   // Deferred destruction: callers up the stack still hold `conn`, and the
   // open fd parks the number so the kernel cannot hand it to a new accept
-  // within this sweep. The graveyard empties once per IoLoop iteration.
+  // within this sweep. The graveyard empties once per loop iteration.
   conn->dead = true;
-  graveyard_.push_back(std::move(it->second));
-  conns_.erase(it);
-  // Worker items for this connection may still be in flight; their
-  // completions are dropped in DrainCompletions (lookup miss).
-}
-
-void IngestServer::DrainCompletions() {
-  std::vector<Completion> drained;
-  {
-    const std::lock_guard<std::mutex> lock(completions_mutex_);
-    drained.swap(completions_);
-  }
-  for (const Completion& completion : drained) {
-    {
-      const std::lock_guard<std::mutex> lock(stats_mutex_);
-      switch (completion.reply.verdict) {
-        case Verdict::kAck:
-          ++stats_.batches_acked;
-          break;
-        case Verdict::kNack:
-          ++stats_.batches_nacked;
-          break;
-        case Verdict::kError:
-          ++stats_.batches_errored;
-          break;
-        case Verdict::kOverload:
-          break;  // counted at enqueue time
-      }
-      stats_.records_applied += completion.reply.applied;
-      stats_.records_deduped += completion.reply.deduped;
-      stats_.records_out_of_window += completion.reply.out_of_window;
-    }
-    if (completion.acked_ingest) {
-      ++ingests_since_checkpoint_;
-    }
-    const auto it = conns_.find(completion.conn_id);
-    if (it == conns_.end()) {
-      continue;  // connection died before its reply could be sent
-    }
-    EnqueueReply(it->second.get(), completion.reply);
-  }
+  loop->graveyard.push_back(std::move(it->second));
+  loop->conns.erase(it);
 }
 
 void IngestServer::CloseListeners() {
   for (FdGuard& listener : listeners_) {
-    (void)poller_.Remove(listener.get());
+    (void)loops_.front()->poller.Remove(listener.get());
     listener.reset();
   }
   listeners_.clear();
 }
 
 Status IngestServer::DoCheckpoint(bool final) {
+  const std::lock_guard<std::mutex> lock(checkpoint_mutex_);
   // The shared durable-chain rule (core::NextCheckpointMode), plus a
   // forced full compaction for the final checkpoint.
-  int64_t taken;
-  {
-    const std::lock_guard<std::mutex> lock(stats_mutex_);
-    taken = stats_.checkpoints_taken;
-  }
   const core::CheckpointMode mode =
       final ? core::CheckpointMode::kFull
             : core::NextCheckpointMode(config_.checkpoint_mode,
                                        config_.checkpoint_compact_every,
-                                       checkpoint_base_taken_, taken);
+                                       checkpoint_base_taken_,
+                                       checkpoint_stats_.checkpoints_taken);
   const bool full = mode == core::CheckpointMode::kFull;
+  // Reset before the capture: a batch that lands while it runs re-arms the
+  // timer instead of being forgotten.
+  ingests_since_checkpoint_.store(0);
   FR_ASSIGN_OR_RETURN(const std::string blob, aggregator_.Checkpoint(mode));
   std::string framed;
   FR_RETURN_NOT_OK(AppendFrame(blob, &framed));
@@ -660,52 +591,59 @@ Status IngestServer::DoCheckpoint(bool final) {
   } else {
     FR_RETURN_NOT_OK(AppendToFile(config_.checkpoint_path, framed));
   }
-  ingests_since_checkpoint_ = 0;
-  const std::lock_guard<std::mutex> lock(stats_mutex_);
-  ++stats_.checkpoints_taken;
-  stats_.checkpoint_bytes += static_cast<int64_t>(blob.size());
+  ++checkpoint_stats_.checkpoints_taken;
+  // checkpoint_bytes counts all blobs; the delta split mirrors
+  // sim::DeliveryMetrics.
+  checkpoint_stats_.checkpoint_bytes += static_cast<int64_t>(blob.size());
   if (!full) {
-    ++stats_.delta_checkpoints_taken;
-    // checkpoint_bytes counts all blobs; the delta split mirrors
-    // sim::DeliveryMetrics.
+    ++checkpoint_stats_.delta_checkpoints_taken;
   }
   return Status::OK();
 }
 
 void IngestServer::FinishShutdown() {
-  // Workers are drained and idle, so this compaction is a quiesced,
-  // point-in-time snapshot — the one RestoreFromCheckpointFile callers
-  // compare against.
-  if (!config_.checkpoint_path.empty()) {
-    const Status checkpointed = DoCheckpoint(/*final=*/true);
-    if (!checkpointed.ok() && serving_error_.ok()) {
-      serving_error_ = checkpointed;
-    }
+  // Every other loop has exited and this one ingests no more, so this
+  // compaction is a quiesced, point-in-time snapshot — the one
+  // RestoreFromCheckpointFile callers compare against.
+  const Status checkpointed = config_.checkpoint_path.empty()
+                                  ? Status::OK()
+                                  : DoCheckpoint(/*final=*/true);
+  const std::lock_guard<std::mutex> lock(shutdown_mutex_);
+  if (!checkpointed.ok() && serving_error_.ok()) {
+    serving_error_ = checkpointed;
   }
   if (have_shutdown_ack_) {
-    const auto it = conns_.find(shutdown_ack_conn_);
-    if (it != conns_.end()) {
-      Reply reply;
-      reply.verdict = serving_error_.ok() ? Verdict::kAck : Verdict::kError;
-      reply.seq = shutdown_ack_seq_;
-      reply.status = serving_error_.code();
-      FR_CHECK_OK(AppendFrame(EncodeReply(reply), &it->second->outbox));
+    for (auto& [fd, conn] : loops_[static_cast<size_t>(shutdown_ack_loop_)]
+                                ->conns) {
+      if (conn->id == shutdown_ack_conn_) {
+        Reply reply;
+        reply.verdict =
+            serving_error_.ok() ? Verdict::kAck : Verdict::kError;
+        reply.seq = shutdown_ack_seq_;
+        reply.status = serving_error_.code();
+        FR_CHECK_OK(AppendFrame(EncodeReply(reply), &conn->outbox));
+        break;
+      }
     }
   }
-  // Final flush: blocking writes so no queued reply (least of all the
+  // Final flush: blocking writes so no pending reply (least of all the
   // shutdown ack) is lost to a full socket buffer.
-  for (auto& [conn_id, conn] : conns_) {
-    if (conn->outbox.empty()) {
-      continue;
+  for (const std::unique_ptr<Loop>& loop : loops_) {
+    for (auto& [fd, conn] : loop->conns) {
+      if (conn->outbox.empty()) {
+        continue;
+      }
+      const int flags = ::fcntl(fd, F_GETFL, 0);
+      if (flags >= 0) {
+        (void)::fcntl(fd, F_SETFL, flags & ~O_NONBLOCK);
+      }
+      (void)WriteAll(fd, conn->outbox);
     }
-    const int flags = ::fcntl(conn->fd.get(), F_GETFL, 0);
-    if (flags >= 0) {
-      (void)::fcntl(conn->fd.get(), F_SETFL, flags & ~O_NONBLOCK);
-    }
-    (void)WriteAll(conn->fd.get(), conn->outbox);
+    loop->conns.clear();
+    loop->graveyard.clear();
+    const std::lock_guard<std::mutex> handoff_lock(loop->mutex);
+    loop->handoff.clear();
   }
-  conns_.clear();
-  fd_to_conn_.clear();
 }
 
 Status RestoreFromCheckpointFile(const std::string& path,

@@ -2,48 +2,44 @@
 // fallback) server that accepts FRS-framed FRW batches over TCP and Unix
 // domain sockets and feeds them to the in-process core::ShardedAggregator.
 //
-// Threading model (docs/ARCHITECTURE.md "Service"):
+// Threading model (docs/ARCHITECTURE.md "Service"): num_workers identical
+// event loops, one thread each, and no other thread. Every loop has its
+// own Poller and wake pipe and owns the connections pinned to it
+// (conn id mod N). In one pass on that thread it reads a frame
+// (tolerating short reads via FrameParser), ingests it with
+// IngestEncoded, and sends the reply (tolerating partial writes via a
+// per-connection outbox), so a batch never crosses a thread and one
+// connection's batches ingest strictly in order — the property the NACK
+// retransmit protocol and kStrict dedup rely on. Separate connections
+// ingest concurrently, sharded by the aggregator's per-shard mutexes.
+// Loop 0 also owns the listeners and the checkpoint timer; it hands each
+// accepted fd to its loop once per connection.
 //
-//   1 IO thread    owns every socket: accepts, reads (tolerating short
-//                  reads via FrameParser), writes (tolerating partial
-//                  writes via per-connection outboxes), and runs the
-//                  checkpoint timer. Never touches the aggregator except
-//                  through Checkpoint().
-//   N workers      each with a bounded FIFO queue. A connection is pinned
-//                  to worker (conn id mod N), so one connection's batches
-//                  ingest strictly in order — the property the NACK
-//                  retransmit protocol and kStrict dedup rely on — while
-//                  separate connections ingest concurrently, sharded by
-//                  the aggregator's per-shard mutexes.
-//
-// Per batch the pinned worker calls IngestEncoded and the IO thread sends
-// back one reply frame: kAck with the ingest outcome, kNack when the
-// receiver's own verdict is kDataLoss (the sender reuses the PR-5
-// retransmit policy, sim::RetransmitLoop), kError for non-retryable
-// failures. Backpressure is two-layered: a full worker queue answers
-// kOverload immediately (nothing consumed — resend the same bytes), and a
+// Per batch the server answers one reply frame: kAck with the ingest
+// outcome, kNack when the receiver's own verdict is kDataLoss (the sender
+// retransmits under sim::RetransmitLoop, the in-process policy), kError
+// for non-retryable failures. The kernel socket buffer is the queue: a
 // connection whose outbox exceeds max_write_buffer_bytes stops being read
-// until it drains.
+// until it drains, and its sender blocks on a full socket.
 //
-// Durability: with a checkpoint path configured the IO thread checkpoints
-// on a timer — full blobs rewrite the file atomically (temp + rename),
-// delta blobs append — and shutdown always ends with a quiesced full
-// compaction, so RestoreFromCheckpointFile needs no shard-count match.
+// Durability: with a checkpoint path configured, loop 0 checkpoints on a
+// timer and any loop on a kCheckpoint control frame, one at a time —
+// full blobs rewrite the file atomically (temp + rename), delta blobs
+// append — and shutdown always ends with a quiesced full compaction, so
+// RestoreFromCheckpointFile needs no shard-count match.
 
 #ifndef FUTURERAND_NET_SERVER_H_
 #define FUTURERAND_NET_SERVER_H_
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "futurerand/common/result.h"
@@ -60,13 +56,11 @@ struct ServiceConfig {
   core::ProtocolConfig protocol;
   /// Aggregator shards; 0 = one per worker.
   int num_shards = 0;
-  /// Ingest worker threads (>= 1).
+  /// Event-loop threads (>= 1); each reads, ingests and answers its own
+  /// connections.
   int num_workers = 2;
   core::DedupPolicy dedup = core::DedupPolicy::kStrict;
   core::DedupWindowPolicy dedup_window;
-  /// Batches a worker queue holds before the server answers kOverload
-  /// instead of queueing (>= 1).
-  size_t worker_queue_capacity = 128;
   /// Outbox bytes above which a connection stops being read until its
   /// replies drain (>= 1).
   size_t max_write_buffer_bytes = 4u << 20;
@@ -83,10 +77,6 @@ struct ServiceConfig {
   int64_t checkpoint_compact_every = 8;
   /// Forces the poll(2) backend even where epoll exists (tests).
   bool force_poll = false;
-  /// Test-only: run in the worker thread before each batch's
-  /// IngestEncoded, with the batch's per-connection sequence number. Lets
-  /// tests hold a worker mid-ingest to choreograph overload replies.
-  std::function<void(uint64_t)> before_ingest_hook;
 
   Status Validate() const;
 };
@@ -97,8 +87,13 @@ struct ServerStats {
   int64_t frames_received = 0;
   int64_t batches_acked = 0;
   int64_t batches_nacked = 0;      // kDataLoss verdicts (checksum NACKs)
-  int64_t batches_overloaded = 0;  // rejected by a full worker queue
-  int64_t batches_errored = 0;     // non-retryable ingest failures
+  // Always 0: no server path answers kOverload any more. Kept because
+  // frserve --json prints it and perfbench's server.overload_ratio
+  // reads that key.
+  int64_t batches_overloaded = 0;
+  // Non-retryable ingest failures, and batches refused while shutting
+  // down; so frames_received = acked + nacked + errored + control frames.
+  int64_t batches_errored = 0;
   int64_t records_applied = 0;
   int64_t records_deduped = 0;
   int64_t records_out_of_window = 0;
@@ -110,8 +105,9 @@ struct ServerStats {
 /// One server instance: Create -> Add*Listener -> Start -> (serve) ->
 /// Join. Stop arrives either as a ControlOp::kShutdown frame from a
 /// client (acked after the drain, as the connection's last frame) or via
-/// RequestStop() from any thread. Shutdown drains every queued batch,
-/// takes the final full checkpoint, then exits.
+/// RequestStop() from any thread. Shutdown stops every loop after its
+/// current pass (batches already read are answered, unread bytes stay in
+/// the socket), takes the final full checkpoint, then exits.
 class IngestServer {
  public:
   static Result<std::unique_ptr<IngestServer>> Create(
@@ -130,8 +126,12 @@ class IngestServer {
   /// Binds a Unix-domain listener at `path`. Call before Start.
   Status AddUnixListener(const std::string& path);
 
-  /// Spawns the IO thread and workers. Requires at least one listener.
+  /// Spawns the num_workers event loops. Requires at least one listener.
   Status Start();
+
+  /// Start + Join with loop 0 on the calling thread, so the server uses
+  /// exactly num_workers threads, the caller's included.
+  Status Serve();
 
   /// Initiates graceful shutdown from any thread (idempotent).
   void RequestStop();
@@ -147,42 +147,12 @@ class IngestServer {
 
   ServerStats stats() const;
 
-  bool using_epoll() const { return poller_.using_epoll(); }
+  bool using_epoll() const { return loops_.front()->poller.using_epoll(); }
 
  private:
-  struct WorkItem {
-    uint64_t conn_id = 0;
-    uint64_t seq = 0;
-    std::string payload;
-  };
-
-  struct Completion {
-    uint64_t conn_id = 0;
-    Reply reply;
-    bool acked_ingest = false;  // counted toward the drain barrier
-  };
-
-  // Mutex+condvar bounded FIFO; TryPush never blocks (overload is a
-  // protocol reply, not backpressure on the IO thread).
-  class BoundedQueue {
-   public:
-    explicit BoundedQueue(size_t capacity) : capacity_(capacity) {}
-    bool TryPush(WorkItem item);
-    bool Pop(WorkItem* item);  // blocks; false once closed and empty
-    void Close();
-
-   private:
-    std::mutex mutex_;
-    std::condition_variable ready_;
-    std::deque<WorkItem> items_;
-    size_t capacity_;
-    bool closed_ = false;
-  };
-
   struct Connection {
     uint64_t id = 0;
     FdGuard fd;
-    int worker = 0;
     FrameParser parser;
     std::string outbox;
     uint64_t frames_received = 0;  // assigns reply sequence numbers
@@ -194,63 +164,80 @@ class IngestServer {
                                    // stay valid)
   };
 
-  IngestServer(const ServiceConfig& config,
-               core::ShardedAggregator aggregator, Poller poller);
+  // One event loop. Everything but `mutex` and what it guards belongs to
+  // the loop's thread (and to loop 0 once every other loop has exited).
+  struct Loop {
+    explicit Loop(Poller p) : poller(std::move(p)) {}
 
-  void IoLoop();
-  void WorkerLoop(int index);
-  void WakeIo();
+    int index = 0;
+    Poller poller;
+    FdGuard wake_read;
+    FdGuard wake_write;
+    std::unordered_map<int, std::unique_ptr<Connection>> conns;  // by fd
+    // Connections unlinked mid-sweep; their fds close when the sweep ends.
+    std::vector<std::unique_ptr<Connection>> graveyard;
+    std::vector<std::string> frames;  // reused by HandleReadable
+
+    std::mutex mutex;
+    // Accepted by loop 0, not yet registered with this loop's poller.
+    std::vector<std::pair<uint64_t, FdGuard>> handoff;
+    ServerStats stats;  // checkpoint fields unused (see checkpoint_stats_)
+
+    std::thread thread;  // runs RunLoop on this loop
+  };
+
+  IngestServer(const ServiceConfig& config,
+               core::ShardedAggregator aggregator);
+
+  // Checks and spawns loops 1..N-1; the caller runs loop 0.
+  Status Launch();
+  void RunLoop(Loop* loop);
+  void Wake(Loop* loop);
   void AcceptAll(int listener_fd);
-  void HandleReadable(Connection* conn);
-  void ProcessFrame(Connection* conn, std::string payload);
-  void EnqueueReply(Connection* conn, const Reply& reply);
-  void FlushOutbox(Connection* conn);
-  void UpdateInterest(Connection* conn);
-  void CloseConnection(uint64_t conn_id);
-  void DrainCompletions();
+  void AdoptHandoffs(Loop* loop);
+  void AddConnection(Loop* loop, uint64_t id, FdGuard fd);
+  void HandleReadable(Loop* loop, Connection* conn);
+  void ProcessFrame(Loop* loop, Connection* conn, std::string payload);
+  void FlushOutbox(Loop* loop, Connection* conn);
+  void UpdateInterest(Loop* loop, Connection* conn);
+  void CloseConnection(Loop* loop, Connection* conn);
   void CloseListeners();
+  // Records the first serving error and stops every loop.
+  void Fail(const Status& status);
   // `final` forces a quiesced full compaction (shutdown path).
   Status DoCheckpoint(bool final);
   void FinishShutdown();
 
   ServiceConfig config_;
   core::ShardedAggregator aggregator_;
-  Poller poller_;
-  FdGuard wake_read_;
-  FdGuard wake_write_;
 
+  // Loop-0-only state.
   std::vector<FdGuard> listeners_;
-  std::unordered_map<int, uint64_t> fd_to_conn_;
-  std::unordered_map<uint64_t, std::unique_ptr<Connection>> conns_;
-  // Connections unlinked mid-sweep; their fds close when the sweep ends.
-  std::vector<std::unique_ptr<Connection>> graveyard_;
   uint64_t next_conn_id_ = 0;
-
-  std::vector<std::unique_ptr<BoundedQueue>> queues_;
-  std::vector<std::thread> workers_;
-  std::thread io_thread_;
-  bool started_ = false;
-  bool joined_ = false;
-
-  std::atomic<bool> stop_requested_{false};
-  std::atomic<int64_t> in_flight_{0};  // queued or mid-ingest batches
-
-  std::mutex completions_mutex_;
-  std::vector<Completion> completions_;
-
-  mutable std::mutex stats_mutex_;
-  ServerStats stats_;
-
-  // IO-thread-only shutdown/checkpoint state.
-  bool draining_ = false;
-  bool have_shutdown_ack_ = false;
-  uint64_t shutdown_ack_conn_ = 0;
-  uint64_t shutdown_ack_seq_ = 0;
-  bool checkpoint_base_taken_ = false;
-  int64_t ingests_since_checkpoint_ = 0;
   std::chrono::steady_clock::time_point next_checkpoint_;
 
+  bool started_ = false;
+  bool joined_ = false;
+  std::atomic<bool> stop_requested_{false};
+  // Batches ingested since the last checkpoint began; the timer skips
+  // idle intervals.
+  std::atomic<int64_t> ingests_since_checkpoint_{0};
+
+  // Serializes checkpoints (timer and control frames, from any loop).
+  mutable std::mutex checkpoint_mutex_;
+  bool checkpoint_base_taken_ = false;
+  ServerStats checkpoint_stats_;  // only the checkpoint fields
+
+  std::mutex shutdown_mutex_;
+  bool have_shutdown_ack_ = false;
+  int shutdown_ack_loop_ = 0;
+  uint64_t shutdown_ack_conn_ = 0;
+  uint64_t shutdown_ack_seq_ = 0;
   Status serving_error_;
+
+  // Declared last, so destroyed first: no loop thread outlives the
+  // state it uses.
+  std::vector<std::unique_ptr<Loop>> loops_;
 };
 
 /// Rebuilds aggregator state from an IngestServer checkpoint file: a

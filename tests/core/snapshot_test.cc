@@ -234,6 +234,27 @@ TEST(ServerStateTest, ClientIdsMustStrictlyAscend) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(ServerStateTest, LevelCountsMustMatchTheClients) {
+  // The control: one level-1 client, counted at level 1.
+  EXPECT_TRUE(DecodeServerState(
+                  HandSealedServerState(8, DedupPolicy::kStrict, 0,
+                                        {0, 1, 0, 0}, 1,
+                                        StrictClient(5, 1, 2)))
+                  .ok());
+  // Counts {5, 0, 0, 7} claim twelve clients the blob does not hold.
+  EXPECT_EQ(DecodeStatus(HandSealedServerState(8, DedupPolicy::kStrict, 0,
+                                               {5, 0, 0, 7}, 1,
+                                               StrictClient(5, 1, 2)))
+                .code(),
+            StatusCode::kInvalidArgument);
+  // The right total at the wrong level.
+  EXPECT_EQ(DecodeStatus(HandSealedServerState(8, DedupPolicy::kStrict, 0,
+                                               {1, 0, 0, 0}, 1,
+                                               StrictClient(5, 1, 2)))
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(ServerStateTest, WindowedWatermarkMustMatchTheFrontier) {
   // d = 1024, window 64, one level-0 client whose only report set boundary
   // 191 (bit 63 of word 2). The live server keeps base_word

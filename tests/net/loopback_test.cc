@@ -2,18 +2,18 @@
 // Unix or TCP socket, real StreamClients, and the invariant the whole
 // net/ layer exists to preserve — bytes ingested over the stream leave the
 // aggregator bit-identical to the same bytes ingested in process, through
-// short reads, partial writes, overload, NACK retransmission, checkpoint
-// and restore.
+// short reads, partial writes, several event loops, NACK retransmission,
+// checkpoint and restore.
 
 #include <unistd.h>
 
-#include <condition_variable>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
-#include <mutex>
 #include <ostream>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -185,68 +185,151 @@ TEST_P(LoopbackTest, LargeBatchSurvivesShortReadsAndPartialWrites) {
   EXPECT_TRUE(server_->Join().ok());
 }
 
-TEST_P(LoopbackTest, FullWorkerQueueAnswersOverloadAndConsumesNothing) {
-  // Choreography: 1 worker, queue capacity 1, a hook that parks the worker
-  // mid-ingest. Batch 1 is held in the hook, batch 2 fills the queue,
-  // batch 3 must bounce with kOverload immediately — then the resend of
-  // the same bytes is acked, proving nothing was consumed.
-  std::mutex mutex;
-  std::condition_variable cv;
-  int entered = 0;
-  bool release = false;
+// The threads of this process, or -1 where /proc/self/task is absent.
+int CountThreads() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  int count = 0;
+  for (; !ec && it != std::filesystem::directory_iterator();
+       it.increment(ec)) {
+    ++count;
+  }
+  return ec ? -1 : count;
+}
 
+TEST_P(LoopbackTest, ThreeLoopsServeSevenConnectionsWithLiveCheckpoints) {
+  // Connections get ids 1..7 and loop id mod 3, so every loop owns two or
+  // three of them and loops 1 and 2 receive theirs from loop 0's accept.
+  // Connections 0 and 1 ask for checkpoints while connections 2..6 ingest
+  // disjoint client sets, and a 5 ms timer checkpoints on top.
   ServiceConfig config;
   config.protocol = Protocol();
-  config.num_workers = 1;
-  config.worker_queue_capacity = 1;
-  config.before_ingest_hook = [&](uint64_t /*seq*/) {
-    std::unique_lock<std::mutex> lock(mutex);
-    ++entered;
-    cv.notify_all();
-    cv.wait(lock, [&] { return release; });
-  };
+  config.num_workers = 3;
+  config.checkpoint_path = dir_.path + "/fr.ckpt";
+  config.checkpoint_interval_ms = 5;
+  config.checkpoint_mode = core::CheckpointMode::kDelta;
+  config.checkpoint_compact_every = 4;
+  const int threads_before = CountThreads();
   StartServer(config);
-
-  StreamClient client = Connect();
-  const std::string bytes = EncodeReports(8, 1);  // unregistered: kError,
-                                                  // but overload wins first
-  ASSERT_TRUE(client.Send(bytes).ok());  // seq 1: parked in the hook
-  {
-    std::unique_lock<std::mutex> lock(mutex);
-    cv.wait(lock, [&] { return entered == 1; });
+  if (threads_before > 0) {
+    EXPECT_EQ(CountThreads() - threads_before, config.num_workers);
   }
-  ASSERT_TRUE(client.Send(bytes).ok());  // seq 2: fills the queue
-  ASSERT_TRUE(client.Send(bytes).ok());  // seq 3: queue full -> kOverload
 
-  // The overload verdict comes from the IO thread while the worker is
-  // still parked, so it is necessarily the first reply on the wire.
-  const Reply overloaded = client.ReadReply().ValueOrDie();
-  EXPECT_EQ(overloaded.seq, 3u);
-  EXPECT_EQ(overloaded.verdict, Verdict::kOverload);
-  EXPECT_EQ(overloaded.applied, 0);
-
-  {
-    std::unique_lock<std::mutex> lock(mutex);
-    release = true;
-    cv.notify_all();
+  constexpr int kConnections = 7;
+  constexpr int kCheckpointers = 2;
+  constexpr int kIngesters = kConnections - kCheckpointers;
+  constexpr int kCheckpointsEach = 4;
+  constexpr int64_t kClientsEach = 12;
+  std::vector<StreamClient> clients;
+  for (int c = 0; c < kConnections; ++c) {
+    clients.push_back(Connect());
   }
-  // Batches 1 and 2 now ingest in order. The clients are unregistered, so
-  // the verdict is kError — what matters here is the seq pairing and that
-  // the server survives.
-  const Reply first = client.ReadReply().ValueOrDie();
-  EXPECT_EQ(first.seq, 1u);
-  EXPECT_EQ(first.verdict, Verdict::kError);
-  const Reply second = client.ReadReply().ValueOrDie();
-  EXPECT_EQ(second.seq, 2u);
+  // Ingester i owns clients u with u mod kIngesters == i.
+  const auto registrations = [&](int i) {
+    std::vector<core::RegistrationMessage> batch;
+    for (int64_t u = i; u < kIngesters * kClientsEach; u += kIngesters) {
+      batch.push_back({u, 0});
+    }
+    return core::EncodeRegistrationBatch(batch);
+  };
+  const auto reports = [&](int i, int64_t t) {
+    core::ReportBatch batch;
+    for (int64_t u = i; u < kIngesters * kClientsEach; u += kIngesters) {
+      batch.push_back({u, t, (u + t) % 3 == 0 ? int8_t{1} : int8_t{-1}});
+    }
+    return core::EncodeReportBatch(batch, core::WireVersion::kV2)
+        .ValueOrDie();
+  };
 
-  // Resend of the bounced bytes goes through the (now empty) queue.
-  const Reply resent = client.Call(bytes).ValueOrDie();
-  EXPECT_EQ(resent.seq, 4u);
-  EXPECT_EQ(resent.verdict, Verdict::kError);
+  std::vector<Status> outcomes(kConnections);
+  std::vector<std::thread> senders;
+  for (int c = 0; c < kCheckpointers; ++c) {
+    senders.emplace_back([&, c] {
+      for (int k = 0; k < kCheckpointsEach && outcomes[c].ok(); ++k) {
+        outcomes[c] = clients[c].SendControl(ControlOp::kCheckpoint);
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+  }
+  for (int i = 0; i < kIngesters; ++i) {
+    const int c = kCheckpointers + i;
+    senders.emplace_back([&, c, i] {
+      const auto expect = [&](const std::string& bytes, Verdict verdict,
+                              int64_t applied) {
+        const Result<Reply> reply = clients[c].Call(bytes);
+        if (!reply.ok()) {
+          return reply.status();
+        }
+        if (reply->verdict != verdict || reply->applied != applied) {
+          return Status::Internal("unexpected reply");
+        }
+        return Status::OK();
+      };
+      Status status = expect(registrations(i), Verdict::kAck, kClientsEach);
+      for (int64_t t = 1; t <= 16 && status.ok(); ++t) {
+        const std::string bytes = reports(i, t);
+        if (t == 4) {
+          // One corrupted copy per connection: NACKed, nothing applied.
+          std::string corrupted = bytes;
+          corrupted[corrupted.size() / 2] ^= 0x40;
+          status = expect(corrupted, Verdict::kNack, 0);
+        }
+        if (status.ok()) {
+          status = expect(bytes, Verdict::kAck, kClientsEach);
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      }
+      outcomes[c] = status;
+    });
+  }
+  for (std::thread& sender : senders) {
+    sender.join();
+  }
+  for (int c = 0; c < kConnections; ++c) {
+    EXPECT_TRUE(outcomes[c].ok()) << "connection " << c << ": "
+                                  << outcomes[c].ToString();
+  }
+  ASSERT_TRUE(clients[0].SendControl(ControlOp::kShutdown).ok());
+  ASSERT_TRUE(server_->Join().ok());
 
-  server_->RequestStop();
-  EXPECT_TRUE(server_->Join().ok());
-  EXPECT_EQ(server_->stats().batches_overloaded, 1);
+  // The exactly-once twin: every batch once, one connection's order.
+  auto twin = core::ShardedAggregator::ForProtocol(Protocol(), 1).ValueOrDie();
+  for (int i = 0; i < kIngesters; ++i) {
+    ASSERT_TRUE(twin.IngestEncoded(registrations(i)).ok());
+  }
+  for (int64_t t = 1; t <= 16; ++t) {
+    for (int i = 0; i < kIngesters; ++i) {
+      ASSERT_TRUE(twin.IngestEncoded(reports(i, t)).ok());
+    }
+  }
+  // The shutdown compaction is one full blob, so it restores onto one
+  // shard, where it must encode to the twin's exact bytes.
+  auto restored =
+      core::ShardedAggregator::ForProtocol(Protocol(), 1).ValueOrDie();
+  ASSERT_TRUE(RestoreFromCheckpointFile(config.checkpoint_path, &restored)
+                  .ok());
+  EXPECT_EQ(restored.Checkpoint(core::CheckpointMode::kFull).ValueOrDie(),
+            twin.Checkpoint(core::CheckpointMode::kFull).ValueOrDie());
+  EXPECT_EQ(restored.EstimateAll().ValueOrDie(),
+            twin.EstimateAll().ValueOrDie());
+
+  const ServerStats stats = server_->stats();
+  const int64_t control_frames = kCheckpointers * kCheckpointsEach + 1;
+  EXPECT_EQ(stats.connections_accepted, kConnections);
+  EXPECT_EQ(stats.batches_acked, kIngesters * 17);
+  EXPECT_EQ(stats.batches_nacked, kIngesters);
+  EXPECT_EQ(stats.batches_errored, 0);
+  EXPECT_EQ(stats.batches_overloaded, 0);
+  EXPECT_EQ(stats.frames_received, stats.batches_acked +
+                                       stats.batches_nacked +
+                                       stats.batches_errored + control_frames);
+  EXPECT_EQ(stats.records_applied, kIngesters * kClientsEach * 17);
+  // Every control frame and the shutdown took one; the ingest outlasts
+  // the control checkpoints by several timer periods, so the timer took
+  // at least one more.
+  EXPECT_GT(stats.checkpoints_taken,
+            kCheckpointers * kCheckpointsEach + 1);
+  EXPECT_GT(stats.delta_checkpoints_taken, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -28,7 +28,7 @@ net::IngestServer* g_server = nullptr;
 
 void HandleSignal(int /*signum*/) {
   if (g_server != nullptr) {
-    // Atomic store + self-pipe write: async-signal-safe.
+    // Atomic store + one self-pipe write per loop: async-signal-safe.
     g_server->RequestStop();
   }
 }
@@ -45,7 +45,6 @@ int Run(int argc, char** argv) {
   int64_t shards = 0;
   int64_t workers = 2;
   sim::DedupFlags dedup_flags;
-  int64_t queue_capacity = 128;
   std::string checkpoint;
   int64_t checkpoint_interval_ms = 0;
   sim::CheckpointFlags checkpoint_flags;
@@ -71,10 +70,10 @@ int Run(int argc, char** argv) {
                    "lolh | loloha — must match the fleet that registers");
   parser.AddInt64("shards", &shards,
                   "aggregator shards (0 = one per worker)");
-  parser.AddInt64("workers", &workers, "ingest worker threads");
+  parser.AddInt64("workers", &workers,
+                  "event-loop threads; each reads, ingests and answers its "
+                  "own connections (the server runs exactly this many)");
   dedup_flags.Register(&parser);
-  parser.AddInt64("queue-capacity", &queue_capacity,
-                  "batches a worker queue holds before answering kOverload");
   parser.AddString("checkpoint", &checkpoint,
                    "durable checkpoint file (empty = no checkpointing)");
   parser.AddInt64("checkpoint-interval-ms", &checkpoint_interval_ms,
@@ -119,7 +118,6 @@ int Run(int argc, char** argv) {
   config.protocol.randomizer = *kind;
   config.num_shards = static_cast<int>(shards);
   config.num_workers = static_cast<int>(workers);
-  config.worker_queue_capacity = static_cast<size_t>(queue_capacity);
   config.checkpoint_path = checkpoint;
   config.checkpoint_interval_ms = checkpoint_interval_ms;
   config.force_poll = force_poll;
@@ -172,18 +170,16 @@ int Run(int argc, char** argv) {
   std::signal(SIGINT, HandleSignal);
   std::signal(SIGTERM, HandleSignal);
 
-  const Status started = (*server)->Start();
-  if (!started.ok()) {
-    std::fprintf(stderr, "%s\n", started.ToString().c_str());
-    return 1;
-  }
-  // The ready line is the startup barrier scripts wait on.
+  // The ready line is the startup barrier scripts wait on. The listeners
+  // are bound and queue connections until the loops accept them.
   std::printf("frserve ready (backend=%s workers=%d)\n",
               (*server)->using_epoll() ? "epoll" : "poll",
               config.num_workers);
   std::fflush(stdout);
 
-  const Status served = (*server)->Join();
+  // Loop 0 runs on this thread: the process serves on exactly --workers
+  // threads.
+  const Status served = (*server)->Serve();
   g_server = nullptr;
 
   const net::ServerStats stats = (*server)->stats();
