@@ -8,6 +8,12 @@
 # reference host) so ordinary scheduler noise never trips the gate — only a
 # real hot-path regression does.
 #
+# It also holds a ceiling on the line's wire bytes per report (wire_bytes /
+# reports, registrations included): lower is better, and the figure is
+# deterministic for a shape and seed, so a run fails if it rose more than
+# FR_BENCH_TOLERANCE above the baseline's wire_bytes_per_report — e.g.
+# when fleet batches silently fall back from packed kind 10 to kind 7.
+#
 # Usage:
 #   scripts/check_bench_regression.sh <bench_json> [baseline_json]
 #   scripts/check_bench_regression.sh --update <bench_json> [baseline_json]
@@ -15,7 +21,8 @@
 # <bench_json> is any file containing one bench_throughput JSON line (a raw
 # --json capture or a CI log that embeds it). --update rewrites the baseline
 # from the run at 50% of its measured rates — run it on the reference host
-# after an intentional perf change, then commit the new baseline.
+# after an intentional perf change, then commit the new baseline. The wire
+# ceiling is written as measured.
 #
 # Environment:
 #   FR_BENCH_TOLERANCE  fractional slack below each floor (default 0.10)
@@ -56,6 +63,12 @@ field() {
   printf '%s\n' "$value"
 }
 
+# Wire bytes per report of a throughput line, to four decimals.
+wire_per_report() {
+  awk -v b="$(field "$1" wire_bytes)" -v r="$(field "$1" reports)" \
+    'BEGIN { printf "%.4f", (r > 0 ? b / r : 0) }'
+}
+
 if [[ "$update" == 1 ]]; then
   mkdir -p "$(dirname "$baseline_json")"
   {
@@ -67,6 +80,7 @@ if [[ "$update" == 1 ]]; then
       printf '%s"%s":%s' "$sep" "$stage" "$floor"
       sep=","
     done
+    printf ',"wire_bytes_per_report":%s' "$(wire_per_report "$line")"
     printf '}\n'
   } > "$baseline_json"
   echo "check_bench_regression: baseline updated at $baseline_json (50% of measured rates)"
@@ -100,6 +114,17 @@ if [[ "$fail" != 0 ]]; then
   exit 1
 fi
 echo "check_bench_regression: all stages within tolerance"
+
+wire_current="$(wire_per_report "$line")"
+wire_ceiling="$(field "$baseline_line" wire_bytes_per_report)"
+if awk -v c="$wire_current" -v f="$wire_ceiling" -v t="$TOLERANCE" \
+    'BEGIN { exit !(c + 0 <= f * (1 + t)) }'; then
+  echo "  OK   wire_bytes_per_report: $wire_current (ceiling $wire_ceiling)"
+else
+  echo "  FAIL wire_bytes_per_report: $wire_current > $wire_ceiling * (1 + $TOLERANCE)"
+  echo "check_bench_regression: wire bytes per report rose above the baseline" >&2
+  exit 1
+fi
 
 # Shootout cost ceilings: the cross-protocol bench reports per-report costs
 # (lower is better), so its baseline holds CEILINGS rather than floors. The

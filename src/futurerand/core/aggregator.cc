@@ -255,7 +255,8 @@ Status ShardedAggregator::IngestEncoded(std::string_view bytes,
                           DecodeRegistrationBatch(bytes));
       return IngestRegistrations(batch, pool, outcome);
     }
-    case WireBatchKind::kReportV2: {
+    case WireBatchKind::kReportV2:
+    case WireBatchKind::kReportPackedV2: {
       FR_ASSIGN_OR_RETURN(std::vector<ReportMessage> batch,
                           DecodeReportBatch(bytes));
       return IngestReports(batch, pool, outcome);

@@ -1,7 +1,11 @@
 #include "futurerand/core/wire.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
+#include <cstring>
+#include <limits>
+#include <span>
 #include <utility>
 
 namespace futurerand::core {
@@ -95,7 +99,7 @@ Result<char> CheckHeader(std::string_view bytes) {
     return Status::DataLoss("unsupported wire version");
   }
   const char kind = bytes[4];
-  if (kind < kKindServerState || kind > kKindFleetLongState) {
+  if (kind < kKindServerState || kind > kKindReportPackedV2) {
     return Status::DataLoss("unknown batch kind");
   }
   if (version != KindWireVersion(kind)) {
@@ -149,16 +153,17 @@ using wire_internal::WrappingSub;
 using wire_internal::ZigZagDecode;
 using wire_internal::ZigZagEncode;
 using wire_internal::kKindRegistrationV2;
+using wire_internal::kKindReportPackedV2;
 using wire_internal::kKindReportV2;
 
 // The longest varint: ceil(64 / 7) bytes.
 constexpr size_t kMaxVarintBytes = 10;
 constexpr size_t kTrailerBytes = 8;
 
-// Writes a transport batch (kinds 6-7) in one pass: each byte goes through
-// a raw pointer into a buffer sized for the usual batch and is folded into
-// the running FNV-1a 64 hash as it is written, so the trailer needs no
-// second walk over the string.
+// Writes a varint transport batch (kinds 6-7) in one pass: each byte goes
+// through a raw pointer into a buffer sized for the usual batch and is
+// folded into the running FNV-1a 64 hash as it is written, so the trailer
+// needs no second walk over the string.
 class HashingWriter {
  public:
   // Sizes the buffer for header, count, two bytes per record (one-byte id
@@ -223,9 +228,10 @@ class HashingWriter {
   uint64_t hash_ = 0;
 };
 
-// Reads the records of a transport batch (kinds 6-7) in one pass, folding
-// each byte it consumes into the running FNV-1a 64 hash. Nothing parsed is
-// trusted until Verdict has compared that hash against the trailer.
+// Reads the records of a transport batch (kinds 6, 7 and 10) in one pass,
+// folding each byte it consumes into the running FNV-1a 64 hash. Nothing
+// parsed is trusted until Verdict has compared that hash against the
+// trailer.
 class HashingReader {
  public:
   // Validates the header against `kind` and splits off the trailer; the
@@ -253,7 +259,7 @@ class HashingReader {
   }
 
   // Reads a varint, hashing its bytes. Same rules as GetVarint64.
-  Result<uint64_t> Varint() {
+  [[gnu::always_inline]] Result<uint64_t> Varint() {
     if (FR_PREDICT_TRUE(next_ != end_)) {
       const auto byte = static_cast<uint8_t>(*next_);
       if (byte < 0x80) {
@@ -265,6 +271,19 @@ class HashingReader {
     return MultiByteVarint();
   }
 
+  // Takes the next `count` bytes, hashing them; `count` must be at most
+  // remaining().
+  std::string_view Take(size_t count) {
+    const std::string_view taken(next_, count);
+    uint64_t hash = hash_;
+    for (const char c : taken) {
+      hash = Fnv1a64Step(hash, static_cast<uint8_t>(c));
+    }
+    hash_ = hash;
+    next_ += count;
+    return taken;
+  }
+
   // Bytes left between the reader and the trailer.
   size_t remaining() const { return static_cast<size_t>(end_ - next_); }
 
@@ -272,22 +291,38 @@ class HashingReader {
   // mismatch is kDataLoss and wins over every parse error; after a parse
   // error the hash is taken afresh over everything the trailer covers,
   // since the reader stopped short of the trailer.
-  Status Verdict(Status parsed) const {
-    if (parsed.ok() && next_ != end_) {
-      parsed = Status::InvalidArgument("trailing bytes after batch");
+  [[gnu::always_inline]] Status Verdict(Status parsed) const {
+    if (FR_PREDICT_TRUE(parsed.ok() && next_ == end_ && hash_ == stored_)) {
+      return parsed;
     }
-    const uint64_t hash =
-        parsed.ok() ? hash_ : wire_internal::Fnv1a64(covered_);
-    if (hash != stored_) {
-      return Status::DataLoss("checksum mismatch: corrupted blob");
-    }
-    return parsed;
+    return FailedVerdict(std::move(parsed), next_ == end_, hash_, covered_,
+                         stored_);
   }
 
  private:
   HashingReader() = default;
 
-  Result<uint64_t> MultiByteVarint() {
+  // Verdict past its fast path. Static and given values, so that no call
+  // the compiler leaves out of line takes a reader's address: a reader
+  // whose address escapes lives in memory, and the decode loop's hash
+  // chain then runs through a store and a load per byte. For the same
+  // reason the methods the record loops call, and ParseReports itself,
+  // are always inlined.
+  static Status FailedVerdict(Status parsed, bool at_end, uint64_t hash,
+                              std::string_view covered, uint64_t stored) {
+    if (parsed.ok() && !at_end) {
+      parsed = Status::InvalidArgument("trailing bytes after batch");
+    }
+    if (!parsed.ok()) {
+      hash = wire_internal::Fnv1a64(covered);
+    }
+    if (hash != stored) {
+      return Status::DataLoss("checksum mismatch: corrupted blob");
+    }
+    return parsed;
+  }
+
+  [[gnu::always_inline]] Result<uint64_t> MultiByteVarint() {
     std::string_view rest(next_, remaining());
     FR_ASSIGN_OR_RETURN(const uint64_t value,
                         wire_internal::GetVarint64MultiByte(&rest));
@@ -331,7 +366,8 @@ Status ParseRegistrations(HashingReader* reader,
 }
 
 // The records of a report batch; same contract as ParseRegistrations.
-Status ParseReports(HashingReader* reader, std::vector<ReportMessage>* batch) {
+[[gnu::always_inline]] inline Status ParseReports(
+    HashingReader* reader, std::vector<ReportMessage>* batch) {
   FR_ASSIGN_OR_RETURN(const uint64_t count, reader->Varint());
   batch->reserve(static_cast<size_t>(
       std::min<uint64_t>(count, reader->remaining() / 2 + 1)));
@@ -354,6 +390,244 @@ Status ParseReports(HashingReader* reader, std::vector<ReportMessage>* batch) {
   return Status::OK();
 }
 
+// Bytes of the LEB128 encoding of `value`.
+size_t VarintBytes(uint64_t value) {
+  return (static_cast<size_t>(std::bit_width(value | 1)) + 6) / 7;
+}
+
+// Bytes of a kind-10 bitmap of `bits` bits (bits >= 1), as
+// ceil(bits / 8) without overflowing at bits = 2^64 - 1.
+uint64_t BitmapBytes(uint64_t bits) { return (bits - 1) / 8 + 1; }
+
+// The kind-10 bitmaps are little-endian: bit i of a bitmap is bit i % 8
+// of its byte i / 8. These move the 64 bits from byte `at` on (fewer at
+// the end of the bitmap; the rest read as zero) between bytes and a word.
+// Whole words take the fixed-size copy, which compiles to one load or
+// store; only the last, short one calls memcpy.
+uint64_t LoadBits(std::string_view bits, size_t at) {
+  uint64_t word = 0;
+  if (FR_PREDICT_TRUE(bits.size() - at >= 8)) {
+    std::memcpy(&word, bits.data() + at, 8);
+  } else {
+    std::memcpy(&word, bits.data() + at, bits.size() - at);
+  }
+  if constexpr (std::endian::native == std::endian::big) {
+    word = __builtin_bswap64(word);
+  }
+  return word;
+}
+
+void StoreBits(uint64_t word, size_t at, std::span<char> bits) {
+  if constexpr (std::endian::native == std::endian::big) {
+    word = __builtin_bswap64(word);
+  }
+  if (FR_PREDICT_TRUE(bits.size() - at >= 8)) {
+    std::memcpy(bits.data() + at, &word, 8);
+  } else {
+    std::memcpy(bits.data() + at, &word, bits.size() - at);
+  }
+}
+
+Status PopcountMismatch() {
+  return Status::InvalidArgument("packed bitmap popcount differs from count");
+}
+
+// The records of a packed report batch (kind 10); same contract as
+// ParseReports. Every count and span is checked against the bytes that
+// remain before anything is sized by it.
+Status ParsePackedReports(HashingReader* reader,
+                          std::vector<ReportMessage>* batch) {
+  FR_ASSIGN_OR_RETURN(const uint64_t count, reader->Varint());
+  if (count < 1) {
+    return Status::InvalidArgument("packed batch holds no reports");
+  }
+  FR_ASSIGN_OR_RETURN(const uint64_t time_varint, reader->Varint());
+  const auto time = static_cast<int64_t>(time_varint);
+  if (time < 1) {
+    return Status::InvalidArgument("decoded non-positive report time");
+  }
+  FR_ASSIGN_OR_RETURN(const uint64_t first_varint, reader->Varint());
+  const int64_t first_id = ZigZagDecode(first_varint);
+  FR_ASSIGN_OR_RETURN(const uint64_t span, reader->Varint());
+  // Unsigned arithmetic: INT64_MAX - first_id, exact for every first_id.
+  if (span > static_cast<uint64_t>(std::numeric_limits<int64_t>::max()) -
+                 static_cast<uint64_t>(first_id)) {
+    return Status::InvalidArgument("packed id span overflows int64");
+  }
+  const uint64_t presence_bytes = span / 8 + 1;
+  const uint64_t sign_bytes = BitmapBytes(count);
+  if (presence_bytes > reader->remaining() ||
+      sign_bytes > reader->remaining() - presence_bytes) {
+    return Status::InvalidArgument("packed bitmaps run past the batch");
+  }
+  const std::string_view presence =
+      reader->Take(static_cast<size_t>(presence_bytes));
+  const std::string_view signs = reader->Take(static_cast<size_t>(sign_bytes));
+  const auto bit = [](std::string_view bits, uint64_t index) {
+    return (static_cast<uint8_t>(bits[index / 8]) >> (index % 8)) & 1;
+  };
+  if (bit(presence, 0) == 0 || bit(presence, span) == 0) {
+    return Status::InvalidArgument(
+        "packed bitmap must start and end with a report");
+  }
+  if (static_cast<uint8_t>(presence.back()) >> (span % 8) > 1) {
+    return Status::InvalidArgument("packed bitmap has padding bits set");
+  }
+  if (static_cast<uint8_t>(signs.back()) >> ((count - 1) % 8) > 1) {
+    return Status::InvalidArgument("packed sign bits have padding bits set");
+  }
+  // count fits the sign bytes, so this allocation follows the input. The
+  // walk below stops at the count-th set bit; a bitmap with more or fewer
+  // is rejected.
+  batch->resize(static_cast<size_t>(count));
+  uint64_t index = 0;
+  for (size_t at = 0; at < presence.size(); at += 8) {
+    for (uint64_t word = LoadBits(presence, at); word != 0;
+         word &= word - 1) {
+      if (index == count) {
+        return PopcountMismatch();
+      }
+      const uint64_t offset =
+          8 * at + static_cast<uint64_t>(std::countr_zero(word));
+      ReportMessage& message = (*batch)[static_cast<size_t>(index)];
+      message.client_id = WrappingAdd(first_id, static_cast<int64_t>(offset));
+      message.time = time;
+      message.value = bit(signs, index) ? int8_t{1} : int8_t{-1};
+      ++index;
+    }
+  }
+  if (index != count) {
+    return PopcountMismatch();
+  }
+  return Status::OK();
+}
+
+// DecodeReportBatch for kind 10.
+Result<std::vector<ReportMessage>> DecodePackedReports(
+    std::string_view bytes) {
+  FR_ASSIGN_OR_RETURN(HashingReader reader,
+                      HashingReader::Open(kKindReportPackedV2, bytes));
+  std::vector<ReportMessage> batch;
+  FR_RETURN_NOT_OK(reader.Verdict(ParsePackedReports(&reader, &batch)));
+  return batch;
+}
+
+// Bytes after the count of kind 10 for a batch that runs from `first` to
+// `last` in ascending ids at one time.
+uint64_t PackedBytes(const ReportMessage& first, const ReportMessage& last,
+                     uint64_t count) {
+  const auto span =
+      static_cast<uint64_t>(WrappingSub(last.client_id, first.client_id));
+  return VarintBytes(static_cast<uint64_t>(first.time)) +
+         VarintBytes(ZigZagEncode(first.client_id)) + VarintBytes(span) +
+         span / 8 + 1 + BitmapBytes(count);
+}
+
+// Whether `batch` may qualify for kind 10 (at least one record; the first
+// and last share a time and ascend) and is strictly smaller that way than
+// as kind 7. Both forms share the header, the count and the trailer, so
+// only the bytes after the count are compared. Every kind-7 record after
+// the first costs at least two bytes; only a packed form not below that
+// floor needs the exact kind-7 size, which walks the batch.
+bool PackedIsSmaller(const std::vector<ReportMessage>& batch) {
+  if (batch.empty() || batch.front().time != batch.back().time ||
+      batch.front().client_id > batch.back().client_id) {
+    return false;
+  }
+  const ReportMessage& first = batch.front();
+  const uint64_t packed = PackedBytes(first, batch.back(), batch.size());
+  uint64_t varint = VarintBytes(ZigZagEncode(first.client_id)) +
+                    VarintBytes(ZigZagEncode(first.time) << 1) +
+                    2 * (batch.size() - 1);
+  if (packed < varint) {
+    return true;
+  }
+  for (size_t i = 1; i < batch.size(); ++i) {
+    if (batch[i].client_id <= batch[i - 1].client_id) {
+      return false;
+    }
+    varint += VarintBytes(ZigZagEncode(
+                  WrappingSub(batch[i].client_id, batch[i - 1].client_id))) -
+              1;
+  }
+  return packed < varint;
+}
+
+// Writes `batch` as kind 10 into `*out` in one walk, checking as it goes
+// that every record is valid, shares the first one's time and has a
+// larger id than the one before; false, with `*out` unspecified, if one
+// does not. The checks fold into one flag read at the end, except the
+// bound on the presence bitmap, which every store needs. Both bitmaps fill
+// in ascending bit order, so each builds one word in a register and
+// stores it once complete: a presence word when the next id leaves it, a
+// sign word after each group of 64 records.
+bool EncodePackedReports(const std::vector<ReportMessage>& batch,
+                         std::string* out) {
+  // Locals, not the vector and the first record: the bitmap stores go
+  // through char pointers, which could alias either and force reloads.
+  const std::span<const ReportMessage> records(batch);
+  const int64_t first_id = records.front().client_id;
+  const int64_t time = records.front().time;
+  if (time < 1) {
+    return false;
+  }
+  const auto span =
+      static_cast<uint64_t>(WrappingSub(records.back().client_id, first_id));
+  const auto presence_bytes = static_cast<size_t>(span / 8 + 1);
+  const auto sign_bytes = static_cast<size_t>(BitmapBytes(records.size()));
+  out->clear();
+  out->reserve(wire_internal::kHeaderSize + 4 * kMaxVarintBytes +
+               presence_bytes + sign_bytes + kTrailerBytes);
+  wire_internal::AppendHeader(kKindReportPackedV2, out);
+  wire_internal::PutVarint64(records.size(), out);
+  wire_internal::PutVarint64(static_cast<uint64_t>(time), out);
+  wire_internal::PutVarint64(ZigZagEncode(first_id), out);
+  wire_internal::PutVarint64(span, out);
+  const size_t presence_at = out->size();
+  out->resize(presence_at + presence_bytes + sign_bytes);
+  const std::span<char> presence(out->data() + presence_at, presence_bytes);
+  const std::span<char> signs(presence.data() + presence_bytes, sign_bytes);
+  // Nonzero once any record fails a check. For a valid value, value + 1
+  // is 0 or 2: its bit 1 is the sign bit and no other bit is set.
+  uint64_t rejected = 0;
+  uint64_t next_offset = 0;  // ids ascend: each offset is at least this
+  uint64_t word = 0;
+  uint64_t word_at = 0;  // the byte the presence word starts at
+  for (size_t base = 0; base < records.size(); base += 64) {
+    const auto group =
+        records.subspan(base, std::min<size_t>(64, records.size() - base));
+    // Sign bits enter at the top and shift down: after the group, record
+    // base + j sits at bit j once shifted by 64 - group.size().
+    uint64_t sign_word = 0;
+    for (const ReportMessage& message : group) {
+      const auto plus_one = static_cast<uint8_t>(message.value + 1);
+      const auto offset =
+          static_cast<uint64_t>(WrappingSub(message.client_id, first_id));
+      rejected |= static_cast<uint64_t>(message.time ^ time) |
+                  (plus_one & ~uint8_t{2}) |
+                  static_cast<uint64_t>(offset < next_offset);
+      next_offset = offset + 1;
+      if (offset / 64 * 8 != word_at) {
+        if (offset > span) {
+          return false;
+        }
+        StoreBits(word, static_cast<size_t>(word_at), presence);
+        word = 0;
+        word_at = offset / 64 * 8;
+      }
+      word |= uint64_t{1} << (offset % 64);
+      sign_word = sign_word >> 1 | uint64_t{plus_one} << 62;
+    }
+    StoreBits(sign_word >> (64 - group.size()), base / 8, signs);
+  }
+  if (rejected != 0) {
+    return false;
+  }
+  StoreBits(word, static_cast<size_t>(word_at), presence);
+  wire_internal::AppendChecksum(out);
+  return true;
+}
+
 }  // namespace
 
 Result<WireBatchKind> PeekBatchKind(std::string_view bytes) {
@@ -373,6 +647,8 @@ Result<WireBatchKind> PeekBatchKind(std::string_view bytes) {
       return WireBatchKind::kServerStateSketch;
     case wire_internal::kKindFleetLongState:
       return WireBatchKind::kFleetLongState;
+    case wire_internal::kKindReportPackedV2:
+      return WireBatchKind::kReportPackedV2;
     default:
       return Status::DataLoss("unknown batch kind");
   }
@@ -402,6 +678,10 @@ Result<std::vector<RegistrationMessage>> DecodeRegistrationBatch(
 
 Result<std::string> EncodeReportBatch(
     const std::vector<ReportMessage>& batch, WireVersion /*version*/) {
+  std::string packed;
+  if (PackedIsSmaller(batch) && EncodePackedReports(batch, &packed)) {
+    return packed;
+  }
   HashingWriter out(kKindReportV2, batch.size());
   int64_t previous_id = 0;
   int64_t previous_time = 0;
@@ -425,6 +705,10 @@ Result<std::string> EncodeReportBatch(
 }
 
 Result<std::vector<ReportMessage>> DecodeReportBatch(std::string_view bytes) {
+  FR_ASSIGN_OR_RETURN(const char kind, wire_internal::CheckHeader(bytes));
+  if (kind == kKindReportPackedV2) {
+    return DecodePackedReports(bytes);
+  }
   FR_ASSIGN_OR_RETURN(HashingReader reader,
                       HashingReader::Open(kKindReportV2, bytes));
   std::vector<ReportMessage> batch;

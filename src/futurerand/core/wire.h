@@ -7,6 +7,11 @@
 //   [magic 'F','R','W'][version 2][kind 6|7][varint count][records...]
 //   [FNV-1a 64 trailer over every preceding byte]
 //
+// A report batch whose records share one time and have strictly ascending
+// ids may instead ship packed (kind 10): the time and the id range once,
+// then a presence bitmap over the range and one sign bit per report.
+// EncodeReportBatch picks it only where it is strictly smaller.
+//
 // The trailer (the snapshot convention) lets a receiver *detect* in-flight
 // corruption: every single-bit flip is rejected with StatusCode::kDataLoss
 // and the sender retransmits (NACK-style). Kinds 1-2, the unchecksummed v1
@@ -80,6 +85,7 @@ enum class WireBatchKind {
   kReportV2,           // v2 transport, FNV-1a trailer
   kServerStateSketch,  // one sketch-store Server (core/snapshot.h)
   kFleetLongState,     // ClientFleet longitudinal memo state (core/fleet.h)
+  kReportPackedV2,     // v2 transport, one tick as bitmaps, FNV-1a trailer
 };
 
 /// Validates the fixed header of an encoded batch and returns its kind
@@ -103,14 +109,17 @@ std::string EncodeRegistrationBatch(
 Result<std::vector<RegistrationMessage>> DecodeRegistrationBatch(
     std::string_view bytes);
 
-/// Serializes a report batch. Values must be -1 or +1 (checked). The
-/// `version` argument is kept for perfbench's call sites.
+/// Serializes a report batch. Values must be -1 or +1 and times >= 1
+/// (checked). A batch of at least one record whose records all share one
+/// time and have strictly ascending ids ships as kind 10 (packed) when that
+/// is strictly smaller than kind 7; every other batch, and every tie, ships
+/// as kind 7. The `version` argument is kept for perfbench's call sites.
 Result<std::string> EncodeReportBatch(
     const std::vector<ReportMessage>& batch,
     WireVersion version = WireVersion::kV2);
 
-/// Parses a report batch; rejects malformed input. Same atomicity and
-/// kDataLoss contract as DecodeRegistrationBatch.
+/// Parses a report batch of either kind (7 or 10); rejects malformed input.
+/// Same atomicity and kDataLoss contract as DecodeRegistrationBatch.
 Result<std::vector<ReportMessage>> DecodeReportBatch(std::string_view bytes);
 
 namespace wire_internal {
@@ -126,6 +135,7 @@ inline constexpr char kKindRegistrationV2 = 6;    // FRW v2
 inline constexpr char kKindReportV2 = 7;          // FRW v2
 inline constexpr char kKindServerStateSketch = 8; // FRW v1
 inline constexpr char kKindFleetLongState = 9;    // FRW v1
+inline constexpr char kKindReportPackedV2 = 10;   // FRW v2
 
 /// The container version bytes (docs/FORMATS.md §1). Each kind is framed
 /// by exactly one version; KindWireVersion is the mapping.
@@ -134,10 +144,11 @@ inline constexpr char kWireVersion2 = 2;
 
 /// The version byte that frames `kind` (every kind belongs to exactly one
 /// container version). Kinds are append-only, so the mapping is explicit:
-/// only the transport batches are framed by version 2 — later kinds (the
-/// sketch snapshot) went back to the v1 container.
+/// only the transport batches (6, 7 and 10) are framed by version 2; the
+/// snapshot kinds, 8 and 9 included, use the v1 container.
 constexpr char KindWireVersion(char kind) {
-  return kind == kKindRegistrationV2 || kind == kKindReportV2
+  return kind == kKindRegistrationV2 || kind == kKindReportV2 ||
+                 kind == kKindReportPackedV2
              ? kWireVersion2
              : kWireVersion1;
 }

@@ -5,9 +5,12 @@
 // value per true value (sampled once, reused for every subsequent report of
 // that value), and a fresh second round at the derived eps_1 = alpha *
 // eps_perm perturbs the memoized value every tick. The memoization shield
-// gives eps_perm-DP over the whole report sequence while each individual
-// report is only eps_1-DP — the eps_perm/eps_1 split the longitudinal
-// literature calls "privacy over time".
+// bounds any number of reports of one *unchanged* value by eps_perm, while
+// each individual report is only eps_1-DP — the eps_perm/eps_1 split the
+// longitudinal literature calls "privacy over time". It does not bound a
+// sequence whose value changes: which memo is replayed after a change
+// leaks through the fresh per-tick noise, and that loss grows with the
+// domain (README, docs/ARCHITECTURE.md §9).
 //
 //   kLGrr    L-GRR: chained GRR directly on the Boolean domain (g = 2).
 //   kLOlh    L-OLH: hash into [0, g) with a per-value seed, then L-GRR over
@@ -51,7 +54,8 @@ namespace futurerand::rand {
 /// server's estimator plumbing and the statistical gate.
 struct LongitudinalSpec {
   RandomizerKind kind = RandomizerKind::kLGrr;
-  double eps_perm = 0.0;  // full-sequence privacy bound (the config epsilon)
+  double eps_perm = 0.0;  // bound for reports of one unchanged value (the
+                          // config epsilon); not a full-sequence bound
   double eps_1 = 0.0;     // single-report lower bound, alpha * eps_perm
   double alpha = 0.0;     // eps_1 / eps_perm, in (0, 1)
   int64_t g = 2;          // GRR domain size (2 for kLGrr; optimal-g else)

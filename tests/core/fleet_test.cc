@@ -365,6 +365,40 @@ TEST(FleetTest, EncodedConveniencesMatchSeparateCalls) {
   EXPECT_EQ(fleet.current_time(), 4);
 }
 
+TEST(FleetTest, EncodedTicksShipPackedAndDecodeToTheTick) {
+  // A tick-t batch lists the clients whose level is at most
+  // countr_zero(t), in id order and at one time, so it ships as kind 10:
+  // at t = 1 only the level-0 clients (a sparse bitmap), at t = d all of
+  // them (every bit set).
+  constexpr int64_t kClients = 300;
+  const ProtocolConfig config =
+      TestConfig(rand::RandomizerKind::kFutureRand, /*d=*/16, /*k=*/2);
+  ClientFleet fleet = ClientFleet::Create(config, kClients, 9).ValueOrDie();
+  ClientFleet reference = ClientFleet::Create(config, kClients, 9).ValueOrDie();
+  std::vector<int8_t> states(kClients, 0);
+  for (int64_t t = 1; t <= config.num_periods; ++t) {
+    for (int64_t u = 0; u < kClients; ++u) {
+      states[static_cast<size_t>(u)] = PatternState(u, t, 16);
+    }
+    const auto encoded = fleet.AdvanceTickEncoded(states);
+    ASSERT_TRUE(encoded.ok());
+    const auto batch = reference.AdvanceTick(states);
+    ASSERT_TRUE(batch.ok());
+    if (t == 1 || t == config.num_periods) {
+      SCOPED_TRACE(t);
+      EXPECT_EQ(*PeekBatchKind(*encoded), WireBatchKind::kReportPackedV2);
+      EXPECT_EQ(*DecodeReportBatch(*encoded), *batch);
+      int64_t level_zero = 0;
+      for (int64_t i = 0; i < kClients; ++i) {
+        level_zero += fleet.level(i) == 0 ? 1 : 0;
+      }
+      EXPECT_EQ(static_cast<int64_t>(batch->size()),
+                t == 1 ? level_zero : kClients);
+      EXPECT_LT(level_zero, kClients / 2);
+    }
+  }
+}
+
 TEST(FleetTest, EmptyFleetIsValid) {
   const ProtocolConfig config =
       TestConfig(rand::RandomizerKind::kFutureRand, 8, 1);

@@ -567,5 +567,24 @@ TEST(WireGoldenTest, V2BatchBytesAreFixed) {
                         21));
 }
 
+TEST(WireGoldenTest, PackedBatchBytesAreFixed) {
+  // Normative kind-10 layout (docs/FORMATS.md): header, count 5, time 5,
+  // zigzag(first id 3) = 6, span 5, the presence bitmap over ids 3..8
+  // (offsets 0, 1, 2, 4, 5 -> 0x37), the sign bits in id order (+ - + + -
+  // -> 0x0d), then the FNV-1a 64 trailer, little-endian.
+  const auto packed = EncodeReportBatch(
+      {{3, 5, 1}, {4, 5, -1}, {5, 5, 1}, {7, 5, 1}, {8, 5, -1}},
+      WireVersion::kV2);
+  ASSERT_TRUE(packed.ok());
+  EXPECT_EQ(*packed,
+            std::string("FRW\x02\x0a\x05\x05\x06\x05\x37\x0d"
+                        "\xcd\xb3\xf6\x36\x64\xdb\x8d\xe2",
+                        19));
+  EXPECT_EQ(*PeekBatchKind(*packed), WireBatchKind::kReportPackedV2);
+  EXPECT_EQ(*DecodeReportBatch(*packed),
+            (std::vector<ReportMessage>{
+                {3, 5, 1}, {4, 5, -1}, {5, 5, 1}, {7, 5, 1}, {8, 5, -1}}));
+}
+
 }  // namespace
 }  // namespace futurerand::core

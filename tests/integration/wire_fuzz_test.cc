@@ -1,7 +1,8 @@
 // Adversarial wire-decoder fuzzing: starting from VALID encoded payloads
-// (registration/report batches, server snapshots — dyadic, sketch-backed
-// and direct-estimator — full aggregator checkpoints, delta checkpoints,
-// and kind-9 longitudinal fleet blobs), mutate them — truncation at every byte offset, single-bit flips at every
+// (registration/report batches of kinds 6, 7 and 10, server snapshots —
+// dyadic, sketch-backed and direct-estimator — full aggregator
+// checkpoints, delta checkpoints, and kind-9 longitudinal fleet blobs),
+// mutate them — truncation at every byte offset, single-bit flips at every
 // bit position, overlong varints, random multi-byte garbage — and assert
 // the decoders never crash, never loop, and never silently accept what the
 // format can detect. Snapshot blobs and transport batches carry a
@@ -15,7 +16,10 @@
 //   FR_FUZZ_ROUNDS=5000 ctest -R wire_fuzz_test
 //   FR_FUZZ_SEEDS=64 ./build/tests/wire_fuzz_test
 
+#include <atomic>
+#include <cstdlib>
 #include <iterator>
+#include <new>
 #include <string>
 #include <utility>
 #include <vector>
@@ -31,6 +35,29 @@
 #include "futurerand/randomizer/randomizer.h"
 #include "testsupport/env_scaling.h"
 
+// The largest single allocation since the last reset. The global operator
+// new below records it, so a test can bound what a decoder reserves for a
+// forged count or span.
+std::atomic<size_t> g_largest_allocation{0};
+
+// GCC cannot see that these replace the global pair and warns that free
+// meets a pointer from operator new.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(size_t size) {
+  size_t largest = g_largest_allocation.load(std::memory_order_relaxed);
+  while (size > largest && !g_largest_allocation.compare_exchange_weak(
+                               largest, size, std::memory_order_relaxed)) {
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, size_t /*size*/) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
+
 namespace futurerand::core {
 namespace {
 
@@ -41,6 +68,7 @@ using testsupport::FuzzSeeds;
 struct ValidPayloads {
   std::string registrations_v2;
   std::string reports_v2;
+  std::string reports_packed;  // one tick, ascending ids: kind 10
   std::string server_state;
   std::string server_state_sketch;
   std::string server_state_direct;
@@ -137,6 +165,18 @@ ValidPayloads MakePayloads(uint64_t seed) {
   payloads.fleet_long_state = fleet.EncodeLongitudinalState().ValueOrDie();
   payloads.registrations_v2 = EncodeRegistrationBatch(registrations);
   payloads.reports_v2 = EncodeReportBatch(reports).ValueOrDie();
+  // About one id in four reports, at one time: the encoder packs it. Its
+  // own stream leaves the other payloads' draws as they were.
+  Rng tick_rng(seed * 7 + 11);
+  std::vector<ReportMessage> tick;
+  const int64_t tick_time = 1 + static_cast<int64_t>(tick_rng.NextInt(64));
+  for (int64_t id = static_cast<int64_t>(tick_rng.NextInt(100)) - 50;
+       tick.size() < 40; id += 1 + static_cast<int64_t>(tick_rng.NextInt(7))) {
+    tick.push_back({id, tick_time, tick_rng.NextSign()});
+  }
+  payloads.reports_packed = EncodeReportBatch(tick).ValueOrDie();
+  EXPECT_EQ(PeekBatchKind(payloads.reports_packed).ValueOrDie(),
+            WireBatchKind::kReportPackedV2);
   payloads.server_state = EncodeServerState(server);
   payloads.server_state_sketch = EncodeServerState(sketch_server);
   payloads.aggregator_state = EncodeAggregatorState(
@@ -187,6 +227,7 @@ StatusCode RoutedCode(const std::string& bytes) {
     case WireBatchKind::kRegistrationV2:
       return DecodeRegistrationBatch(bytes).status().code();
     case WireBatchKind::kReportV2:
+    case WireBatchKind::kReportPackedV2:
       return DecodeReportBatch(bytes).status().code();
     default:
       return StatusCode::kInvalidArgument;
@@ -199,7 +240,8 @@ TEST_P(WireAdversaryTest, TruncationAtEveryOffsetIsRejected) {
   const ValidPayloads payloads = MakePayloads(GetParam());
   for (const std::string* payload :
        {&payloads.registrations_v2, &payloads.reports_v2,
-        &payloads.server_state, &payloads.server_state_sketch,
+        &payloads.reports_packed, &payloads.server_state,
+        &payloads.server_state_sketch,
         &payloads.server_state_direct, &payloads.aggregator_state,
         &payloads.aggregator_delta, &payloads.fleet_long_state}) {
     for (size_t length = 0; length < payload->size(); ++length) {
@@ -220,7 +262,8 @@ TEST_P(WireAdversaryTest, TruncationAtEveryOffsetIsRejected) {
 TEST_P(WireAdversaryTest, BitFlippedBatchesNeverCrashAndStayWellFormed) {
   const ValidPayloads payloads = MakePayloads(GetParam());
   for (const std::string* payload :
-       {&payloads.registrations_v2, &payloads.reports_v2}) {
+       {&payloads.registrations_v2, &payloads.reports_v2,
+        &payloads.reports_packed}) {
     // Flip every bit before the trailer, then deliver the batch as is
     // (the checksum catches it) and re-sealed (the record decoder must).
     const std::string unsealed = payload->substr(0, payload->size() - 8);
@@ -334,7 +377,8 @@ TEST_P(WireAdversaryTest, EveryBitFlippedV2BatchIsRejected) {
   // checksum covers the header, so the rerouted decode still fails.)
   const ValidPayloads payloads = MakePayloads(GetParam());
   for (const std::string* payload :
-       {&payloads.registrations_v2, &payloads.reports_v2}) {
+       {&payloads.registrations_v2, &payloads.reports_v2,
+        &payloads.reports_packed}) {
     for (size_t byte = 0; byte < payload->size(); ++byte) {
       for (int bit = 0; bit < 8; ++bit) {
         std::string corrupted = *payload;
@@ -343,6 +387,8 @@ TEST_P(WireAdversaryTest, EveryBitFlippedV2BatchIsRejected) {
         EXPECT_FALSE(DecodeRegistrationBatch(corrupted).ok())
             << "byte " << byte << " bit " << bit;
         EXPECT_FALSE(DecodeReportBatch(corrupted).ok())
+            << "byte " << byte << " bit " << bit;
+        EXPECT_EQ(RoutedCode(corrupted), StatusCode::kDataLoss)
             << "byte " << byte << " bit " << bit;
       }
     }
@@ -355,9 +401,10 @@ TEST_P(WireAdversaryTest, OverlongVarintsAreRejected) {
   // implausible rather than allocating. The transport kinds are re-sealed
   // so the varint checks behind their checksum run.
   Rng rng(GetParam() * 7 + 3);
-  for (const char kind : {wire_internal::kKindRegistrationV2,
-                          wire_internal::kKindReportV2, char{3}, char{4},
-                          char{5}, char{8}, char{9}}) {
+  for (const char kind :
+       {wire_internal::kKindRegistrationV2, wire_internal::kKindReportV2,
+        wire_internal::kKindReportPackedV2, char{3}, char{4}, char{5},
+        char{8}, char{9}}) {
     const bool transport = wire_internal::KindWireVersion(kind) ==
                            wire_internal::kWireVersion2;
     const auto seal = [&](std::string bytes) {
@@ -406,6 +453,7 @@ TEST_P(WireAdversaryTest, RandomMutationsNeverCrashTheDecoders) {
   const int64_t rounds = FuzzRounds(300);
   const std::string* sources[] = {&payloads.registrations_v2,
                                   &payloads.reports_v2,
+                                  &payloads.reports_packed,
                                   &payloads.server_state,
                                   &payloads.server_state_sketch,
                                   &payloads.server_state_direct,
@@ -438,10 +486,11 @@ TEST_P(WireAdversaryTest, RandomMutationsNeverCrashTheDecoders) {
     // Checksummed payloads (snapshots and v2 batches) must reject any
     // mutation — their trailer sees everything. For v2 batches the
     // property is header-scoped: any bytes claiming v2 framing that are
-    // not one of the two pristine payloads must fail both decoders.
+    // not one of the three pristine payloads must fail both decoders.
     if (mutated.size() >= 5 && mutated[3] == 2 &&
         mutated != payloads.registrations_v2 &&
-        mutated != payloads.reports_v2) {
+        mutated != payloads.reports_v2 &&
+        mutated != payloads.reports_packed) {
       EXPECT_FALSE(DecodeRegistrationBatch(mutated).ok())
           << "mutated v2 framing accepted";
       EXPECT_FALSE(DecodeReportBatch(mutated).ok())
@@ -465,6 +514,43 @@ TEST_P(WireAdversaryTest, RandomMutationsNeverCrashTheDecoders) {
   }
 }
 
+TEST(WirePackedForgeryTest, SealedForgeriesAreRejectedWithoutLargeAllocation) {
+  // Sealed kind-10 batches that break one canonical-form rule each. Every
+  // one fails with kInvalidArgument, and no count or span is trusted
+  // before it is checked against the bytes that remain.
+  auto sealed = [](std::initializer_list<uint64_t> varints,
+                   std::initializer_list<uint8_t> bitmaps) {
+    std::string bytes;
+    wire_internal::AppendHeader(wire_internal::kKindReportPackedV2, &bytes);
+    for (const uint64_t varint : varints) {
+      wire_internal::PutVarint64(varint, &bytes);
+    }
+    for (const uint8_t byte : bitmaps) {
+      bytes.push_back(static_cast<char>(byte));
+    }
+    return Sealed(std::move(bytes));
+  };
+  const std::string forgeries[] = {
+      sealed({3, 1, 0, 2}, {0x05, 0x00}),            // popcount 2, count 3
+      sealed({1, 1, 0, 2}, {0x05, 0x00}),            // popcount 2, count 1
+      sealed({2, 1, 0, 1}, {0x07, 0x00}),            // a padding bit set
+      sealed({2, 1, 0, 1}, {0x03, 0x04}),            // a sign padding bit set
+      sealed({2, 1, 0, 9}, {0x00, 0x02, 0x00}),      // bit 0 clear
+      sealed({2, 1, 0, 9}, {0x01, 0x00, 0x00}),      // bit span clear
+      sealed({1, 1, 0, uint64_t{1} << 40}, {0x01, 0x01}),  // span > bytes
+      sealed({uint64_t{1} << 40, 1, 0, 0}, {0x01, 0x01}),  // count > bytes
+      sealed({1'000'000, 1, 0, 999'999}, {0xff, 0xff, 0xff, 0xff}),
+  };
+  for (const std::string& forged : forgeries) {
+    g_largest_allocation = 0;
+    const Status status = DecodeReportBatch(forged).status();
+    EXPECT_LT(g_largest_allocation.load(), size_t{4096}) << status.ToString();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString();
+    EXPECT_EQ(RoutedCode(forged), StatusCode::kInvalidArgument);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // The FRS framed transport (net/frame.h) wrapped around these payloads:
 // the stream layer must never crash, never emit a frame it wasn't sent,
@@ -473,7 +559,8 @@ TEST_P(WireAdversaryTest, RandomMutationsNeverCrashTheDecoders) {
 TEST_P(WireAdversaryTest, FramedTruncationAtEveryOffsetYieldsNoFrame) {
   const ValidPayloads payloads = MakePayloads(GetParam());
   for (const std::string* payload :
-       {&payloads.registrations_v2, &payloads.reports_v2}) {
+       {&payloads.registrations_v2, &payloads.reports_v2,
+        &payloads.reports_packed}) {
     std::string stream;
     ASSERT_TRUE(net::AppendFrame(*payload, &stream).ok());
     for (size_t length = 0; length < stream.size(); ++length) {
@@ -502,7 +589,8 @@ TEST_P(WireAdversaryTest, FramedSingleBitFlipsNeverCrashOrSmuggleABatch) {
   // pristine payload.
   const ValidPayloads payloads = MakePayloads(GetParam());
   for (const std::string* payload :
-       {&payloads.registrations_v2, &payloads.reports_v2}) {
+       {&payloads.registrations_v2, &payloads.reports_v2,
+        &payloads.reports_packed}) {
     std::string stream;
     ASSERT_TRUE(net::AppendFrame(*payload, &stream).ok());
     for (size_t byte = 0; byte < stream.size(); ++byte) {

@@ -176,7 +176,14 @@ TEST_P(LoopbackTest, LargeBatchSurvivesShortReadsAndPartialWrites) {
                         .Call(core::EncodeRegistrationBatch(Registrations(n)))
                         .ValueOrDie();
   ASSERT_EQ(reg.verdict, Verdict::kAck);
-  const std::string bytes = EncodeReports(n, 3);
+  // Ticks 3 and 4 alternate client by client: a batch of mixed times
+  // ships as kind 7, about two bytes per report.
+  core::ReportBatch reports = Reports(n, 3);
+  for (size_t u = 1; u < reports.size(); u += 2) {
+    reports[u].time = 4;
+  }
+  const std::string bytes =
+      core::EncodeReportBatch(reports, core::WireVersion::kV2).ValueOrDie();
   ASSERT_GT(bytes.size(), 1u << 17);
   const Reply reply = client.Call(bytes).ValueOrDie();
   EXPECT_EQ(reply.verdict, Verdict::kAck);
