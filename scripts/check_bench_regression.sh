@@ -10,9 +10,11 @@
 #
 # It also holds a ceiling on the line's wire bytes per report (wire_bytes /
 # reports, registrations included): lower is better, and the figure is
-# deterministic for a shape and seed, so a run fails if it rose more than
-# FR_BENCH_TOLERANCE above the baseline's wire_bytes_per_report — e.g.
-# when fleet batches silently fall back from packed kind 10 to kind 7.
+# deterministic for a shape and seed, so a run fails if it rose above the
+# baseline's wire_bytes_per_report by more than the rounding of its four
+# decimals — e.g. when fleet batches silently fall back from packed kind 10
+# to kind 7. FR_BENCH_TOLERANCE, a slack for timing noise, does not apply
+# to it.
 #
 # Usage:
 #   scripts/check_bench_regression.sh <bench_json> [baseline_json]
@@ -25,7 +27,7 @@
 # ceiling is written as measured.
 #
 # Environment:
-#   FR_BENCH_TOLERANCE  fractional slack below each floor (default 0.10)
+#   FR_BENCH_TOLERANCE  fractional slack below each stage floor (default 0.10)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -63,11 +65,20 @@ field() {
   printf '%s\n' "$value"
 }
 
-# Wire bytes per report of a throughput line, to four decimals.
-wire_per_report() {
-  awk -v b="$(field "$1" wire_bytes)" -v r="$(field "$1" reports)" \
-    'BEGIN { printf "%.4f", (r > 0 ? b / r : 0) }'
-}
+# The wire figure is written to four decimals; a run may exceed the
+# ceiling by no more than that rounding.
+WIRE_EPSILON="0.0001"
+
+# Wire bytes per report of the throughput line (wire_bytes / reports), to
+# four decimals. Plain assignments, so a missing field exits 2 (set -e).
+wire_bytes="$(field "$line" wire_bytes)"
+wire_reports="$(field "$line" reports)"
+if ! awk -v r="$wire_reports" 'BEGIN { exit !(r + 0 > 0) }'; then
+  echo "check_bench_regression: throughput line has no reports" >&2
+  exit 2
+fi
+wire_current="$(awk -v b="$wire_bytes" -v r="$wire_reports" \
+  'BEGIN { printf "%.4f", b / r }')"
 
 if [[ "$update" == 1 ]]; then
   mkdir -p "$(dirname "$baseline_json")"
@@ -80,7 +91,7 @@ if [[ "$update" == 1 ]]; then
       printf '%s"%s":%s' "$sep" "$stage" "$floor"
       sep=","
     done
-    printf ',"wire_bytes_per_report":%s' "$(wire_per_report "$line")"
+    printf ',"wire_bytes_per_report":%s' "$wire_current"
     printf '}\n'
   } > "$baseline_json"
   echo "check_bench_regression: baseline updated at $baseline_json (50% of measured rates)"
@@ -109,22 +120,26 @@ for stage in $STAGES; do
   fi
 done
 
+wire_ceiling="$(field "$baseline_line" wire_bytes_per_report)"
+wire_fail=0
+if awk -v c="$wire_current" -v f="$wire_ceiling" -v e="$WIRE_EPSILON" \
+    'BEGIN { exit !(c + 0 <= f + e) }'; then
+  echo "  OK   wire_bytes_per_report: $wire_current (ceiling $wire_ceiling)"
+else
+  echo "  FAIL wire_bytes_per_report: $wire_current > $wire_ceiling + $WIRE_EPSILON"
+  wire_fail=1
+fi
+
 if [[ "$fail" != 0 ]]; then
   echo "check_bench_regression: per-stage throughput regressed below the baseline" >&2
+fi
+if [[ "$wire_fail" != 0 ]]; then
+  echo "check_bench_regression: wire bytes per report rose above the baseline" >&2
+fi
+if [[ "$fail" != 0 || "$wire_fail" != 0 ]]; then
   exit 1
 fi
 echo "check_bench_regression: all stages within tolerance"
-
-wire_current="$(wire_per_report "$line")"
-wire_ceiling="$(field "$baseline_line" wire_bytes_per_report)"
-if awk -v c="$wire_current" -v f="$wire_ceiling" -v t="$TOLERANCE" \
-    'BEGIN { exit !(c + 0 <= f * (1 + t)) }'; then
-  echo "  OK   wire_bytes_per_report: $wire_current (ceiling $wire_ceiling)"
-else
-  echo "  FAIL wire_bytes_per_report: $wire_current > $wire_ceiling * (1 + $TOLERANCE)"
-  echo "check_bench_regression: wire bytes per report rose above the baseline" >&2
-  exit 1
-fi
 
 # Shootout cost ceilings: the cross-protocol bench reports per-report costs
 # (lower is better), so its baseline holds CEILINGS rather than floors. The

@@ -258,11 +258,14 @@ class HashingReader {
     return reader;
   }
 
-  // Reads a varint, hashing its bytes. Same rules as GetVarint64.
+  // Reads a varint, hashing its bytes. Same rules as GetVarint64. The
+  // one-byte case is marked likely: unmarked, GCC laid the inlined
+  // multi-byte path in line and sent the common case through a taken
+  // jump (kind-7 decode about 10% slower).
   [[gnu::always_inline]] Result<uint64_t> Varint() {
     if (FR_PREDICT_TRUE(next_ != end_)) {
       const auto byte = static_cast<uint8_t>(*next_);
-      if (byte < 0x80) {
+      if (FR_PREDICT_TRUE(byte < 0x80)) {
         ++next_;
         hash_ = Fnv1a64Step(hash_, byte);
         return uint64_t{byte};
@@ -287,6 +290,19 @@ class HashingReader {
   // Bytes left between the reader and the trailer.
   size_t remaining() const { return static_cast<size_t>(end_ - next_); }
 
+  // Those bytes, not taken.
+  std::string_view rest() const { return {next_, remaining()}; }
+
+  // The hash of every byte taken so far.
+  uint64_t hash() const { return hash_; }
+
+  // Takes the next `count` bytes (at most remaining()), which the caller
+  // folded into `hash`, starting from hash(), in its own loop.
+  void TakeHashed(size_t count, uint64_t hash) {
+    next_ += count;
+    hash_ = hash;
+  }
+
   // The batch's verdict once parsing stopped with `parsed`. A trailer
   // mismatch is kDataLoss and wins over every parse error; after a parse
   // error the hash is taken afresh over everything the trailer covers,
@@ -295,28 +311,35 @@ class HashingReader {
     if (FR_PREDICT_TRUE(parsed.ok() && next_ == end_ && hash_ == stored_)) {
       return parsed;
     }
-    return FailedVerdict(std::move(parsed), next_ == end_, hash_, covered_,
-                         stored_);
+    return FailedVerdict(
+        std::move(parsed), next_ == end_, hash_,
+        std::string_view(covered_.data(), covered_.size() + kTrailerBytes));
   }
 
  private:
   HashingReader() = default;
 
-  // Verdict past its fast path. Static and given values, so that no call
-  // the compiler leaves out of line takes a reader's address: a reader
-  // whose address escapes lives in memory, and the decode loop's hash
-  // chain then runs through a store and a load per byte. For the same
-  // reason the methods the record loops call, and ParseReports itself,
-  // are always inlined.
+  // Verdict past its fast path, given the whole batch with its trailer.
+  // Static and given values, so that no call the compiler leaves out of
+  // line takes a reader's address: a reader whose address escapes lives in
+  // memory, and the decode loop's hash chain then runs through a store and
+  // a load per byte. For the same reason the methods the record loops
+  // call, and ParseReports itself, are always inlined. The trailer is
+  // re-read from `bytes` rather than passed, which keeps the call to six
+  // register arguments: with a seventh on the stack, DecodeReportBatch
+  // kept a frame pointer, one register fewer for the kind-7 loop.
   static Status FailedVerdict(Status parsed, bool at_end, uint64_t hash,
-                              std::string_view covered, uint64_t stored) {
+                              std::string_view bytes) {
+    const std::string_view covered =
+        bytes.substr(0, bytes.size() - kTrailerBytes);
+    std::string_view trailer = bytes.substr(covered.size());
     if (parsed.ok() && !at_end) {
       parsed = Status::InvalidArgument("trailing bytes after batch");
     }
     if (!parsed.ok()) {
       hash = wire_internal::Fnv1a64(covered);
     }
-    if (hash != stored) {
+    if (hash != wire_internal::GetFixed64(&trailer).ValueOrDie()) {
       return Status::DataLoss("checksum mismatch: corrupted blob");
     }
     return parsed;
@@ -428,6 +451,14 @@ void StoreBits(uint64_t word, size_t at, std::span<char> bits) {
   }
 }
 
+// Folds the low `bytes` bytes of `word`, lowest first, into `hash`.
+uint64_t Fnv1a64Word(uint64_t hash, uint64_t word, size_t bytes) {
+  for (size_t i = 0; i < bytes; ++i) {
+    hash = Fnv1a64Step(hash, static_cast<uint8_t>(word >> (8 * i)));
+  }
+  return hash;
+}
+
 Status PopcountMismatch() {
   return Status::InvalidArgument("packed bitmap popcount differs from count");
 }
@@ -454,15 +485,22 @@ Status ParsePackedReports(HashingReader* reader,
                  static_cast<uint64_t>(first_id)) {
     return Status::InvalidArgument("packed id span overflows int64");
   }
+  // A bitmap of span + 1 bits holds at most span + 1 reports (written so
+  // that span = 2^64 - 1 does not wrap).
+  if (count - 1 > span) {
+    return Status::InvalidArgument("packed count exceeds the id span");
+  }
   const uint64_t presence_bytes = span / 8 + 1;
   const uint64_t sign_bytes = BitmapBytes(count);
   if (presence_bytes > reader->remaining() ||
       sign_bytes > reader->remaining() - presence_bytes) {
     return Status::InvalidArgument("packed bitmaps run past the batch");
   }
-  const std::string_view presence =
-      reader->Take(static_cast<size_t>(presence_bytes));
-  const std::string_view signs = reader->Take(static_cast<size_t>(sign_bytes));
+  const char* const bitmaps = reader->rest().data();
+  const std::string_view presence(bitmaps,
+                                  static_cast<size_t>(presence_bytes));
+  const std::string_view signs(bitmaps + presence.size(),
+                               static_cast<size_t>(sign_bytes));
   const auto bit = [](std::string_view bits, uint64_t index) {
     return (static_cast<uint8_t>(bits[index / 8]) >> (index % 8)) & 1;
   };
@@ -476,14 +514,22 @@ Status ParsePackedReports(HashingReader* reader,
   if (static_cast<uint8_t>(signs.back()) >> ((count - 1) % 8) > 1) {
     return Status::InvalidArgument("packed sign bits have padding bits set");
   }
-  // count fits the sign bytes, so this allocation follows the input. The
-  // walk below stops at the count-th set bit; a bitmap with more or fewer
-  // is rejected.
+  // count fits the sign bytes and the span, and the span fits the presence
+  // bytes, so this allocation follows the input: at most eight records per
+  // presence byte. The walk below stops at the count-th set bit; a bitmap
+  // with more or fewer is rejected. It folds each presence word into the
+  // hash as it loads it, so the byte-serial hash runs beside the expansion
+  // instead of in a pass before it; the hash and the cursor stay locals
+  // until the walk ends. Then the sign bits are taken.
   batch->resize(static_cast<size_t>(count));
   uint64_t index = 0;
+  uint64_t hash = reader->hash();
   for (size_t at = 0; at < presence.size(); at += 8) {
-    for (uint64_t word = LoadBits(presence, at); word != 0;
-         word &= word - 1) {
+    uint64_t word = LoadBits(presence, at);
+    hash = FR_PREDICT_TRUE(presence.size() - at >= 8)
+               ? Fnv1a64Word(hash, word, 8)
+               : Fnv1a64Word(hash, word, presence.size() - at);
+    for (; word != 0; word &= word - 1) {
       if (index == count) {
         return PopcountMismatch();
       }
@@ -499,6 +545,8 @@ Status ParsePackedReports(HashingReader* reader,
   if (index != count) {
     return PopcountMismatch();
   }
+  reader->TakeHashed(presence.size(), hash);
+  reader->Take(signs.size());
   return Status::OK();
 }
 
@@ -524,33 +572,22 @@ uint64_t PackedBytes(const ReportMessage& first, const ReportMessage& last,
 }
 
 // Whether `batch` may qualify for kind 10 (at least one record; the first
-// and last share a time and ascend) and is strictly smaller that way than
-// as kind 7. Both forms share the header, the count and the trailer, so
-// only the bytes after the count are compared. Every kind-7 record after
-// the first costs at least two bytes; only a packed form not below that
-// floor needs the exact kind-7 size, which walks the batch.
+// and last share a time and ascend) and packs to fewer bytes than kind 7's
+// floor: every kind-7 record after the first costs at least two bytes.
+// Both forms share the header, the count and the trailer, so only the
+// bytes after the count are compared. Below the floor, kind 10 is strictly
+// smaller than kind 7; a batch whose wide id gaps lift kind 7 above the
+// floor stays kind 7 even where it would pack smaller.
 bool PackedIsSmaller(const std::vector<ReportMessage>& batch) {
   if (batch.empty() || batch.front().time != batch.back().time ||
       batch.front().client_id > batch.back().client_id) {
     return false;
   }
   const ReportMessage& first = batch.front();
-  const uint64_t packed = PackedBytes(first, batch.back(), batch.size());
-  uint64_t varint = VarintBytes(ZigZagEncode(first.client_id)) +
-                    VarintBytes(ZigZagEncode(first.time) << 1) +
-                    2 * (batch.size() - 1);
-  if (packed < varint) {
-    return true;
-  }
-  for (size_t i = 1; i < batch.size(); ++i) {
-    if (batch[i].client_id <= batch[i - 1].client_id) {
-      return false;
-    }
-    varint += VarintBytes(ZigZagEncode(
-                  WrappingSub(batch[i].client_id, batch[i - 1].client_id))) -
-              1;
-  }
-  return packed < varint;
+  const uint64_t floor = VarintBytes(ZigZagEncode(first.client_id)) +
+                         VarintBytes(ZigZagEncode(first.time) << 1) +
+                         2 * (batch.size() - 1);
+  return PackedBytes(first, batch.back(), batch.size()) < floor;
 }
 
 // Writes `batch` as kind 10 into `*out` in one walk, checking as it goes
@@ -560,7 +597,11 @@ bool PackedIsSmaller(const std::vector<ReportMessage>& batch) {
 // bound on the presence bitmap, which every store needs. Both bitmaps fill
 // in ascending bit order, so each builds one word in a register and
 // stores it once complete: a presence word when the next id leaves it, a
-// sign word after each group of 64 records.
+// sign word after each group of 64 records. Each complete presence word
+// is folded into the trailer's hash from the register, so the byte-serial
+// hash runs beside the walk instead of in a pass after it; only the last
+// presence word and the sign bits, an eighth of a byte per report, are
+// hashed after the walk.
 bool EncodePackedReports(const std::vector<ReportMessage>& batch,
                          std::string* out) {
   // Locals, not the vector and the first record: the bitmap stores go
@@ -584,6 +625,7 @@ bool EncodePackedReports(const std::vector<ReportMessage>& batch,
   wire_internal::PutVarint64(ZigZagEncode(first_id), out);
   wire_internal::PutVarint64(span, out);
   const size_t presence_at = out->size();
+  uint64_t hash = wire_internal::Fnv1a64(*out);
   out->resize(presence_at + presence_bytes + sign_bytes);
   const std::span<char> presence(out->data() + presence_at, presence_bytes);
   const std::span<char> signs(presence.data() + presence_bytes, sign_bytes);
@@ -593,6 +635,7 @@ bool EncodePackedReports(const std::vector<ReportMessage>& batch,
   uint64_t next_offset = 0;  // ids ascend: each offset is at least this
   uint64_t word = 0;
   uint64_t word_at = 0;  // the byte the presence word starts at
+  uint64_t hashed = 0;   // presence bytes folded into `hash`
   for (size_t base = 0; base < records.size(); base += 64) {
     const auto group =
         records.subspan(base, std::min<size_t>(64, records.size() - base));
@@ -612,6 +655,11 @@ bool EncodePackedReports(const std::vector<ReportMessage>& batch,
           return false;
         }
         StoreBits(word, static_cast<size_t>(word_at), presence);
+        for (; hashed < word_at; ++hashed) {  // whole words with no report
+          hash = Fnv1a64Step(hash, 0);
+        }
+        hash = Fnv1a64Word(hash, word, 8);
+        hashed = word_at + 8;
         word = 0;
         word_at = offset / 64 * 8;
       }
@@ -624,7 +672,14 @@ bool EncodePackedReports(const std::vector<ReportMessage>& batch,
     return false;
   }
   StoreBits(word, static_cast<size_t>(word_at), presence);
-  wire_internal::AppendChecksum(out);
+  for (; hashed < word_at; ++hashed) {
+    hash = Fnv1a64Step(hash, 0);
+  }
+  hash = Fnv1a64Word(hash, word, static_cast<size_t>(presence_bytes - word_at));
+  for (const char c : signs) {
+    hash = Fnv1a64Step(hash, static_cast<uint8_t>(c));
+  }
+  wire_internal::PutFixed64(hash, out);
   return true;
 }
 
@@ -705,8 +760,10 @@ Result<std::string> EncodeReportBatch(
 }
 
 Result<std::vector<ReportMessage>> DecodeReportBatch(std::string_view bytes) {
-  FR_ASSIGN_OR_RETURN(const char kind, wire_internal::CheckHeader(bytes));
-  if (kind == kKindReportPackedV2) {
+  // Dispatch on the kind byte alone; each path's Open checks the whole
+  // header, so a bad one fails the same way on either.
+  if (bytes.size() >= wire_internal::kHeaderSize &&
+      bytes[wire_internal::kHeaderSize - 1] == kKindReportPackedV2) {
     return DecodePackedReports(bytes);
   }
   FR_ASSIGN_OR_RETURN(HashingReader reader,

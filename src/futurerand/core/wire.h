@@ -10,7 +10,8 @@
 // A report batch whose records share one time and have strictly ascending
 // ids may instead ship packed (kind 10): the time and the id range once,
 // then a presence bitmap over the range and one sign bit per report.
-// EncodeReportBatch picks it only where it is strictly smaller.
+// EncodeReportBatch picks it only where it is smaller than the least kind 7
+// could take (two bytes per record after the first).
 //
 // The trailer (the snapshot convention) lets a receiver *detect* in-flight
 // corruption: every single-bit flip is rejected with StatusCode::kDataLoss
@@ -112,8 +113,10 @@ Result<std::vector<RegistrationMessage>> DecodeRegistrationBatch(
 /// Serializes a report batch. Values must be -1 or +1 and times >= 1
 /// (checked). A batch of at least one record whose records all share one
 /// time and have strictly ascending ids ships as kind 10 (packed) when that
-/// is strictly smaller than kind 7; every other batch, and every tie, ships
-/// as kind 7. The `version` argument is kept for perfbench's call sites.
+/// is smaller than kind 7's floor (its first record plus two bytes per
+/// record after it), so strictly smaller than kind 7; every other batch
+/// ships as kind 7. The `version` argument is kept for perfbench's call
+/// sites.
 Result<std::string> EncodeReportBatch(
     const std::vector<ReportMessage>& batch,
     WireVersion version = WireVersion::kV2);

@@ -2,8 +2,9 @@
 // against a two-pass reference kept here: encode the records, then hash
 // the string; decode by verifying the trailer over the whole batch, then
 // parse. For reports the reference encodes both kinds in full and keeps
-// kind 10 only when the batch qualifies and its bytes are strictly fewer;
-// its kind-10 bitmaps are read and written one bit at a time. The
+// kind 10 only when the batch qualifies and its bytes are fewer than the
+// least kind 7 could take (one byte per delta after the first record); its
+// kind-10 bitmaps are read and written one bit at a time. The
 // one-pass codec must emit the same bytes for every batch and return the
 // same StatusCode and message for every input — bit flips and truncations
 // included, with and without a re-sealed trailer.
@@ -116,11 +117,25 @@ std::string RefEncodePackedReports(const std::vector<ReportMessage>& batch) {
   return out;
 }
 
+// The fewest bytes `batch` (at least one record) can take as kind 7:
+// the first record's varints as written, one byte for each delta after.
+size_t RefVarintFloor(const std::vector<ReportMessage>& batch) {
+  std::string head;
+  PutVarint64(batch.size(), &head);
+  PutVarint64(ZigZagEncode(batch[0].client_id), &head);
+  PutVarint64(ZigZagEncode(batch[0].time) << 1 | 1, &head);
+  return wire_internal::kHeaderSize + head.size() + 2 * (batch.size() - 1) +
+         8;
+}
+
+// Kind 10 when the batch qualifies and packs below kind 7's floor (so
+// strictly smaller than kind 7); kind 7 otherwise.
 Result<std::string> RefEncodeReports(const std::vector<ReportMessage>& batch) {
   FR_ASSIGN_OR_RETURN(std::string varint, RefEncodeVarintReports(batch));
   if (RefPackable(batch)) {
     std::string packed = RefEncodePackedReports(batch);
-    if (packed.size() < varint.size()) {
+    EXPECT_LE(RefVarintFloor(batch), varint.size());
+    if (packed.size() < RefVarintFloor(batch)) {
       return packed;
     }
   }
@@ -181,6 +196,9 @@ Result<std::vector<ReportMessage>> RefDecodePackedReports(
   if (static_cast<__int128>(first_id) + span >
       std::numeric_limits<int64_t>::max()) {
     return Status::InvalidArgument("packed id span overflows int64");
+  }
+  if (static_cast<__int128>(count) > static_cast<__int128>(span) + 1) {
+    return Status::InvalidArgument("packed count exceeds the id span");
   }
   using Wide = unsigned __int128;
   const Wide presence_bytes = (static_cast<Wide>(span) + 1 + 7) / 8;
@@ -477,7 +495,7 @@ TEST(WireCodecDiffTest, SealedForgeriesGetTheReferenceVerdicts) {
 TEST(WireCodecDiffTest, PackedChoiceMatchesTheReferenceAroundBreakEven) {
   // One-tick ascending batches from one record up, with mean id gaps
   // from 1 to 40: small and sparse ones stay kind 7, dense and long ones
-  // pack, and the sizes in between straddle the tie.
+  // pack, and the sizes in between straddle kind 7's floor.
   Rng rng(11);
   int packed = 0;
   int varint = 0;
@@ -599,8 +617,12 @@ TEST(WireCodecDiffTest, SealedPackedForgeriesGetTheReferenceVerdicts) {
       {sealed({1, 1, max_id, 1}, {0x03, 0x00}),
        "packed id span overflows int64"},
       {sealed({1, 1, 0, kMax}, {0x01, 0x00}), "packed id span overflows int64"},
-      {sealed({1, 1, 0, 16}, {0x01, 0x00}), spill},    // span past the bytes
-      {sealed({kMax, 1, 0, 0}, {0x01, 0x00}), spill},  // count past the bytes
+      {sealed({3, 1, 0, 1}, {0x03, 0x00}), "packed count exceeds the id span"},
+      {sealed({kMax, 1, 0, 0}, {0x01, 0x00}),
+       "packed count exceeds the id span"},
+      {sealed({1, 1, 0, 16}, {0x01, 0x00}), spill},  // span past the bytes
+      {sealed({17, 1, 0, 16}, {0xff, 0xff, 0x01, 0x00, 0x00}),
+       spill},  // count past the bytes
       {sealed({2, 1, 0, 1}, {0x03}), spill},           // signs cut off
       {sealed({2, 1, 0, 9}, {0x01, 0x00, 0x00}), edges},  // bit span clear
       {sealed({2, 1, 0, 9}, {0x00, 0x02, 0x00}), edges},  // bit 0 clear

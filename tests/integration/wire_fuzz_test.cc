@@ -519,7 +519,8 @@ TEST(WirePackedForgeryTest, SealedForgeriesAreRejectedWithoutLargeAllocation) {
   // one fails with kInvalidArgument, and no count or span is trusted
   // before it is checked against the bytes that remain.
   auto sealed = [](std::initializer_list<uint64_t> varints,
-                   std::initializer_list<uint8_t> bitmaps) {
+                   std::initializer_list<uint8_t> bitmaps,
+                   size_t zero_bytes = 0) {
     std::string bytes;
     wire_internal::AppendHeader(wire_internal::kKindReportPackedV2, &bytes);
     for (const uint64_t varint : varints) {
@@ -528,8 +529,11 @@ TEST(WirePackedForgeryTest, SealedForgeriesAreRejectedWithoutLargeAllocation) {
     for (const uint8_t byte : bitmaps) {
       bytes.push_back(static_cast<char>(byte));
     }
+    bytes.append(zero_bytes, '\0');
     return Sealed(std::move(bytes));
   };
+  // Enough zero sign bytes for a count of 2^19 reports.
+  constexpr size_t kSignBytes = size_t{1} << 16;
   const std::string forgeries[] = {
       sealed({3, 1, 0, 2}, {0x05, 0x00}),            // popcount 2, count 3
       sealed({1, 1, 0, 2}, {0x05, 0x00}),            // popcount 2, count 1
@@ -540,6 +544,9 @@ TEST(WirePackedForgeryTest, SealedForgeriesAreRejectedWithoutLargeAllocation) {
       sealed({1, 1, 0, uint64_t{1} << 40}, {0x01, 0x01}),  // span > bytes
       sealed({uint64_t{1} << 40, 1, 0, 0}, {0x01, 0x01}),  // count > bytes
       sealed({1'000'000, 1, 0, 999'999}, {0xff, 0xff, 0xff, 0xff}),
+      // One presence bit and sign bytes for 2^19 reports: the sign bytes
+      // cover the count, but a span of 0 holds one report.
+      sealed({8 * kSignBytes, 1, 0, 0}, {0x01}, kSignBytes),
   };
   for (const std::string& forged : forgeries) {
     g_largest_allocation = 0;

@@ -192,6 +192,39 @@ TEST_P(LoopbackTest, LargeBatchSurvivesShortReadsAndPartialWrites) {
   EXPECT_TRUE(server_->Join().ok());
 }
 
+TEST_P(LoopbackTest, LargePackedBatchSurvivesShortReadsAndPartialWrites) {
+  // The same path for a packed batch (kind 10), the form a fleet tick
+  // ships in: one tick of clients at every eighth id, about 1.1 bytes per
+  // report, so well over 128 KB.
+  ServiceConfig config;
+  config.protocol = Protocol();
+  config.num_workers = 1;
+  StartServer(config);
+
+  const int64_t n = 120'000;
+  constexpr int64_t kStride = 8;
+  std::vector<core::RegistrationMessage> registrations;
+  core::ReportBatch reports;
+  for (int64_t u = 0; u < n; ++u) {
+    registrations.push_back({kStride * u, 0});
+    reports.push_back({kStride * u, 3, u % 3 == 0 ? int8_t{1} : int8_t{-1}});
+  }
+  StreamClient client = Connect();
+  const Reply reg =
+      client.Call(core::EncodeRegistrationBatch(registrations)).ValueOrDie();
+  ASSERT_EQ(reg.verdict, Verdict::kAck);
+  const std::string bytes =
+      core::EncodeReportBatch(reports, core::WireVersion::kV2).ValueOrDie();
+  ASSERT_EQ(core::PeekBatchKind(bytes).ValueOrDie(),
+            core::WireBatchKind::kReportPackedV2);
+  ASSERT_GT(bytes.size(), 1u << 17);
+  const Reply reply = client.Call(bytes).ValueOrDie();
+  EXPECT_EQ(reply.verdict, Verdict::kAck);
+  EXPECT_EQ(reply.applied, n);
+  ASSERT_TRUE(client.SendControl(ControlOp::kShutdown).ok());
+  EXPECT_TRUE(server_->Join().ok());
+}
+
 // The threads of this process, or -1 where /proc/self/task is absent.
 int CountThreads() {
   std::error_code ec;
