@@ -98,6 +98,71 @@ void ShardedAggregator::MarkDirty() {
   snapshot_dirty_ = true;
 }
 
+template <typename Apply>
+Status ShardedAggregator::IngestShards(ThreadPool* pool,
+                                       IngestOutcome* outcome,
+                                       const Apply& apply) {
+  const size_t num_shards = shards_.size();
+  std::vector<Status> shard_status(num_shards);
+  std::vector<IngestOutcome> shard_outcome(num_shards);
+  auto ingest_shard = [&](size_t s) {
+    Shard& shard = shards_[s];
+    const std::lock_guard<std::mutex> lock(*shard.mutex);
+    const int64_t dropped_before = shard.server.duplicates_dropped();
+    const int64_t stale_before = shard.server.out_of_window_dropped();
+    int64_t accepted = 0;
+    {
+      Status status = apply(s, shard.server, &accepted);
+      if (!status.ok()) {
+        shard_status[s] = std::move(status);
+      }
+    }
+    // Dirty for the next delta checkpoint iff anything stuck: every
+    // accepted record either mutated server state or moved a drop
+    // counter (which snapshots serialize). Rejected records mutate
+    // nothing (Server validates before mutating), so an all-rejected
+    // batch must not force this shard into every subsequent delta.
+    if (accepted > 0) {
+      ++shard.version;
+    }
+    // An accepted record either mutated state or was absorbed (as a
+    // retransmission or behind the eviction watermark); the shard's drop
+    // counters tell the cases apart.
+    const int64_t deduped =
+        shard.server.duplicates_dropped() - dropped_before;
+    const int64_t out_of_window =
+        shard.server.out_of_window_dropped() - stale_before;
+    shard_outcome[s] =
+        IngestOutcome{accepted - deduped - out_of_window, deduped,
+                      out_of_window};
+  };
+  if (pool != nullptr && num_shards > 1) {
+    pool->ParallelFor(static_cast<int64_t>(num_shards),
+                      [&](int64_t begin, int64_t end) {
+                        for (int64_t s = begin; s < end; ++s) {
+                          ingest_shard(static_cast<size_t>(s));
+                        }
+                      });
+  } else {
+    for (size_t s = 0; s < num_shards; ++s) {
+      ingest_shard(s);
+    }
+  }
+  if (outcome != nullptr) {
+    for (const IngestOutcome& shard : shard_outcome) {
+      outcome->applied += shard.applied;
+      outcome->deduped += shard.deduped;
+      outcome->out_of_window += shard.out_of_window;
+    }
+  }
+  // Dirty even on error: a prefix of the batch may have been applied.
+  MarkDirty();
+  for (const Status& status : shard_status) {
+    FR_RETURN_NOT_OK(status);
+  }
+  return Status::OK();
+}
+
 template <typename Message, typename Apply>
 Status ShardedAggregator::IngestBatch(std::span<const Message> batch,
                                       ThreadPool* pool,
@@ -138,70 +203,17 @@ Status ShardedAggregator::IngestBatch(std::span<const Message> batch,
       index_by_shard[cursor[shard_of[i]]++] = i;
     }
   }
-  std::vector<Status> shard_status(num_shards);
-  std::vector<IngestOutcome> shard_outcome(num_shards);
-  auto ingest_shard = [&](size_t s) {
-    const size_t count = offsets[s + 1] - offsets[s];
-    if (count == 0) {
-      return;
-    }
-    const size_t* indices =
-        num_shards == 1 ? nullptr : index_by_shard.data() + offsets[s];
-    Shard& shard = shards_[s];
-    const std::lock_guard<std::mutex> lock(*shard.mutex);
-    const int64_t dropped_before = shard.server.duplicates_dropped();
-    const int64_t stale_before = shard.server.out_of_window_dropped();
-    int64_t accepted = 0;
-    {
-      Status status = apply(shard.server, indices, count, &accepted);
-      if (!status.ok()) {
-        shard_status[s] = std::move(status);
-      }
-    }
-    // Dirty for the next delta checkpoint iff anything stuck: every
-    // accepted record either mutated server state or moved a drop
-    // counter (which snapshots serialize). Rejected records mutate
-    // nothing (Server validates before mutating), so an all-rejected
-    // batch must not force this shard into every subsequent delta.
-    if (accepted > 0) {
-      ++shard.version;
-    }
-    // An accepted record either mutated state or was absorbed (as a
-    // retransmission or behind the eviction watermark); the shard's drop
-    // counters tell the cases apart.
-    const int64_t deduped =
-        shard.server.duplicates_dropped() - dropped_before;
-    const int64_t out_of_window =
-        shard.server.out_of_window_dropped() - stale_before;
-    shard_outcome[s] =
-        IngestOutcome{accepted - deduped - out_of_window, deduped,
-                      out_of_window};
-  };
-  if (pool != nullptr && shards_.size() > 1) {
-    pool->ParallelFor(static_cast<int64_t>(shards_.size()),
-                      [&](int64_t begin, int64_t end) {
-                        for (int64_t s = begin; s < end; ++s) {
-                          ingest_shard(static_cast<size_t>(s));
-                        }
-                      });
-  } else {
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      ingest_shard(s);
-    }
-  }
-  if (outcome != nullptr) {
-    for (const IngestOutcome& shard : shard_outcome) {
-      outcome->applied += shard.applied;
-      outcome->deduped += shard.deduped;
-      outcome->out_of_window += shard.out_of_window;
-    }
-  }
-  // Dirty even on error: a prefix of the batch may have been applied.
-  MarkDirty();
-  for (const Status& status : shard_status) {
-    FR_RETURN_NOT_OK(status);
-  }
-  return Status::OK();
+  return IngestShards(
+      pool, outcome,
+      [&](size_t s, Server& server, int64_t* accepted) {
+        const size_t count = offsets[s + 1] - offsets[s];
+        if (count == 0) {
+          return Status::OK();
+        }
+        const size_t* indices =
+            num_shards == 1 ? nullptr : index_by_shard.data() + offsets[s];
+        return apply(server, indices, count, accepted);
+      });
 }
 
 Status ShardedAggregator::IngestRegistrations(
@@ -255,11 +267,22 @@ Status ShardedAggregator::IngestEncoded(std::string_view bytes,
                           DecodeRegistrationBatch(bytes));
       return IngestRegistrations(batch, pool, outcome);
     }
-    case WireBatchKind::kReportV2:
-    case WireBatchKind::kReportPackedV2: {
+    case WireBatchKind::kReportV2: {
       FR_ASSIGN_OR_RETURN(std::vector<ReportMessage> batch,
                           DecodeReportBatch(bytes));
       return IngestReports(batch, pool, outcome);
+    }
+    case WireBatchKind::kReportPackedV2: {
+      // Applied in place from the verified bitmaps: every shard walks the
+      // same view and keeps its own ids, so no record is expanded.
+      FR_ASSIGN_OR_RETURN(const PackedReports packed,
+                          OpenPackedReports(bytes));
+      return IngestShards(pool, outcome,
+                          [&](size_t s, Server& server, int64_t* accepted) {
+                            return server.SubmitPacked(
+                                packed, static_cast<int>(s), num_shards(),
+                                accepted);
+                          });
     }
     case WireBatchKind::kServerState:
     case WireBatchKind::kServerStateSketch:

@@ -133,12 +133,16 @@ class ShardedAggregator {
 
   /// Ingests raw wire bytes — a registration or report batch, detected
   /// from the header — with exactly one decode and no caller-side
-  /// fan-out. Snapshot and delta blobs are rejected: restoring state is
-  /// Restore's job, not an ingestion side effect.
+  /// fan-out. A packed report batch (kind 10) is not expanded at all:
+  /// every shard applies its own ids straight from the verified bitmaps
+  /// (Server::SubmitPacked), with the same verdicts, outcome and state as
+  /// IngestReports over the decoded batch. Snapshot and delta blobs are
+  /// rejected: restoring state is Restore's job, not an ingestion side
+  /// effect.
   ///
   /// Corruption verdict (the NACK a sender keys retransmission off): a
   /// batch garbled in flight fails with StatusCode::kDataLoss (the FNV-1a
-  /// trailer is verified before any record is decoded, so nothing is
+  /// trailer is verified before any record is read, so nothing is
   /// applied).
   Status IngestEncoded(std::string_view bytes, ThreadPool* pool = nullptr,
                        IngestOutcome* outcome = nullptr);
@@ -249,6 +253,16 @@ class ShardedAggregator {
   Status RestoreFull(std::string_view bytes);
   Status RestoreDelta(std::string_view bytes);
 
+  // Runs apply(s, server, &accepted) on every shard under its mutex (in
+  // parallel with a pool), then does the shared bookkeeping: the shard's
+  // version, the summed `*outcome`, the snapshot's dirty flag, and the
+  // first error in shard order. `*outcome` must be zeroed by the caller.
+  template <typename Apply>
+  Status IngestShards(ThreadPool* pool, IngestOutcome* outcome,
+                      const Apply& apply);
+
+  // Routes a decoded batch's records to their shards and applies each
+  // shard's slice through IngestShards.
   template <typename Message, typename Apply>
   Status IngestBatch(std::span<const Message> batch, ThreadPool* pool,
                      IngestOutcome* outcome, const Apply& apply);

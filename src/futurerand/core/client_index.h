@@ -111,6 +111,15 @@ class ClientIndex {
   /// form a progression).
   bool ascending() const { return ascending_; }
 
+  /// True while the ids form an ascending arithmetic progression: slot s
+  /// then holds first_id() + stride() * s, and nothing else is stored.
+  bool progression() const { return progression_; }
+
+  /// The progression's first id and step (meaningful while progression()
+  /// holds and the index is not empty).
+  int64_t first_id() const { return first_id_; }
+  uint64_t stride() const { return stride_; }
+
   /// Makes room for `n` ids in total. Allocates only once the index has
   /// left the progression; until then the request is remembered, so a
   /// later materialization is sized for it.

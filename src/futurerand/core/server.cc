@@ -1,5 +1,6 @@
 #include "futurerand/core/server.h"
 
+#include <array>
 #include <bit>
 #include <cmath>
 #include <utility>
@@ -496,6 +497,179 @@ Status Server::IngestRecords(std::span<const ReportMessage> batch,
     ++done;
   }
   flush();
+  if (accepted != nullptr) {
+    *accepted = done;
+  }
+  return rejection == ReportCheck::kApply ? Status::OK()
+                                          : RejectionStatus(rejection);
+}
+
+namespace {
+
+// x mod m in [0, m), for any int64 x and m >= 1.
+uint64_t FloorMod(int64_t x, uint64_t m) {
+  if (x >= 0) {
+    return static_cast<uint64_t>(x) % m;
+  }
+  // -(x + 1) is representable for every negative x.
+  return m - 1 - static_cast<uint64_t>(-(x + 1)) % m;
+}
+
+// The ids congruent to `residue` modulo `period`, as bit masks over the
+// 64-id words of a packed batch: bit j of word w stands for client
+// first_id + 64 w + j. Bit j is set iff j is congruent to the word's phase
+// (residue - first_id - 64 w) mod period, so each mask is the bits at
+// multiples of the period moved up by the phase, and the phase steps down
+// by 64 mod period from word to word.
+class ResidueMasks {
+ public:
+  ResidueMasks(int64_t first_id, int64_t residue, uint64_t period)
+      : period_(period), step_(64 % period) {
+    // A period of 64 or more leaves one multiple per word (and j + period
+    // could wrap).
+    multiples_ = 1;
+    for (uint64_t j = period; period < 64 && j < 64; j += period) {
+      multiples_ |= uint64_t{1} << j;
+    }
+    const uint64_t want = FloorMod(residue, period);
+    const uint64_t have = FloorMod(first_id, period);
+    phase_ = want >= have ? want - have : want + (period - have);
+  }
+
+  // The current word's mask; moves on to the next word.
+  uint64_t Next() {
+    const uint64_t mask = phase_ < 64 ? multiples_ << phase_ : 0;
+    phase_ = phase_ >= step_ ? phase_ - step_ : phase_ + (period_ - step_);
+    return mask;
+  }
+
+ private:
+  uint64_t period_;
+  uint64_t step_;
+  uint64_t multiples_ = 0;
+  uint64_t phase_ = 0;
+};
+
+}  // namespace
+
+Status Server::SubmitPacked(const PackedReports& batch, int shard,
+                            int num_shards, int64_t* accepted) {
+  FR_CHECK(num_shards >= 1 && shard >= 0 && shard < num_shards);
+  const int64_t time = batch.time;
+  // A level-h client is due at t iff 2^h divides t, i.e. h <= ctz(t).
+  const int due = std::countr_zero(static_cast<uint64_t>(time));
+  ResidueMasks shard_ids(batch.first_id, shard,
+                         static_cast<uint64_t>(num_shards));
+  // Run-wise only under kStrict over a progression and for a time in
+  // range; otherwise every record takes the per-record path, which also
+  // decides the order of the verdicts when a time is out of range.
+  const bool run_wise = dedup_policy_ == DedupPolicy::kStrict &&
+                        clients_.progression() && clients_.size() > 0 &&
+                        time <= num_periods_;
+  // While the index is a progression, the registered ids are its residue
+  // class between its first and last id, and a slot is arithmetic.
+  const int64_t index_first = clients_.first_id();
+  const uint64_t stride = clients_.stride();
+  ResidueMasks progression_ids(batch.first_id, index_first, stride);
+  const int64_t index_last =
+      run_wise ? clients_.IdAt(static_cast<int32_t>(clients_.size() - 1))
+               : 0;
+  const bool stride_pow2 = std::has_single_bit(stride);
+  const int stride_shift = std::countr_zero(stride);
+  const auto slot_of = [&](int64_t id) {
+    const uint64_t offset =
+        static_cast<uint64_t>(id) - static_cast<uint64_t>(index_first);
+    return static_cast<size_t>(stride_pow2 ? offset >> stride_shift
+                                           : offset / stride);
+  };
+  const int8_t* const levels = client_levels_.data();
+  int64_t* const watermarks = watermarks_.data();
+
+  // One sum per order, flushed once at the end as SubmitReports flushes a
+  // same-time run; d is an int64 power of two, so there are at most 63.
+  std::array<int64_t, 64> level_sums{};
+  int64_t done = 0;
+  ReportCheck rejection = ReportCheck::kApply;
+  uint64_t ordinal = 0;  // sign index of the word's first report
+  for (size_t w = 0; w < batch.presence_words(); ++w) {
+    const uint64_t present = batch.PresenceWord(w);
+    const uint64_t mine = present & shard_ids.Next();
+    const uint64_t registered = progression_ids.Next();
+    if (mine != 0) {
+      const uint64_t signs = batch.SignBits(ordinal);
+      const int64_t base_id = wire_internal::WrappingAdd(
+          batch.first_id, static_cast<int64_t>(64 * w));
+      // The rank of a word's report among the word's reports is its sign's
+      // index from `ordinal`: the popcount of the presence bits below it,
+      // or, in a word this shard keeps whole, the reports counted off.
+      const auto counted_rank = [](uint64_t /*bits*/, uint64_t counted) {
+        return counted;
+      };
+      const auto popcount_rank = [present](uint64_t bits, uint64_t) {
+        return static_cast<uint64_t>(
+            wire_internal::PopCount64(present & ((bits & (~bits + 1)) - 1)));
+      };
+      // Check the whole word before recording any of it: every report
+      // registered (in the progression's residue class and between its
+      // ends), aligned to its client's level and later than its client's
+      // last report.
+      bool passes =
+          run_wise && (mine & ~registered) == 0 &&
+          base_id + std::countr_zero(mine) >= index_first &&
+          base_id + (63 - std::countl_zero(mine)) <= index_last;
+      for (uint64_t bits = mine; passes && bits != 0; bits &= bits - 1) {
+        const size_t slot = slot_of(base_id + std::countr_zero(bits));
+        passes = levels[slot] <= due && watermarks[slot] < time;
+      }
+      // Every report in the word lands: record the times and add the signs
+      // as 2 * bit - 1, which compiles without a branch (bit ? 1 : -1 did
+      // not).
+      const auto apply_word = [&](const auto& rank) {
+        uint64_t counted = 0;
+        for (uint64_t bits = mine; bits != 0; bits &= bits - 1, ++counted) {
+          const size_t slot = slot_of(base_id + std::countr_zero(bits));
+          watermarks[slot] = time;
+          const auto sign =
+              static_cast<int64_t>((signs >> rank(bits, counted)) & 1);
+          level_sums[static_cast<size_t>(levels[slot])] += 2 * sign - 1;
+        }
+        done += static_cast<int64_t>(counted);
+      };
+      if (passes && mine == present) {
+        apply_word(counted_rank);
+      } else if (passes) {
+        apply_word(popcount_rank);
+      } else {
+        // SubmitReport's path, record by record: every word of a batch
+        // that is not run-wise, and a failing word from its first report
+        // on. The word checks what this path checks, so the path rejects
+        // at the report that failed, and the batch ends there.
+        for (uint64_t bits = mine; bits != 0; bits &= bits - 1) {
+          const auto value = static_cast<int8_t>(
+              2 * ((signs >> popcount_rank(bits, 0)) & 1) - 1);
+          int level = 0;
+          const ReportCheck check = CheckAndRecordReport(
+              base_id + std::countr_zero(bits), time, value, &level);
+          if (check == ReportCheck::kApply) {
+            level_sums[static_cast<size_t>(level)] += value;
+          } else if (check != ReportCheck::kAbsorb) {
+            rejection = check;
+            break;
+          }
+          ++done;
+        }
+        if (rejection != ReportCheck::kApply) {
+          break;
+        }
+      }
+    }
+    ordinal += static_cast<uint64_t>(wire_internal::PopCount64(present));
+  }
+  for (size_t h = 0; h < level_counts_.size(); ++h) {
+    if (level_sums[h] != 0) {
+      sums_->Add(static_cast<int>(h), time >> h, level_sums[h]);
+    }
+  }
   if (accepted != nullptr) {
     *accepted = done;
   }

@@ -226,6 +226,19 @@ class Server {
                        std::span<const size_t> indices,
                        int64_t* accepted = nullptr);
 
+  /// SubmitReports over the reports of a verified packed batch whose ids
+  /// are congruent to `shard` modulo `num_shards` (non-negative residues,
+  /// as ShardedAggregator::ShardIndex routes them), applied straight from
+  /// the bitmaps: the same per-record checks in id order, the same
+  /// `*accepted`, the same first rejection and the same applied prefix as
+  /// SubmitReports over those records. Under kStrict, while the client
+  /// index is a progression, each presence word is checked whole (every
+  /// report registered, aligned to its level and later than its client's
+  /// last one) before any of it is recorded; a word that fails, and
+  /// everything after it, takes the per-record path.
+  Status SubmitPacked(const PackedReports& batch, int shard, int num_shards,
+                      int64_t* accepted = nullptr);
+
   /// The online estimate a_hat[t] (Algorithm 2 line 6), valid as soon as
   /// every report for time <= t has been submitted. Requires 1 <= t <= d.
   Result<double> EstimateAt(int64_t t) const;

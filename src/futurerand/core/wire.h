@@ -44,11 +44,14 @@
 #ifndef FUTURERAND_CORE_WIRE_H_
 #define FUTURERAND_CORE_WIRE_H_
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "futurerand/common/macros.h"
 #include "futurerand/common/result.h"
 
 namespace futurerand::core {
@@ -123,7 +126,40 @@ Result<std::string> EncodeReportBatch(
 
 /// Parses a report batch of either kind (7 or 10); rejects malformed input.
 /// Same atomicity and kDataLoss contract as DecodeRegistrationBatch.
+/// Kind 10 is OpenPackedReports plus one expansion into records.
 Result<std::vector<ReportMessage>> DecodeReportBatch(std::string_view bytes);
+
+/// A verified kind-10 batch, viewed in place: `count` reports at one
+/// `time`, the report at presence bit i carrying client id first_id + i,
+/// and the j-th present report (in id order) carrying sign bit j. Both
+/// bitmaps are little-endian (bit i is bit i % 8 of byte i / 8) and point
+/// into the bytes OpenPackedReports was given, so the view lives no
+/// longer than they do.
+struct PackedReports {
+  int64_t time = 0;      // >= 1
+  int64_t first_id = 0;  // first_id + span (the last present id) fits
+  int64_t count = 0;     // >= 1, the presence bitmap's popcount
+  std::string_view presence;  // span + 1 bits: first and last bit set
+  std::string_view signs;     // count bits: 1 is +1, 0 is -1
+
+  /// 64-bit words of the presence bitmap.
+  size_t presence_words() const { return (presence.size() + 7) / 8; }
+
+  /// Presence bits 64 * w .. 64 * w + 63 (w < presence_words()); bits past
+  /// the bitmap read as zero.
+  uint64_t PresenceWord(size_t w) const;
+
+  /// Sign bits `index` .. index + 63; bits past the bitmap read as zero.
+  uint64_t SignBits(uint64_t index) const;
+};
+
+/// Opens a kind-10 batch without expanding it: runs every check the
+/// decoder runs, in the same order and with the same verdicts (the FNV-1a
+/// trailer is verified over the whole batch before anything is returned,
+/// and a mismatch wins with kDataLoss), and returns the verified view.
+/// The one parser of kind 10; ShardedAggregator::IngestEncoded applies the
+/// view straight from its bitmaps (Server::SubmitPacked).
+Result<PackedReports> OpenPackedReports(std::string_view bytes);
 
 namespace wire_internal {
 
@@ -229,6 +265,32 @@ inline int64_t WrappingAdd(int64_t a, int64_t b) {
                               static_cast<uint64_t>(b));
 }
 
+/// The 64 bits of a little-endian bitmap from byte `at` on (at <
+/// bits.size()); bits past its end read as zero. Whole words take the
+/// fixed-size copy, which compiles to one load; only the last, short one
+/// calls memcpy.
+inline uint64_t LoadBits(std::string_view bits, size_t at) {
+  uint64_t word = 0;
+  if (FR_PREDICT_TRUE(bits.size() - at >= 8)) {
+    std::memcpy(&word, bits.data() + at, 8);
+  } else {
+    std::memcpy(&word, bits.data() + at, bits.size() - at);
+  }
+  if constexpr (std::endian::native == std::endian::big) {
+    word = __builtin_bswap64(word);
+  }
+  return word;
+}
+
+/// The number of set bits. Written out because the build targets the
+/// baseline ISA, where std::popcount is a libgcc call.
+inline int PopCount64(uint64_t word) {
+  word -= (word >> 1) & 0x5555555555555555ULL;
+  word = (word & 0x3333333333333333ULL) + ((word >> 2) & 0x3333333333333333ULL);
+  word = (word + (word >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+  return static_cast<int>((word * 0x0101010101010101ULL) >> 56);
+}
+
 /// FNV-1a 64-bit hash, the integrity checksum of the snapshot blobs and
 /// the transport batches.
 uint64_t Fnv1a64(std::string_view bytes);
@@ -245,6 +307,24 @@ void AppendChecksum(std::string* out);
 Status ConsumeChecksum(std::string_view* bytes);
 
 }  // namespace wire_internal
+
+inline uint64_t PackedReports::PresenceWord(size_t w) const {
+  return wire_internal::LoadBits(presence, 8 * w);
+}
+
+inline uint64_t PackedReports::SignBits(uint64_t index) const {
+  const auto at = static_cast<size_t>(index / 8);
+  const auto shift = static_cast<unsigned>(index % 8);
+  if (at >= signs.size()) {
+    return 0;
+  }
+  uint64_t bits = wire_internal::LoadBits(signs, at) >> shift;
+  if (shift != 0 && at + 8 < signs.size()) {
+    bits |= wire_internal::LoadBits(signs, at + 8) << (64 - shift);
+  }
+  return bits;
+}
+
 }  // namespace futurerand::core
 
 #endif  // FUTURERAND_CORE_WIRE_H_

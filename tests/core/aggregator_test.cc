@@ -1,11 +1,14 @@
 // ShardedAggregator equivalence: for 1, 2 and 7 shards, pooled and
 // single-threaded, batch ingestion (decoded or raw wire bytes) must produce
 // bit-identical estimates to the per-report Client/Server path. Also covers
-// the lazy snapshot (queries after later ingests see the new data) and the
-// façade's validation behavior.
+// the lazy snapshot (queries after later ingests see the new data), the
+// façade's validation behavior, and the in-place ingest of packed batches
+// against the decoded route.
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <span>
 #include <string>
@@ -589,6 +592,232 @@ TEST(AggregatorMemoryTest, SmallBatchesGrowGeometricallyAndRetriesGrowNothing) {
       aggregator.IngestRegistrations(registrations, nullptr, &outcome).ok());
   EXPECT_EQ(outcome.deduped, kClients);
   EXPECT_EQ(aggregator.ApproxMemoryBytes() - empty, grown);
+}
+
+// ---------------------------------------------------------------------------
+// Packed ingest. IngestEncoded applies a kind-10 batch straight from its
+// bitmaps (Server::SubmitPacked, run-wise under kStrict while a shard's
+// index is a progression); IngestReports over DecodeReportBatch of the same
+// bytes is the reference route. On seeded batches with unregistered ids,
+// misaligned levels and stale or repeated times in the middle of a
+// presence word, and retransmissions under kIdempotent, both routes must
+// give the same Status, the same IngestOutcome and byte-identical full
+// checkpoints.
+
+constexpr int64_t kPackedPeriods = 64;
+constexpr int64_t kPackedClients = 300;
+
+// How the population's ids are laid out.
+enum class Population {
+  kContiguous,  // consecutive ids in order: each shard's index is a
+                // progression with the shard count as its stride
+  kStrided,     // every other id in order: a progression with stride 2
+                // times the shard count, which batches fill with odd ids
+  kScattered,   // gaps, registered out of order: no progression at all
+};
+
+struct PackedCase {
+  DedupPolicy policy;
+  int64_t window;
+  int shards;
+  Population population;
+  bool pooled;
+};
+
+std::string PackedCaseName(const PackedCase& packed) {
+  return std::string(DedupPolicyToString(packed.policy)) + " window " +
+         std::to_string(packed.window) + ", " +
+         std::to_string(packed.shards) + " shards, " +
+         (packed.population == Population::kContiguous ? "contiguous"
+          : packed.population == Population::kStrided  ? "strided"
+                                                        : "scattered") +
+         (packed.pooled ? ", pooled" : "");
+}
+
+// How often each kind of batch came up, so the test can insist that every
+// kind it means to cover did.
+struct PackedTally {
+  int64_t packed = 0;     // batches that shipped as kind 10
+  int64_t clean = 0;      // accepted whole
+  int64_t prefix = 0;     // rejected after applying a non-empty prefix
+  int64_t rejected = 0;   // rejected with nothing applied
+  int64_t deduped = 0;    // batches with absorbed retransmissions
+};
+
+void RunPackedDifferential(const PackedCase& packed, uint64_t seed,
+                           int64_t base, PackedTally* tally) {
+  SCOPED_TRACE(PackedCaseName(packed) + ", seed " + std::to_string(seed) +
+               ", base " + std::to_string(base));
+  ProtocolConfig config = TestConfig();
+  config.num_periods = kPackedPeriods;
+  const int orders = config.num_orders();
+  auto make = [&] {
+    return ShardedAggregator::ForProtocol(config, packed.shards,
+                                          packed.policy,
+                                          DedupWindowPolicy{packed.window})
+        .ValueOrDie();
+  };
+  ShardedAggregator in_place = make();
+  ShardedAggregator decoded = make();
+  ThreadPool pool(2);
+  ThreadPool* maybe_pool = packed.pooled ? &pool : nullptr;
+  Rng rng(seed);
+
+  // The population: ids among base .. base + kPackedClients - 1, levels
+  // skewed low so most clients are due often. A strided population holds
+  // the even offsets only; a scattered one leaves out every offset
+  // congruent to 5 mod 17 and registers in shuffled order, so no shard's
+  // index is a progression.
+  std::vector<RegistrationMessage> registrations;
+  std::vector<int> level_of(static_cast<size_t>(kPackedClients), -1);
+  for (int64_t i = 0; i < kPackedClients; ++i) {
+    if ((packed.population == Population::kStrided && i % 2 == 1) ||
+        (packed.population == Population::kScattered && i % 17 == 5)) {
+      continue;
+    }
+    const int level = static_cast<int>(
+        std::min(rng.NextInt(3), rng.NextInt(static_cast<uint64_t>(orders))));
+    level_of[static_cast<size_t>(i)] = level;
+    registrations.push_back({base + i, level});
+  }
+  if (packed.population == Population::kScattered) {
+    for (size_t i = registrations.size() - 1; i > 0; --i) {
+      std::swap(registrations[i], registrations[rng.NextInt(i + 1)]);
+    }
+  }
+  ASSERT_TRUE(in_place.IngestRegistrations(registrations).ok());
+  ASSERT_TRUE(decoded.IngestRegistrations(registrations).ok());
+
+  std::vector<std::string> sent;
+  int64_t clock = 0;
+  for (int round = 0; round < 48; ++round) {
+    if (round == 24 && packed.population == Population::kContiguous) {
+      // A late join past a gap: the shard that takes it leaves the
+      // progression for the rest of the run.
+      const std::vector<RegistrationMessage> late = {
+          {base + kPackedClients + 3, 0}};
+      ASSERT_TRUE(in_place.IngestRegistrations(late).ok());
+      ASSERT_TRUE(decoded.IngestRegistrations(late).ok());
+    }
+    std::string bytes;
+    if (!sent.empty() && rng.NextBernoulli(0.15)) {
+      // A retransmission: absorbed under kIdempotent, stale under kStrict.
+      bytes = sent[rng.NextInt(sent.size())];
+    } else {
+      // Mostly the next tick; sometimes an earlier one, which is stale for
+      // the clients that reported since and fresh for the rest.
+      clock = std::min(clock + 1, kPackedPeriods);
+      const int64_t time =
+          rng.NextBernoulli(0.2)
+              ? 1 + static_cast<int64_t>(rng.NextInt(
+                        static_cast<uint64_t>(clock)))
+              : clock;
+      const int due = std::countr_zero(static_cast<uint64_t>(time));
+      const bool misaligned = rng.NextBernoulli(0.1);
+      const bool unregistered = rng.NextBernoulli(0.1);
+      // A window of the id range, reaching a little past both ends.
+      const int64_t lo = static_cast<int64_t>(rng.NextInt(100)) - 8;
+      const int64_t hi = std::min(
+          lo + 100 + static_cast<int64_t>(rng.NextInt(kPackedClients)),
+          kPackedClients + 8);
+      std::vector<ReportMessage> batch;
+      for (int64_t i = lo; i <= hi; ++i) {
+        const bool known = i >= 0 && i < kPackedClients &&
+                           level_of[static_cast<size_t>(i)] >= 0;
+        const int level = known ? level_of[static_cast<size_t>(i)] : -1;
+        bool include = known && level <= due && rng.NextBernoulli(0.9);
+        include = include || (misaligned && known && level > due &&
+                              rng.NextBernoulli(0.05));
+        include = include || (unregistered && !known &&
+                              rng.NextBernoulli(0.3));
+        if (include) {
+          batch.push_back({base + i, time, rng.NextSign()});
+        }
+      }
+      if (batch.empty()) {
+        continue;
+      }
+      bytes = EncodeReportBatch(batch).ValueOrDie();
+    }
+    if (PeekBatchKind(bytes).ValueOrDie() != WireBatchKind::kReportPackedV2) {
+      continue;
+    }
+    sent.push_back(bytes);
+    ++tally->packed;
+    IngestOutcome in_place_outcome;
+    const Status in_place_status =
+        in_place.IngestEncoded(bytes, maybe_pool, &in_place_outcome);
+    IngestOutcome decoded_outcome;
+    const Status decoded_status = decoded.IngestReports(
+        DecodeReportBatch(bytes).ValueOrDie(), maybe_pool, &decoded_outcome);
+    ASSERT_EQ(in_place_status.code(), decoded_status.code())
+        << "round " << round << ": " << in_place_status.ToString() << " vs "
+        << decoded_status.ToString();
+    ASSERT_EQ(in_place_status.message(), decoded_status.message());
+    ASSERT_EQ(in_place_outcome.applied, decoded_outcome.applied)
+        << "round " << round;
+    ASSERT_EQ(in_place_outcome.deduped, decoded_outcome.deduped);
+    ASSERT_EQ(in_place_outcome.out_of_window, decoded_outcome.out_of_window);
+    ASSERT_EQ(in_place.Checkpoint(CheckpointMode::kFull).ValueOrDie(),
+              decoded.Checkpoint(CheckpointMode::kFull).ValueOrDie())
+        << "round " << round;
+    const bool applied_some =
+        in_place_outcome.applied + in_place_outcome.deduped +
+            in_place_outcome.out_of_window >
+        0;
+    if (in_place_status.ok()) {
+      ++tally->clean;
+    } else if (applied_some) {
+      ++tally->prefix;
+    } else {
+      ++tally->rejected;
+    }
+    tally->deduped += in_place_outcome.deduped > 0 ? 1 : 0;
+  }
+  EXPECT_EQ(in_place.EstimateAll().ValueOrDie(),
+            decoded.EstimateAll().ValueOrDie());
+}
+
+TEST(PackedIngestTest, InPlaceIngestMatchesTheDecodedRoute) {
+  const PackedCase cases[] = {
+      {DedupPolicy::kStrict, 0, 1, Population::kContiguous, false},
+      {DedupPolicy::kStrict, 0, 3, Population::kContiguous, false},
+      {DedupPolicy::kStrict, 0, 4, Population::kContiguous, true},
+      {DedupPolicy::kStrict, 0, 1, Population::kStrided, false},
+      {DedupPolicy::kStrict, 0, 3, Population::kStrided, false},
+      {DedupPolicy::kStrict, 0, 1, Population::kScattered, false},
+      {DedupPolicy::kStrict, 0, 4, Population::kScattered, false},
+      {DedupPolicy::kIdempotent, 0, 1, Population::kContiguous, false},
+      {DedupPolicy::kIdempotent, 0, 4, Population::kScattered, true},
+      {DedupPolicy::kIdempotent, 16, 3, Population::kContiguous, false},
+      {DedupPolicy::kIdempotent, 16, 1, Population::kScattered, false},
+  };
+  // Ids on both sides of zero and at both ends of the int64 range, so the
+  // shard residues and the progression's slots see every sign.
+  const int64_t bases[] = {
+      -1000, 5, std::numeric_limits<int64_t>::max() - 400,
+      std::numeric_limits<int64_t>::min() + 10};
+  for (const PackedCase& packed : cases) {
+    PackedTally tally;
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      for (const int64_t base : bases) {
+        RunPackedDifferential(packed, seed * 131 + static_cast<uint64_t>(
+                                                       packed.shards),
+                              base, &tally);
+        if (HasFatalFailure()) {
+          return;
+        }
+      }
+    }
+    SCOPED_TRACE(PackedCaseName(packed));
+    EXPECT_GT(tally.packed, 300);
+    EXPECT_GT(tally.clean, 20);
+    EXPECT_GT(tally.prefix, 5);
+    EXPECT_GT(tally.prefix + tally.rejected, 10);
+    if (packed.policy == DedupPolicy::kIdempotent) {
+      EXPECT_GT(tally.deduped, 5);
+    }
+  }
 }
 
 }  // namespace

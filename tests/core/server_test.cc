@@ -8,7 +8,10 @@
 #include <gtest/gtest.h>
 
 #include "futurerand/common/math.h"
+#include "futurerand/common/random.h"
 #include "futurerand/core/aggregator.h"
+#include "futurerand/core/snapshot.h"
+#include "futurerand/core/wire.h"
 #include "futurerand/randomizer/randomizer.h"
 
 namespace futurerand::core {
@@ -451,6 +454,77 @@ INSTANTIATE_TEST_SUITE_P(Policies, BatchErrorContractTest,
                          [](const auto& info) {
                            return std::string(DedupPolicyToString(info.param));
                          });
+
+// Server::SubmitPacked on one server that holds every id: the shard
+// filter keeps the ids congruent to `shard` mod K (K up to and past the
+// 64 ids of a presence word) and must match SubmitReports over exactly
+// those records, in verdict, `accepted` and state.
+TEST(SubmitPackedTest, KeepsTheShardsIdsLikeSubmitReports) {
+  constexpr int64_t kPeriods = 16;
+  Rng rng(2027);
+  for (const DedupPolicy policy :
+       {DedupPolicy::kStrict, DedupPolicy::kIdempotent}) {
+    for (const int shards : {1, 2, 3, 5, 40, 64, 65, 200}) {
+      for (int round = 0; round < 12; ++round) {
+        const int shard = static_cast<int>(
+            rng.NextInt(static_cast<uint64_t>(shards)));
+        SCOPED_TRACE(std::string(DedupPolicyToString(policy)) + ", shard " +
+                     std::to_string(shard) + " of " + std::to_string(shards) +
+                     ", round " + std::to_string(round));
+        // Ids -100..199, every level; a tick that most of them are due at.
+        Server packed =
+            Server::WithScales(kPeriods, {1.0, 2.0, 3.0, 4.0, 5.0}, policy)
+                .ValueOrDie();
+        Server reference =
+            Server::WithScales(kPeriods, {1.0, 2.0, 3.0, 4.0, 5.0}, policy)
+                .ValueOrDie();
+        std::vector<int> levels;
+        for (int64_t id = -100; id < 200; ++id) {
+          levels.push_back(static_cast<int>(rng.NextInt(3)));
+          ASSERT_TRUE(packed.RegisterClient(id, levels.back()).ok());
+          ASSERT_TRUE(reference.RegisterClient(id, levels.back()).ok());
+        }
+        const int64_t time = 4 * (1 + static_cast<int64_t>(rng.NextInt(4)));
+        // Mostly registered, due clients; now and then an id past the
+        // population or a client not due at `time`.
+        std::vector<ReportMessage> batch;
+        for (int64_t id = -104; id < 204; ++id) {
+          const bool registered = id >= -100 && id < 200;
+          const bool due =
+              registered &&
+              (time & ((int64_t{1} << levels[static_cast<size_t>(id + 100)]) -
+                       1)) == 0;
+          if (due ? rng.NextBernoulli(0.8) : rng.NextBernoulli(0.02)) {
+            batch.push_back({id, time, rng.NextSign()});
+          }
+        }
+        const std::string bytes = EncodeReportBatch(batch).ValueOrDie();
+        ASSERT_EQ(PeekBatchKind(bytes).ValueOrDie(),
+                  WireBatchKind::kReportPackedV2);
+        std::vector<ReportMessage> mine;
+        for (const ReportMessage& report : batch) {
+          const int64_t residue =
+              (report.client_id % shards + shards) % shards;
+          if (residue == shard) {
+            mine.push_back(report);
+          }
+        }
+        int64_t packed_accepted = -1;
+        const Status packed_status =
+            packed.SubmitPacked(OpenPackedReports(bytes).ValueOrDie(), shard,
+                                shards, &packed_accepted);
+        int64_t reference_accepted = -1;
+        const Status reference_status =
+            reference.SubmitReports(mine, &reference_accepted);
+        EXPECT_EQ(packed_status.code(), reference_status.code())
+            << packed_status.ToString();
+        EXPECT_EQ(packed_status.message(), reference_status.message());
+        EXPECT_EQ(packed_accepted, reference_accepted);
+        EXPECT_EQ(EncodeServerState(packed), EncodeServerState(reference));
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace futurerand::core

@@ -27,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include "futurerand/common/random.h"
+#include "futurerand/core/aggregator.h"
 #include "futurerand/core/fleet.h"
 #include "futurerand/core/server.h"
 #include "futurerand/core/snapshot.h"
@@ -216,8 +217,53 @@ std::string Sealed(std::string payload) {
   return payload;
 }
 
-// The code of the decoder the header routes `bytes` to, as
-// ShardedAggregator::IngestEncoded picks it.
+// The ingest target of the kind-10 route: a 3-shard kStrict aggregator
+// with every id a MakePayloads tick can name (-50 up to 49 + 39 * 7)
+// registered at level 0, so the pristine packed payload applies whole.
+ShardedAggregator PackedTarget() {
+  core::ProtocolConfig config;
+  config.num_periods = 64;
+  config.max_changes = 4;
+  config.epsilon = 1.0;
+  ShardedAggregator aggregator =
+      ShardedAggregator::ForProtocol(config, 3).ValueOrDie();
+  std::vector<RegistrationMessage> registrations;
+  for (int64_t id = -64; id <= 400; ++id) {
+    registrations.push_back({id, 0});
+  }
+  EXPECT_TRUE(aggregator.IngestRegistrations(registrations).ok());
+  return aggregator;
+}
+
+// What a fresh PackedTarget's IngestEncoded says to `bytes`, the route
+// that applies kind 10 in place. A rejected batch must leave the target's
+// full checkpoint byte for byte as it was.
+Status PackedRouteStatus(const std::string& bytes) {
+  ShardedAggregator target = PackedTarget();
+  const std::string before = target.Checkpoint().ValueOrDie();
+  const Status status = target.IngestEncoded(bytes);
+  if (!status.ok() && status.code() != StatusCode::kNotFound) {
+    // Every id of the pristine payload is registered, so only a forged
+    // batch can name an unregistered one and apply a prefix first.
+    EXPECT_EQ(target.Checkpoint().ValueOrDie(), before) << status.ToString();
+  }
+  return status;
+}
+
+// The decode route for the same batch: DecodeReportBatch, then
+// IngestReports on a fresh PackedTarget.
+Status PackedDecodeRouteStatus(const std::string& bytes) {
+  const auto reports = DecodeReportBatch(bytes);
+  if (!reports.ok()) {
+    return reports.status();
+  }
+  ShardedAggregator target = PackedTarget();
+  return target.IngestReports(*reports);
+}
+
+// The code ShardedAggregator::IngestEncoded gives `bytes`: kind 10 from a
+// registered aggregator, the others from the decoder the header routes
+// them to (whose verdict on corruption is the ingest verdict).
 StatusCode RoutedCode(const std::string& bytes) {
   const auto kind = PeekBatchKind(bytes);
   if (!kind.ok()) {
@@ -227,8 +273,9 @@ StatusCode RoutedCode(const std::string& bytes) {
     case WireBatchKind::kRegistrationV2:
       return DecodeRegistrationBatch(bytes).status().code();
     case WireBatchKind::kReportV2:
-    case WireBatchKind::kReportPackedV2:
       return DecodeReportBatch(bytes).status().code();
+    case WireBatchKind::kReportPackedV2:
+      return PackedRouteStatus(bytes).code();
     default:
       return StatusCode::kInvalidArgument;
   }
@@ -292,6 +339,14 @@ TEST_P(WireAdversaryTest, BitFlippedBatchesNeverCrashAndStayWellFormed) {
         } else if (byte >= wire_internal::kHeaderSize) {
           EXPECT_EQ(registrations.status().code(),
                     StatusCode::kInvalidArgument);
+        }
+        if (PeekBatchKind(forged).ok() &&
+            *PeekBatchKind(forged) == WireBatchKind::kReportPackedV2) {
+          // In place or decoded and applied: one verdict.
+          const Status in_place = PackedRouteStatus(forged);
+          const Status decoded = PackedDecodeRouteStatus(forged);
+          EXPECT_EQ(in_place.code(), decoded.code()) << in_place.ToString();
+          EXPECT_EQ(in_place.message(), decoded.message());
         }
         const auto reports = DecodeReportBatch(forged);
         if (reports.ok()) {
@@ -376,6 +431,8 @@ TEST_P(WireAdversaryTest, EveryBitFlippedV2BatchIsRejected) {
   // decoder. (A kind-byte flip may turn one v2 kind into the other; the
   // checksum covers the header, so the rerouted decode still fails.)
   const ValidPayloads payloads = MakePayloads(GetParam());
+  // The kind-10 route's target takes the pristine batch whole.
+  EXPECT_TRUE(PackedRouteStatus(payloads.reports_packed).ok());
   for (const std::string* payload :
        {&payloads.registrations_v2, &payloads.reports_v2,
         &payloads.reports_packed}) {
