@@ -264,21 +264,6 @@ void Server::ReserveClients(size_t additional) {
   }
 }
 
-int64_t Server::BitmapWordsAtLevel(int level) const {
-  const int64_t boundaries = num_periods_ >> level;
-  return (boundaries + 63) / 64;
-}
-
-int64_t Server::SpanWordsAtLevel(int level) const {
-  const int64_t full = BitmapWordsAtLevel(level);
-  if (!dedup_window_.bounded()) {
-    return full;
-  }
-  // A window of W boundaries starting at bit o of a word covers
-  // ceil((o + W) / 64) words, at most (W + 62)/64 + 1 at o = 63.
-  return std::min(full, (dedup_window_.window_boundaries + 62) / 64 + 1);
-}
-
 int64_t Server::WindowBaseWord(int64_t frontier) const {
   // Keep every boundary in [frontier - window + 1 .. frontier]; older
   // words are dropped whole, so up to 63 extra boundaries survive until
@@ -360,13 +345,19 @@ Status Server::RejectionStatus(ReportCheck check) {
   return Status::Internal("accepted report has no rejection status");
 }
 
-Server::ReportCheck Server::RecordBoundary(size_t slot, int level,
-                                           int64_t boundary) {
-  if (span_ranks_[slot] == kNoSpan) {
+[[gnu::always_inline]] inline Server::ReportCheck Server::RecordBoundary(
+    size_t slot, int level, int64_t boundary) {
+  static_assert(static_cast<int>(ReportCheck::kApply) == 0 &&
+                static_cast<int>(ReportCheck::kAbsorb) == 1);
+  const auto span_words = static_cast<size_t>(SpanWordsAtLevel(level));
+  uint32_t& rank = span_ranks_[slot];
+  if (FR_PREDICT_FALSE(rank == kNoSpan)) {
     // First report: nothing to compare against, so it always lands.
-    span_ranks_[slot] = AppendSpan(level);
+    rank = AppendSpan(level);
   }
-  uint64_t* span = SpanOf(slot, level);
+  uint64_t* const span = span_arenas_[static_cast<size_t>(level)].data() +
+                         static_cast<size_t>(rank) * span_words;
+  const int64_t word = boundary >> 6;
   int64_t base_word = 0;
   if (dedup_window_.bounded()) {
     int64_t& watermark = watermarks_[slot];
@@ -375,26 +366,25 @@ Server::ReportCheck Server::RecordBoundary(size_t slot, int level,
       // Only a boundary above the frontier moves the watermark (it is
       // WindowBaseWord(frontier) already), and such a report always lands,
       // so evicting first keeps a frontier jump inside the fixed span.
-      EvictBehindWindow(span, SpanWordsAtLevel(level), keep_word - watermark);
+      EvictBehindWindow(span, static_cast<int64_t>(span_words),
+                        keep_word - watermark);
       watermark = keep_word;
     }
     base_word = watermark;
+    if (word < base_word) {
+      // Evicted horizon: the bit is gone, so a first delivery and a
+      // retransmission are indistinguishable. Refuse to guess.
+      ++out_of_window_dropped_;
+      return ReportCheck::kAbsorb;
+    }
   }
-  const int64_t word = boundary >> 6;
-  if (word < base_word) {
-    // Evicted horizon: the bit is gone, so a first delivery and a
-    // retransmission are indistinguishable. Refuse to guess.
-    ++out_of_window_dropped_;
-    return ReportCheck::kAbsorb;
-  }
+  // Duplicates are about a tenth of an at-least-once stream and fall at
+  // random places, so a branch on the seen bit would mispredict on them.
   uint64_t& bits = span[word - base_word];
-  const uint64_t bit = uint64_t{1} << (boundary & 63);
-  if ((bits & bit) != 0) {
-    ++duplicates_dropped_;
-    return ReportCheck::kAbsorb;
-  }
-  bits |= bit;
-  return ReportCheck::kApply;
+  const uint64_t seen = (bits >> (boundary & 63)) & 1;
+  bits |= uint64_t{1} << (boundary & 63);
+  duplicates_dropped_ += static_cast<int64_t>(seen);
+  return static_cast<ReportCheck>(seen);
 }
 
 // Defined inline ahead of its two callers: the strict path is a handful of
@@ -457,23 +447,20 @@ Status Server::SubmitReports(std::span<const ReportMessage> batch,
 Status Server::IngestRecords(std::span<const ReportMessage> batch,
                              const size_t* indices, size_t count,
                              int64_t* accepted) {
-  // Per-level accumulator for the current run of same-time records. A fleet
-  // tick emits a whole batch at one time t, so the common case flushes the
-  // buffer exactly once: O(orders) tree stores for the entire batch instead
-  // of one tree walk per report.
-  std::vector<int64_t> level_accum(level_counts_.size(), 0);
-  int64_t pending_time = 0;  // 0 = nothing buffered (report times are >= 1)
+  // Per-level sums for the current run of same-time records. A fleet tick
+  // emits a whole batch at one time t, so the common case flushes them
+  // exactly once: O(orders) tree stores for the entire batch instead of
+  // one tree walk per report. d is an int64 power of two, so there are at
+  // most 63 orders.
+  std::array<int64_t, 64> level_sums{};
+  int64_t pending_time = 0;  // the time of the records in level_sums
   const auto flush = [&] {
-    if (pending_time == 0) {
-      return;
-    }
-    for (size_t h = 0; h < level_accum.size(); ++h) {
-      if (level_accum[h] != 0) {
-        sums_->Add(static_cast<int>(h), pending_time >> h, level_accum[h]);
-        level_accum[h] = 0;
+    for (size_t h = 0; h < level_counts_.size(); ++h) {
+      if (level_sums[h] != 0) {
+        sums_->Add(static_cast<int>(h), pending_time >> h, level_sums[h]);
+        level_sums[h] = 0;
       }
     }
-    pending_time = 0;
   };
   int64_t done = 0;
   ReportCheck rejection = ReportCheck::kApply;
@@ -482,18 +469,19 @@ Status Server::IngestRecords(std::span<const ReportMessage> batch,
         batch[indices == nullptr ? i : indices[i]];
     if (record.time != pending_time) {
       flush();
+      pending_time = record.time;
     }
     int level = 0;
     const ReportCheck check =
         CheckAndRecordReport(record.client_id, record.time, record.value,
                              &level);
-    if (check == ReportCheck::kApply) {
-      pending_time = record.time;
-      level_accum[static_cast<size_t>(level)] += record.value;
-    } else if (check != ReportCheck::kAbsorb) {
+    if (FR_PREDICT_FALSE(check > ReportCheck::kAbsorb)) {
       rejection = check;
       break;
     }
+    // An absorbed record adds zero, so a duplicate takes no branch.
+    level_sums[static_cast<size_t>(level)] +=
+        record.value * static_cast<int64_t>(check == ReportCheck::kApply);
     ++done;
   }
   flush();
@@ -650,12 +638,12 @@ Status Server::SubmitPacked(const PackedReports& batch, int shard,
           int level = 0;
           const ReportCheck check = CheckAndRecordReport(
               base_id + std::countr_zero(bits), time, value, &level);
-          if (check == ReportCheck::kApply) {
-            level_sums[static_cast<size_t>(level)] += value;
-          } else if (check != ReportCheck::kAbsorb) {
+          if (FR_PREDICT_FALSE(check > ReportCheck::kAbsorb)) {
             rejection = check;
             break;
           }
+          level_sums[static_cast<size_t>(level)] +=
+              value * static_cast<int64_t>(check == ReportCheck::kApply);
           ++done;
         }
         if (rejection != ReportCheck::kApply) {

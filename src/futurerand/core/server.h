@@ -374,7 +374,9 @@ class Server {
   /// The kIdempotent dedup step of CheckAndRecordReport: records
   /// `boundary` (0-based, in units of the level) in the span of the
   /// level-`level` client at `slot`, or absorbs it as a retransmission or
-  /// an out-of-window straggler.
+  /// an out-of-window straggler. Always inlined; a retransmission costs no
+  /// branch: the seen bit is read, set and counted, and it is the verdict
+  /// (kApply is 0, kAbsorb 1).
   ReportCheck RecordBoundary(size_t slot, int level, int64_t boundary);
 
   /// Shared body of both SubmitReports overloads: applies
@@ -385,11 +387,20 @@ class Server {
 
   /// Words of a full kIdempotent boundary bitmap for a level-h client:
   /// one bit per multiple of 2^h in [1..d].
-  int64_t BitmapWordsAtLevel(int level) const;
+  int64_t BitmapWordsAtLevel(int level) const {
+    return ((num_periods_ >> level) + 63) / 64;
+  }
 
   /// S_h, the fixed words of every level-h span: the full bitmap when the
-  /// window is unbounded, else at most the words a window can straddle.
-  int64_t SpanWordsAtLevel(int level) const;
+  /// window is unbounded, else at most the words a window can straddle (a
+  /// window of W boundaries starting at bit o of a word covers
+  /// ceil((o + W) / 64) words, at most (W + 62)/64 + 1 at o = 63). Inline
+  /// arithmetic on two members: the dedup step reads it per report.
+  int64_t SpanWordsAtLevel(int level) const {
+    const int64_t full = BitmapWordsAtLevel(level);
+    const int64_t window = (dedup_window_.window_boundaries + 62) / 64 + 1;
+    return dedup_window_.bounded() && window < full ? window : full;
+  }
 
   /// The eviction watermark a bounded window keeps for a client whose
   /// highest boundary is `frontier`: the first word still held.

@@ -261,7 +261,11 @@ class HashingReader {
   // Reads a varint, hashing its bytes. Same rules as GetVarint64. The
   // one-byte case is marked likely: unmarked, GCC laid the inlined
   // multi-byte path in line and sent the common case through a taken
-  // jump (kind-7 decode about 10% slower).
+  // jump (kind-7 decode about 10% slower). Two- and three-byte encodings
+  // (an id delta of a shuffled batch) decode here too, each byte hashed
+  // once, when at least three bytes remain before the trailer; longer,
+  // truncated and trailer-adjacent ones take MultiByteVarint. Like
+  // GetVarint64, a non-minimal encoding (0x80 0x00) decodes to its value.
   [[gnu::always_inline]] Result<uint64_t> Varint() {
     if (FR_PREDICT_TRUE(next_ != end_)) {
       const auto byte = static_cast<uint8_t>(*next_);
@@ -269,6 +273,23 @@ class HashingReader {
         ++next_;
         hash_ = Fnv1a64Step(hash_, byte);
         return uint64_t{byte};
+      }
+      if (FR_PREDICT_TRUE(remaining() >= 3)) {
+        const auto second = static_cast<uint8_t>(next_[1]);
+        const uint64_t value =
+            uint64_t{byte & 0x7fu} | uint64_t{second & 0x7fu} << 7;
+        const uint64_t hash = Fnv1a64Step(Fnv1a64Step(hash_, byte), second);
+        if (FR_PREDICT_TRUE(second < 0x80)) {
+          next_ += 2;
+          hash_ = hash;
+          return value;
+        }
+        const auto third = static_cast<uint8_t>(next_[2]);
+        if (FR_PREDICT_TRUE(third < 0x80)) {
+          next_ += 3;
+          hash_ = Fnv1a64Step(hash, third);
+          return value | uint64_t{third} << 14;
+        }
       }
     }
     return MultiByteVarint();
@@ -521,15 +542,16 @@ Status ReadPackedView(HashingReader* reader, PackedReports* view) {
 
 // DecodeReportBatch for kind 10: the view, expanded. Set bits are found
 // with count-trailing-zeros; the view's checks bound `count` by the bytes
-// (at most eight records per presence byte). A presence word's signs are
-// the next popcount bits of the sign bitmap, taken as one word; each
-// value is 2 * bit - 1, since bit ? 1 : -1 compiled to a branch that
+// (at most eight records per presence byte), so the vector is reserved
+// once and each record is written once, by the append. A presence word's
+// signs are the next popcount bits of the sign bitmap, taken as one word;
+// each value is 2 * bit - 1, since bit ? 1 : -1 compiled to a branch that
 // mispredicts on every other report (decode about 3x slower).
 Result<std::vector<ReportMessage>> DecodePackedReports(
     std::string_view bytes) {
   FR_ASSIGN_OR_RETURN(const PackedReports view, OpenPackedReports(bytes));
-  std::vector<ReportMessage> batch(static_cast<size_t>(view.count));
-  ReportMessage* message = batch.data();
+  std::vector<ReportMessage> batch;
+  batch.reserve(static_cast<size_t>(view.count));
   uint64_t index = 0;  // sign index of the word's first report
   for (size_t w = 0; w < view.presence_words(); ++w) {
     uint64_t word = view.PresenceWord(w);
@@ -540,10 +562,9 @@ Result<std::vector<ReportMessage>> DecodePackedReports(
     const int64_t base_id =
         WrappingAdd(view.first_id, static_cast<int64_t>(64 * w));
     for (unsigned rank = 0; word != 0; word &= word - 1, ++rank) {
-      message->client_id = base_id + std::countr_zero(word);
-      message->time = view.time;
-      message->value = static_cast<int8_t>(2 * ((signs >> rank) & 1) - 1);
-      ++message;
+      batch.push_back(
+          {base_id + std::countr_zero(word), view.time,
+           static_cast<int8_t>(2 * ((signs >> rank) & 1) - 1)});
       ++index;
     }
   }

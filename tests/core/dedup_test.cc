@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include "futurerand/core/aggregator.h"
 #include "futurerand/core/fleet.h"
 #include "futurerand/core/server.h"
+#include "futurerand/core/snapshot.h"
 #include "futurerand/core/wire.h"
 
 namespace futurerand::core {
@@ -122,6 +124,196 @@ TEST(DedupPolicyTest, MergeCarriesBoundaryBitmapsAcross) {
   ASSERT_TRUE(a.SubmitReport(2, 4, -1).ok());
   EXPECT_EQ(a.duplicates_dropped(), 2);
   EXPECT_EQ(a.EstimateAt(4).ValueOrDie(), 0.0);  // +1 - 1, no double count
+}
+
+// ---------------------------------------------------------------------------
+// The record loop against the scalar path: SubmitReports, over a whole
+// batch and over a sub-sequence picked by indices, must do exactly what
+// SubmitReport does one record at a time, stopping at the same record.
+
+// A record fault planted in the middle of a batch.
+enum class Fault {
+  kNone,
+  kBadValue,
+  kUnregistered,
+  kTimeOutOfRange,
+  kMisaligned,
+  kStale,  // a record the client already sent, from an earlier batch
+};
+
+constexpr Fault kFaults[] = {Fault::kNone,           Fault::kBadValue,
+                             Fault::kUnregistered,   Fault::kNone,
+                             Fault::kTimeOutOfRange, Fault::kMisaligned,
+                             Fault::kNone,           Fault::kStale};
+
+struct LoopCase {
+  DedupPolicy policy;
+  int64_t window;    // 0 = unbounded
+  bool progression;  // registered ids form an arithmetic progression
+};
+
+struct Route {
+  Status status;
+  int64_t accepted = 0;
+};
+
+// SubmitReport over `batch` in order, stopping at the first error.
+Route SubmitOneByOne(Server* server, const std::vector<ReportMessage>& batch) {
+  Route route;
+  for (const ReportMessage& record : batch) {
+    route.status =
+        server->SubmitReport(record.client_id, record.time, record.value);
+    if (!route.status.ok()) {
+      break;
+    }
+    ++route.accepted;
+  }
+  return route;
+}
+
+// The batch's records scattered among decoys that no route accepts, and
+// the indices that pick them out again in batch order.
+Route SubmitIndexed(Server* server, const std::vector<ReportMessage>& batch,
+                    Rng* rng) {
+  std::vector<ReportMessage> carrier(2 * batch.size() + 1, {-1, 0, 0});
+  std::vector<size_t> slots(carrier.size());
+  for (size_t i = 0; i < slots.size(); ++i) {
+    slots[i] = i;
+  }
+  for (size_t i = slots.size(); i > 1; --i) {
+    std::swap(slots[i - 1], slots[static_cast<size_t>(rng->NextInt(i))]);
+  }
+  std::vector<size_t> indices(slots.begin(),
+                              slots.begin() +
+                                  static_cast<std::ptrdiff_t>(batch.size()));
+  for (size_t i = 0; i < batch.size(); ++i) {
+    carrier[indices[i]] = batch[i];
+  }
+  Route route;
+  route.status = server->SubmitReports(carrier, indices, &route.accepted);
+  return route;
+}
+
+TEST(RecordLoopTest, BatchedRoutesMatchSubmitReportOneByOne) {
+  // Level-0 spans of four words, so a window of 16 boundaries evicts.
+  constexpr int64_t kPeriods = 256;
+  constexpr int64_t kClients = 48;
+  const LoopCase cases[] = {
+      {DedupPolicy::kStrict, 0, true},
+      {DedupPolicy::kStrict, 0, false},
+      {DedupPolicy::kIdempotent, 0, true},
+      {DedupPolicy::kIdempotent, 0, false},
+      {DedupPolicy::kIdempotent, 16, true},
+      {DedupPolicy::kIdempotent, 16, false},
+  };
+  for (const LoopCase& loop : cases) {
+    SCOPED_TRACE(testing::Message()
+                 << DedupPolicyToString(loop.policy) << " window "
+                 << loop.window << " progression " << loop.progression);
+    const bool idempotent = loop.policy == DedupPolicy::kIdempotent;
+    Rng rng(idempotent ? 17 + static_cast<uint64_t>(loop.window) : 5);
+    const auto server = [&] {
+      return Server::WithScales(kPeriods, std::vector<double>(9, 1.0),
+                                loop.policy,
+                                DedupWindowPolicy{loop.window})
+          .ValueOrDie();
+    };
+    Server batched = server();
+    Server indexed = server();
+    Server single = server();
+    std::vector<RegistrationMessage> registrations;
+    for (int64_t i = 0; i < kClients; ++i) {
+      const int64_t id =
+          loop.progression ? 5 + 3 * i
+                           : static_cast<int64_t>(rng.NextInt(1 << 20)) *
+                                     kClients +
+                                 i;
+      registrations.push_back({id, static_cast<int>(i % 4)});
+    }
+    for (Server* target : {&batched, &indexed, &single}) {
+      ASSERT_TRUE(target->RegisterClients(registrations).ok());
+    }
+
+    std::vector<ReportMessage> sent;  // every record of every batch so far
+    int64_t rejected = 0;
+    int64_t planted = 0;
+    int64_t stale = 0;
+    for (int64_t t = 1; t <= kPeriods; ++t) {
+      std::vector<ReportMessage> batch;
+      for (const RegistrationMessage& client : registrations) {
+        if (t % (int64_t{1} << client.level) == 0) {
+          batch.push_back({client.client_id, t, rng.NextSign()});
+        }
+      }
+      if (idempotent) {
+        // At-least-once delivery: a quarter of the records twice and a few
+        // stragglers from earlier batches, then the whole batch shuffled.
+        const size_t fresh = batch.size();
+        for (size_t i = 0; i < fresh / 4; ++i) {
+          batch.push_back(batch[static_cast<size_t>(rng.NextInt(fresh))]);
+        }
+        for (size_t i = 0; i < 3 && !sent.empty(); ++i) {
+          batch.push_back(sent[static_cast<size_t>(rng.NextInt(sent.size()))]);
+        }
+      }
+      for (size_t i = batch.size(); i > 1; --i) {
+        std::swap(batch[i - 1], batch[static_cast<size_t>(rng.NextInt(i))]);
+      }
+      sent.insert(sent.end(), batch.begin(), batch.end());
+      ReportMessage& middle = batch[batch.size() / 2];
+      const Fault fault = kFaults[t % std::size(kFaults)];
+      planted += fault == Fault::kNone ? 0 : 1;
+      stale += fault == Fault::kStale ? 1 : 0;
+      switch (fault) {
+        case Fault::kNone:
+          break;
+        case Fault::kBadValue:
+          middle.value = 0;
+          break;
+        case Fault::kUnregistered:
+          middle.client_id = -7;
+          break;
+        case Fault::kTimeOutOfRange:
+          middle.time = t % 2 == 0 ? kPeriods + t : 0;
+          break;
+        case Fault::kMisaligned:
+          // Level 1 or more (registrations cycle through levels 0-3).
+          middle.client_id = registrations[1 + static_cast<size_t>(t % 3)]
+                                 .client_id;
+          middle.time = 1;
+          break;
+        case Fault::kStale:
+          middle = sent[static_cast<size_t>(rng.NextInt(sent.size() / 2))];
+          break;
+      }
+
+      SCOPED_TRACE(testing::Message() << "t " << t);
+      Route whole;
+      whole.status = batched.SubmitReports(batch, &whole.accepted);
+      const Route picked = SubmitIndexed(&indexed, batch, &rng);
+      const Route scalar = SubmitOneByOne(&single, batch);
+      for (const Route& route : {whole, picked}) {
+        ASSERT_EQ(route.status.code(), scalar.status.code());
+        ASSERT_EQ(route.status.message(), scalar.status.message());
+        ASSERT_EQ(route.accepted, scalar.accepted);
+      }
+      rejected += scalar.status.ok() ? 0 : 1;
+      const std::string state = EncodeServerState(single);
+      for (const Server* route : {&batched, &indexed}) {
+        ASSERT_EQ(route->duplicates_dropped(), single.duplicates_dropped());
+        ASSERT_EQ(route->out_of_window_dropped(),
+                  single.out_of_window_dropped());
+        ASSERT_EQ(EncodeServerState(*route), state);
+      }
+    }
+    // Every planted fault rejects under kStrict; under kIdempotent a stale
+    // record is absorbed, and the window drops old stragglers.
+    EXPECT_EQ(rejected, idempotent ? planted - stale : planted);
+    if (idempotent) {
+      EXPECT_GT(single.duplicates_dropped(), 100);
+      EXPECT_EQ(single.out_of_window_dropped() > 0, loop.window > 0);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

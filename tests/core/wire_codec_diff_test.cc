@@ -492,6 +492,150 @@ TEST(WireCodecDiffTest, SealedForgeriesGetTheReferenceVerdicts) {
   }
 }
 
+// Every single-bit flip past the header changes the FNV-1a hash of the
+// bytes the trailer covers, or the trailer itself, so it is kDataLoss
+// whatever the flipped record would parse to. (A flip in the header can
+// instead name another kind, which is kInvalidArgument.)
+void ExpectPayloadFlipsAreDataLoss(const std::string& bytes) {
+  for (size_t byte = wire_internal::kHeaderSize; byte < bytes.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = bytes;
+      flipped[byte] ^= static_cast<char>(1 << bit);
+      ASSERT_EQ(DecodeReportBatch(flipped).status().code(),
+                StatusCode::kDataLoss)
+          << "flip byte " << byte << " bit " << bit;
+    }
+  }
+}
+
+// A kind-7 batch sealed around raw payload bytes (count varint first).
+std::string SealedRawReports(std::initializer_list<uint8_t> payload) {
+  std::string bytes;
+  wire_internal::AppendHeader(wire_internal::kKindReportV2, &bytes);
+  for (const uint8_t byte : payload) {
+    bytes.push_back(static_cast<char>(byte));
+  }
+  wire_internal::AppendChecksum(&bytes);
+  return bytes;
+}
+
+TEST(WireCodecDiffTest, ShuffledDuplicatedBatchesCoverEveryVarintWidth) {
+  // Ids of every magnitude below 2^63, a fifth of the records sent twice
+  // and the whole batch shuffled: the id deltas take every varint width
+  // from one to ten bytes, so the reader's inline two- and three-byte
+  // decode and its general path both run, next to each other.
+  Rng rng(31);
+  for (const size_t size : {size_t{24}, size_t{400}}) {
+    std::vector<ReportMessage> batch;
+    for (size_t i = 0; i < size; ++i) {
+      const auto bits = static_cast<int>(rng.NextInt(64));
+      const auto magnitude =
+          bits == 0 ? 0 : static_cast<int64_t>(rng.NextUint64() >> (64 - bits));
+      batch.push_back({rng.NextBernoulli(0.5) ? magnitude : -magnitude,
+                       1 + static_cast<int64_t>(rng.NextInt(300)),
+                       rng.NextSign()});
+    }
+    for (size_t i = 0; i < size / 5; ++i) {
+      batch.push_back(batch[static_cast<size_t>(rng.NextInt(size))]);
+    }
+    for (size_t i = batch.size(); i > 1; --i) {
+      std::swap(batch[i - 1], batch[static_cast<size_t>(rng.NextInt(i))]);
+    }
+    std::vector<bool> widths(11, false);
+    int64_t previous_id = 0;
+    for (const ReportMessage& message : batch) {
+      std::string delta;
+      PutVarint64(ZigZagEncode(static_cast<int64_t>(
+                      static_cast<uint64_t>(message.client_id) -
+                      static_cast<uint64_t>(previous_id))),
+                  &delta);
+      widths[delta.size()] = true;
+      previous_id = message.client_id;
+    }
+    if (size == 400) {
+      for (size_t width = 1; width <= 10; ++width) {
+        EXPECT_TRUE(widths[width]) << "no " << width << "-byte id delta";
+      }
+    }
+    SCOPED_TRACE(testing::Message() << "size " << size);
+    const auto bytes = EncodeReportBatch(batch);
+    ASSERT_TRUE(bytes.ok());
+    ASSERT_EQ(*PeekBatchKind(*bytes), WireBatchKind::kReportV2);
+    ASSERT_EQ(*bytes, *RefEncodeReports(batch));
+    ASSERT_EQ(*DecodeReportBatch(*bytes), batch);
+    ExpectSameVerdicts(*bytes);
+    ExpectPayloadFlipsAreDataLoss(*bytes);
+    if (size == 24) {
+      ExpectSameVerdictsUnderCorruption(*bytes);
+    }
+  }
+}
+
+TEST(WireCodecDiffTest, NonMinimalVarintsDecodeAsTheReference) {
+  // LEB128 with spare zero groups still decodes to its value, whether the
+  // reader takes it inline (two and three bytes) or on its general path.
+  // The packed time 5 is time 1 and value +1; 4 is one period later, -1.
+  const std::pair<std::string, std::vector<ReportMessage>> cases[] = {
+      {SealedRawReports({0x01, 0x80, 0x00, 0x85, 0x00}), {{0, 1, 1}}},
+      {SealedRawReports({0x01, 0x82, 0x80, 0x00, 0x85, 0x80, 0x00}),
+       {{1, 1, 1}}},
+      {SealedRawReports({0x81, 0x00, 0x00, 0x05}), {{0, 1, 1}}},
+      {SealedRawReports({0x02, 0xff, 0x7f, 0x05, 0x80, 0x80, 0x80, 0x00, 0x84,
+                         0x00}),
+       {{-8192, 1, 1}, {-8192, 2, -1}}},
+      {SealedRawReports({0x01, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80,
+                         0x80, 0x00, 0x05}),
+       {{0, 1, 1}}},
+  };
+  for (const auto& [bytes, records] : cases) {
+    SCOPED_TRACE(testing::PrintToString(bytes));
+    ExpectSameVerdicts(bytes);
+    const auto decoded = DecodeReportBatch(bytes);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(*decoded, records);
+    ExpectPayloadFlipsAreDataLoss(bytes);
+    ExpectSameVerdictsUnderCorruption(bytes);
+  }
+  // Eleven bytes, or a tenth byte past bit 63, is still overlong.
+  for (const std::string& bytes :
+       {SealedRawReports({0x01, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80,
+                          0x80, 0x80, 0x80, 0x00, 0x05}),
+        SealedRawReports({0x01, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80,
+                          0x80, 0x80, 0x02, 0x05})}) {
+    ExpectSameVerdicts(bytes);
+    EXPECT_EQ(DecodeReportBatch(bytes).status().message(), "overlong varint");
+  }
+}
+
+TEST(WireCodecDiffTest, VarintsAtTheTrailerMatchTheReference) {
+  // The inline multi-byte decode needs three bytes before the trailer;
+  // varints that end exactly there, or run into it, must read as the
+  // reference reads them. Each case with the message both give ("" when
+  // it decodes).
+  const std::pair<std::string, std::string> cases[] = {
+      {SealedRawReports({0x01, 0x00, 0x85, 0x00}), ""},        // two bytes
+      {SealedRawReports({0x01, 0x00, 0x85, 0x80, 0x00}), ""},  // three
+      {SealedRawReports({0x01, 0x00, 0x85, 0x80, 0x80, 0x00}), ""},  // four
+      {SealedRawReports({0x80, 0x00}), ""},  // count 0 in two bytes
+      {SealedRawReports({0x01, 0x00, 0x85}), "truncated varint"},
+      {SealedRawReports({0x01, 0x00, 0x85, 0x80}), "truncated varint"},
+      {SealedRawReports({0x01, 0x00, 0x85, 0x80, 0x80}), "truncated varint"},
+      {SealedRawReports({0x01, 0x80}), "truncated varint"},
+      {SealedRawReports({0x01, 0x80, 0x80}), "truncated varint"},
+      {SealedRawReports({0x81, 0x00}), "truncated varint"},
+      {SealedRawReports({0x81}), "truncated varint"},
+      {SealedRawReports({0x01, 0x00, 0x85, 0x00, 0x00}),
+       "trailing bytes after batch"},
+  };
+  for (const auto& [bytes, message] : cases) {
+    SCOPED_TRACE(testing::PrintToString(bytes));
+    ExpectSameVerdicts(bytes);
+    EXPECT_EQ(DecodeReportBatch(bytes).status().message(), message);
+    ExpectPayloadFlipsAreDataLoss(bytes);
+    ExpectSameVerdictsUnderCorruption(bytes);
+  }
+}
+
 TEST(WireCodecDiffTest, PackedChoiceMatchesTheReferenceAroundBreakEven) {
   // One-tick ascending batches from one record up, with mean id gaps
   // from 1 to 40: small and sparse ones stay kind 7, dense and long ones
