@@ -28,7 +28,6 @@
 
 #include "bench_common.h"
 #include "futurerand/common/flags.h"
-#include "futurerand/common/simd.h"
 #include "futurerand/common/table_printer.h"
 #include "futurerand/common/threadpool.h"
 #include "futurerand/common/timer.h"
@@ -279,7 +278,6 @@ int Run(int argc, char** argv) {
   if (json) {
     bench::JsonLine line;
     line.Add("bench", "throughput")
-        .Add("kernel", simd::ActiveBackendName())
         .Add("n", n)
         .Add("d", d)
         .Add("k", k)

@@ -104,9 +104,6 @@ if [[ ! -f "$baseline_json" ]]; then
 fi
 baseline_line="$(cat "$baseline_json")"
 
-kernel="$(printf '%s\n' "$line" | grep -o '"kernel":"[^"]*"' | cut -d'"' -f4 || true)"
-echo "check_bench_regression: kernel=${kernel:-unknown} tolerance=$TOLERANCE"
-
 fail=0
 for stage in $STAGES; do
   current="$(field "$line" "$stage")"

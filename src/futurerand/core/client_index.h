@@ -16,6 +16,7 @@
 #define FUTURERAND_CORE_CLIENT_INDEX_H_
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -40,10 +41,13 @@ class ClientIndex {
           static_cast<uint64_t>(id) - static_cast<uint64_t>(first_id_);
       uint64_t slot = offset;
       if (stride_ != 1) {
-        if (offset % stride_ != 0) {
+        // The rounded-down slot times the stride is at most the offset,
+        // so the product cannot wrap; it equals the offset iff the id is
+        // in the progression's residue class.
+        slot = slot_divider()(offset);
+        if (slot * stride_ != offset) {
           return -1;
         }
-        slot = offset / stride_;
       }
       return slot < static_cast<uint64_t>(size_) ? static_cast<int32_t>(slot)
                                                  : -1;
@@ -79,6 +83,9 @@ class ClientIndex {
           static_cast<uint64_t>(id) - static_cast<uint64_t>(last);
       if (progression_ && rises && size_ == 1) {
         stride_ = step;
+        stride_shift_ = std::has_single_bit(step)
+                            ? static_cast<int8_t>(std::countr_zero(step))
+                            : int8_t{-1};
       } else if (progression_ && !(rises && step == stride_)) {
         Materialize();
       }
@@ -119,6 +126,21 @@ class ClientIndex {
   /// holds and the index is not empty).
   int64_t first_id() const { return first_id_; }
   uint64_t stride() const { return stride_; }
+
+  /// A progression's slot arithmetic as a value (meaningful while
+  /// progression() holds): maps `offset` = id - first_id() to
+  /// offset / stride(), which is the slot of every registered id. A
+  /// power-of-two stride divides by a shift. A loop that stores to memory
+  /// keeps a local copy's two fields in registers.
+  struct SlotDivider {
+    uint64_t stride;
+    int shift;  // log2(stride) for a power of two, else -1
+
+    uint64_t operator()(uint64_t offset) const {
+      return shift >= 0 ? offset >> shift : offset / stride;
+    }
+  };
+  SlotDivider slot_divider() const { return {stride_, stride_shift_}; }
 
   /// Makes room for `n` ids in total. Allocates only once the index has
   /// left the progression; until then the request is remembered, so a
@@ -200,6 +222,9 @@ class ClientIndex {
   // the progression clears it for good.
   bool progression_ = true;
   bool ascending_ = true;
+  // log2(stride_) for a power-of-two stride, else -1. It sits in the
+  // padding after the bools, so the index is no larger for it.
+  int8_t stride_shift_ = 0;
   int64_t first_id_ = 0;
   uint64_t stride_ = 1;
   size_t reserved_ = 0;         // largest Reserve request so far

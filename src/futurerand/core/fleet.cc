@@ -7,7 +7,6 @@
 
 #include "futurerand/common/macros.h"
 #include "futurerand/common/random.h"
-#include "futurerand/common/simd.h"
 #include "futurerand/randomizer/longitudinal.h"
 
 namespace futurerand::core {
@@ -109,86 +108,33 @@ Status ClientFleet::AdvanceTick(std::span<const int8_t> states,
   if (time_ >= config_.num_periods) {
     return Status::OutOfRange("all d time periods already ingested");
   }
-  if (!simd::AllZeroOrOne(states.data(), states.size())) {
+  // The three column passes below are plain loops with no early exit, so
+  // the compiler vectorizes them at the baseline ISA. A byte outside {0,1}
+  // has a bit set above bit 0.
+  const size_t n = states.size();
+  uint8_t invalid = 0;
+  for (size_t i = 0; i < n; ++i) {
+    invalid |= static_cast<uint8_t>(states[i]) & uint8_t{0xFE};
+  }
+  if (invalid != 0) {
     return Status::InvalidArgument("state must be 0 or 1");
   }
-  TickValidated(states, batch);
-  return Status::OK();
-}
 
-Result<ReportBatch> ClientFleet::AdvanceTick(std::span<const int8_t> states) {
-  ReportBatch batch;
-  FR_RETURN_NOT_OK(AdvanceTick(states, &batch));
-  return batch;
-}
-
-Status ClientFleet::AdvanceTickDerivatives(
-    std::span<const int8_t> derivatives, ReportBatch* batch) {
-  if (static_cast<int64_t>(derivatives.size()) != size()) {
-    return Status::InvalidArgument(
-        "derivatives span must cover every client");
-  }
-  if (time_ >= config_.num_periods) {
-    return Status::OutOfRange("all d time periods already ingested");
-  }
-  // Validate the whole tick read-only; scratch is written only after the
-  // tick is known good, so a failed call leaves the fleet byte-identical.
-  if (!simd::ValidDerivativeStep(current_states_.data(), derivatives.data(),
-                                 derivatives.size())) {
-    // Rare path: re-scan serially for the first offending element so the
-    // error message matches the per-element checks exactly.
-    for (size_t i = 0; i < derivatives.size(); ++i) {
-      const int8_t derivative = derivatives[i];
-      if (derivative != -1 && derivative != 0 && derivative != 1) {
-        return Status::InvalidArgument("derivative must be in {-1,0,+1}");
-      }
-      const auto next_state =
-          static_cast<int8_t>(current_states_[i] + derivative);
-      if (next_state != 0 && next_state != 1) {
-        return Status::InvalidArgument(
-            "derivative would move the Boolean state outside {0,1}");
-      }
-    }
-    FR_CHECK_MSG(false, "vector and scalar derivative validation disagree");
-  }
-  state_scratch_.resize(derivatives.size());
-  simd::AddI8(current_states_.data(), derivatives.data(),
-              state_scratch_.data(), derivatives.size());
-  TickValidated(state_scratch_, batch);
-  return Status::OK();
-}
-
-Result<ReportBatch> ClientFleet::AdvanceTickDerivatives(
-    std::span<const int8_t> derivatives) {
-  ReportBatch batch;
-  FR_RETURN_NOT_OK(AdvanceTickDerivatives(derivatives, &batch));
-  return batch;
-}
-
-std::string ClientFleet::EncodeRegistrations() const {
-  return EncodeRegistrationBatch(registrations_);
-}
-
-Result<std::string> ClientFleet::AdvanceTickEncoded(
-    std::span<const int8_t> states) {
-  ReportBatch batch;
-  FR_RETURN_NOT_OK(AdvanceTick(states, &batch));
-  return EncodeReportBatch(batch);
-}
-
-void ClientFleet::TickValidated(std::span<const int8_t> states,
-                                ReportBatch* batch) {
   ++time_;
   const int64_t t = time_;
-  const size_t n = states.size();
   batch->clear();
   if (n == 0) {
-    return;
+    return Status::OK();
   }
 
-  // Fleet-wide change detection and state refresh as whole-column kernels.
-  changes_total_ +=
-      simd::CountMismatches(states.data(), current_states_.data(), n);
+  // Change detection, then the state refresh. The count fits in 32 bits
+  // because Create caps a fleet at 2^31 - 1 clients.
+  const int8_t* current = current_states_.data();
+  uint32_t changes = 0;
+  for (size_t i = 0; i < n; ++i) {
+    changes += static_cast<uint32_t>(states[i] != current[i]);
+  }
+  changes_total_ += changes;
   std::memcpy(current_states_.data(), states.data(), n);
 
   // The reporting cohort depends only on countr_zero(t) (clamped: every
@@ -204,8 +150,11 @@ void ClientFleet::TickValidated(std::span<const int8_t> states,
     // (Observation 3.7: the partial sum is st[t] - st[t - 2^h]) and the
     // boundary refresh are contiguous column ops.
     partial_scratch_.resize(n);
-    simd::SubI8(current_states_.data(), boundary_states_.data(),
-                partial_scratch_.data(), n);
+    const int8_t* boundary = boundary_states_.data();
+    int8_t* partial = partial_scratch_.data();
+    for (size_t i = 0; i < n; ++i) {
+      partial[i] = static_cast<int8_t>(current[i] - boundary[i]);
+    }
     std::memcpy(boundary_states_.data(), current_states_.data(), n);
     auto randomize_range = [&](int64_t begin, int64_t end) {
       for (int64_t u = begin; u < end; ++u) {
@@ -245,6 +194,17 @@ void ClientFleet::TickValidated(std::span<const int8_t> states,
     }
   }
   reports_emitted_ += static_cast<int64_t>(batch->size());
+  return Status::OK();
+}
+
+Result<ReportBatch> ClientFleet::AdvanceTick(std::span<const int8_t> states) {
+  ReportBatch batch;
+  FR_RETURN_NOT_OK(AdvanceTick(states, &batch));
+  return batch;
+}
+
+std::string ClientFleet::EncodeRegistrations() const {
+  return EncodeRegistrationBatch(registrations_);
 }
 
 namespace {

@@ -75,24 +75,9 @@ class ClientFleet {
   /// Convenience overload allocating a fresh batch.
   Result<ReportBatch> AdvanceTick(std::span<const int8_t> states);
 
-  /// Equivalent input path taking discrete derivatives in {-1,0,+1}
-  /// (Definition 3.1) instead of states. Errors if any implied state would
-  /// leave {0,1}; like AdvanceTick, validation precedes any mutation.
-  Status AdvanceTickDerivatives(std::span<const int8_t> derivatives,
-                                ReportBatch* batch);
-
-  /// Convenience overload allocating a fresh batch.
-  Result<ReportBatch> AdvanceTickDerivatives(
-      std::span<const int8_t> derivatives);
-
   /// EncodeRegistrationBatch(registrations()) — the bytes a deployment
   /// ships once before any report.
   std::string EncodeRegistrations() const;
-
-  /// AdvanceTick + EncodeReportBatch in one call: advances the fleet one
-  /// period and returns the tick's reports as wire bytes. Same error
-  /// contract as AdvanceTick (a failed call leaves the fleet untouched).
-  Result<std::string> AdvanceTickEncoded(std::span<const int8_t> states);
 
   /// Number of clients in the fleet.
   int64_t size() const { return static_cast<int64_t>(levels_.size()); }
@@ -141,9 +126,6 @@ class ClientFleet {
   ClientFleet(const ProtocolConfig& config, ThreadPool* pool,
               int64_t first_client_id);
 
-  // Shared implementation; `states` has been validated by the caller.
-  void TickValidated(std::span<const int8_t> states, ReportBatch* batch);
-
   ProtocolConfig config_;
   ThreadPool* pool_;  // not owned; may be null
   int64_t first_client_id_;
@@ -165,7 +147,6 @@ class ClientFleet {
 
   std::vector<RegistrationMessage> registrations_;
   std::vector<int8_t> partial_scratch_;  // telescoped partial sums per tick
-  std::vector<int8_t> state_scratch_;    // derivative -> state translation
 };
 
 }  // namespace futurerand::core

@@ -562,13 +562,10 @@ Status Server::SubmitPacked(const PackedReports& batch, int shard,
   const int64_t index_last =
       run_wise ? clients_.IdAt(static_cast<int32_t>(clients_.size() - 1))
                : 0;
-  const bool stride_pow2 = std::has_single_bit(stride);
-  const int stride_shift = std::countr_zero(stride);
+  const ClientIndex::SlotDivider slot_divider = clients_.slot_divider();
   const auto slot_of = [&](int64_t id) {
-    const uint64_t offset =
-        static_cast<uint64_t>(id) - static_cast<uint64_t>(index_first);
-    return static_cast<size_t>(stride_pow2 ? offset >> stride_shift
-                                           : offset / stride);
+    return static_cast<size_t>(slot_divider(
+        static_cast<uint64_t>(id) - static_cast<uint64_t>(index_first)));
   };
   const int8_t* const levels = client_levels_.data();
   int64_t* const watermarks = watermarks_.data();

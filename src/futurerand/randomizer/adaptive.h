@@ -32,10 +32,6 @@ class AdaptiveRandomizer final : public SequenceRandomizer {
       std::unique_ptr<SequenceRandomizer> inner);
 
   int8_t Randomize(int8_t value) override { return inner_->Randomize(value); }
-  std::span<int8_t> Randomize(std::span<const int8_t> values,
-                              std::span<int8_t> out) override {
-    return inner_->Randomize(values, out);
-  }
   double c_gap() const override { return inner_->c_gap(); }
   int64_t length() const override { return inner_->length(); }
   int64_t max_support() const override { return inner_->max_support(); }

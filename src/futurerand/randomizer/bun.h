@@ -41,8 +41,6 @@ class BunRandomizer final : public SequenceRandomizer {
       std::shared_ptr<const ComposedRandomizer> sampler, int64_t length,
       uint64_t seed);
 
-  // The scalar override would otherwise hide the base batch overload.
-  using SequenceRandomizer::Randomize;
   int8_t Randomize(int8_t value) override;
   double c_gap() const override { return spec().c_gap; }
   int64_t length() const override { return length_; }

@@ -73,29 +73,4 @@ int8_t FutureRandRandomizer::Randomize(int8_t value) {
   return static_cast<int8_t>(value * noise);
 }
 
-std::span<int8_t> FutureRandRandomizer::Randomize(
-    std::span<const int8_t> values, std::span<int8_t> out) {
-  FR_CHECK_MSG(out.size() >= values.size(),
-               "batch output must be at least as large as the input");
-  // Hoisted from the scalar loop: one bound check covers the whole batch.
-  FR_CHECK_MSG(position_ + static_cast<int64_t>(values.size()) <= length_,
-               "more inputs than the configured length");
-  for (size_t i = 0; i < values.size(); ++i) {
-    const int8_t value = values[i];
-    FR_CHECK_MSG(value == -1 || value == 0 || value == 1,
-                 "inputs must be in {-1, 0, +1}");
-    if (value == 0) {
-      out[i] = rng_.NextSign();
-    } else if (support_used_ >= b_tilde_.size()) {
-      ++support_overflow_count_;
-      out[i] = rng_.NextSign();
-    } else {
-      out[i] = static_cast<int8_t>(value * b_tilde_.Get(support_used_));
-      ++support_used_;
-    }
-  }
-  position_ += static_cast<int64_t>(values.size());
-  return out.first(values.size());
-}
-
 }  // namespace futurerand::rand

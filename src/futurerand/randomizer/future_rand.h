@@ -43,11 +43,7 @@ class FutureRandRandomizer final : public SequenceRandomizer {
       std::shared_ptr<const ComposedRandomizer> sampler, int64_t length,
       uint64_t seed);
 
-  // Bring the base-class batch overload alongside the scalar override.
-  using SequenceRandomizer::Randomize;
   int8_t Randomize(int8_t value) override;
-  std::span<int8_t> Randomize(std::span<const int8_t> values,
-                              std::span<int8_t> out) override;
   double c_gap() const override { return spec().c_gap; }
   int64_t length() const override { return length_; }
   int64_t max_support() const override { return b_tilde_.size(); }

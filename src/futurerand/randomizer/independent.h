@@ -35,11 +35,7 @@ class IndependentRandomizer final : public SequenceRandomizer {
       const BasicRandomizer& basic, int64_t length, int64_t max_support,
       double epsilon, uint64_t seed);
 
-  // Bring the base-class batch overload alongside the scalar override.
-  using SequenceRandomizer::Randomize;
   int8_t Randomize(int8_t value) override;
-  std::span<int8_t> Randomize(std::span<const int8_t> values,
-                              std::span<int8_t> out) override;
   double c_gap() const override { return basic_.c_gap(); }
   int64_t length() const override { return length_; }
   int64_t max_support() const override { return max_support_; }

@@ -189,38 +189,6 @@ int8_t LongitudinalRandomizer::Randomize(int8_t value) {
   return second == candidate ? int8_t{1} : int8_t{-1};
 }
 
-std::span<int8_t> LongitudinalRandomizer::Randomize(
-    std::span<const int8_t> values, std::span<int8_t> out) {
-  FR_CHECK_MSG(out.size() >= values.size(),
-               "batch output must be at least as large as the input");
-  // Hoisted from the scalar loop: one bound check covers the whole batch.
-  FR_CHECK_MSG(
-      state_.position + static_cast<int64_t>(values.size()) <= length_,
-      "more inputs than the configured length");
-  for (size_t i = 0; i < values.size(); ++i) {
-    const int8_t value = values[i];
-    FR_CHECK_MSG(value == -1 || value == 0 || value == 1,
-                 "inputs must be in {-1, 0, +1}");
-    const int next = state_.tracked_state + value;
-    FR_CHECK_MSG(next == 0 || next == 1,
-                 "derivative would move the Boolean state outside {0,1}");
-    ++state_.position;
-    if (value != 0) {
-      ++state_.changes;
-    }
-    state_.tracked_state = static_cast<int8_t>(next);
-    const int32_t second = GrrSample(MemoizedFirstRound(next), spec_->p2);
-    if (spec_->kind == RandomizerKind::kLGrr) {
-      out[i] = second == 1 ? int8_t{1} : int8_t{-1};
-    } else {
-      const int32_t candidate =
-          HashValueToG(state_.hash_seed[next], 1, spec_->g);
-      out[i] = second == candidate ? int8_t{1} : int8_t{-1};
-    }
-  }
-  return out.first(values.size());
-}
-
 std::string LongitudinalRandomizer::name() const {
   return RandomizerKindToString(spec_->kind);
 }

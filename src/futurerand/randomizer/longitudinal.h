@@ -115,14 +115,9 @@ class LongitudinalRandomizer : public SequenceRandomizer {
       std::shared_ptr<const LongitudinalSpec> spec, int64_t length,
       uint64_t seed);
 
-  // Bring the base-class batch overload alongside the scalar override.
-  using SequenceRandomizer::Randomize;
-
   /// `value` is the level-0 partial sum, i.e. the derivative in {-1,0,+1};
   /// the implied state must stay in {0,1} (the fleet validates this).
   int8_t Randomize(int8_t value) override;
-  std::span<int8_t> Randomize(std::span<const int8_t> values,
-                              std::span<int8_t> out) override;
 
   double c_gap() const override { return spec_->gap(); }
   int64_t length() const override { return length_; }

@@ -45,19 +45,6 @@ class SequenceRandomizer {
   /// support_overflow_count() reports how many inputs were clamped.
   virtual int8_t Randomize(int8_t value) = 0;
 
-  /// Batch form: perturbs values[i] into out[i] for consecutive positions
-  /// j, j+1, ..., advancing position() by values.size(). Requires
-  /// out.size() >= values.size(); `out` may alias `values`. Returns the
-  /// filled prefix of `out`.
-  ///
-  /// Bit-identity contract: the outputs and all state transitions (position,
-  /// support usage, RNG stream) are exactly those of calling the scalar
-  /// Randomize once per element in order — the base implementation is that
-  /// loop, and overrides may only hoist invariant checks out of it, never
-  /// change per-element arithmetic or RNG consumption order.
-  virtual std::span<int8_t> Randomize(std::span<const int8_t> values,
-                                      std::span<int8_t> out);
-
   /// Exact common gap Pr[keep] - Pr[flip] for non-zero inputs (Property II).
   virtual double c_gap() const = 0;
 

@@ -206,6 +206,37 @@ TEST(ClientIndexTest, ExtremeIds) {
   }
 }
 
+TEST(ClientIndexTest, PowerOfTwoStridesNearBothEnds) {
+  // A power-of-two stride finds its slots by a shift and its residue class
+  // by a mask: one progression starts at the bottom of the int64 range and
+  // one ends at the top, so both the offsets and the wrapped probes past
+  // either end reach the full 64 bits.
+  for (const int shift : {1, 2, 6, 32, 62}) {
+    const uint64_t stride = uint64_t{1} << shift;
+    SCOPED_TRACE(stride);
+    // As many ids as fit between the ends, at most 300.
+    const auto count = static_cast<int64_t>(
+        std::min<uint64_t>(300, (~uint64_t{0} >> shift) + 1));
+    const uint64_t span = stride * static_cast<uint64_t>(count - 1);
+    for (const int64_t first : {kMin, kMin + 3, Wrap(kMax - span),
+                                Wrap(kMax - 5 - span)}) {
+      SCOPED_TRACE(first);
+      Differential diff;
+      diff.InsertAll(Progression(first, static_cast<int64_t>(stride), count));
+      EXPECT_TRUE(diff.index.progression());
+      EXPECT_EQ(diff.index.ApproxMemoryBytes(), 0);
+      const auto last = static_cast<uint64_t>(first) + span;
+      diff.CheckAll({Wrap(static_cast<uint64_t>(first) - stride),
+                     Wrap(static_cast<uint64_t>(first) + stride / 2),
+                     Wrap(last - stride / 2), Wrap(last + stride),
+                     Wrap(last + stride / 2), Wrap(last + 2 * stride)});
+      if (HasFatalFailure()) {
+        return;
+      }
+    }
+  }
+}
+
 TEST(ClientIndexTest, SeededRandomPopulations) {
   for (uint64_t seed = 1; seed <= 200; ++seed) {
     SCOPED_TRACE(seed);

@@ -43,23 +43,29 @@ uint64_t ClientSeed(uint64_t base_seed, int64_t client_id) {
   return Rng(base_seed).Fork(static_cast<uint64_t>(client_id)).NextUint64();
 }
 
-class FleetKindTest : public ::testing::TestWithParam<rand::RandomizerKind> {
-};
+// Fleet sizes around the widths a compiler vectorizes the tick's column
+// passes to (16, 32 and 64 bytes), plus one large fleet: the validation,
+// change-count and telescoping loops must agree with the per-client
+// reference in their vector bodies and in their scalar tails.
+constexpr int64_t kEdgeSizes[] = {1, 3, 15, 16, 17, 31, 32, 33,
+                                  63, 64, 65, 1000};
 
-TEST_P(FleetKindTest, MatchesPerClientLoopBitExactly) {
-  const ProtocolConfig config = TestConfig(GetParam());
-  const int64_t n = 64;
-  const uint64_t base_seed = 1234;
-
+// Ticks a fleet of n clients through every period next to n core::Client
+// instances with the same seeds, comparing each tick's batch and the
+// running change count. Returns the number of ticks at which the whole
+// fleet reported (the telescoped full-cohort path).
+int64_t ExpectMatchesPerClientLoop(const ProtocolConfig& config, int64_t n,
+                                   uint64_t base_seed, ThreadPool* pool) {
+  SCOPED_TRACE(n);
   ClientFleet fleet =
-      ClientFleet::Create(config, n, base_seed).ValueOrDie();
+      ClientFleet::Create(config, n, base_seed, pool).ValueOrDie();
   std::vector<Client> clients;
   for (int64_t u = 0; u < n; ++u) {
     clients.push_back(
         Client::Create(config, ClientSeed(base_seed, u)).ValueOrDie());
   }
 
-  ASSERT_EQ(fleet.size(), n);
+  EXPECT_EQ(fleet.size(), n);
   for (int64_t u = 0; u < n; ++u) {
     EXPECT_EQ(fleet.level(u), clients[static_cast<size_t>(u)].level()) << u;
     EXPECT_EQ(fleet.registrations()[static_cast<size_t>(u)],
@@ -70,55 +76,57 @@ TEST_P(FleetKindTest, MatchesPerClientLoopBitExactly) {
   std::vector<int8_t> states(static_cast<size_t>(n));
   ReportBatch batch;
   int64_t total_reports = 0;
+  int64_t full_cohort_ticks = 0;
   for (int64_t t = 1; t <= config.num_periods; ++t) {
     for (int64_t u = 0; u < n; ++u) {
       states[static_cast<size_t>(u)] = PatternState(u, t, config.num_periods);
     }
-    ASSERT_TRUE(fleet.AdvanceTick(states, &batch).ok());
+    EXPECT_TRUE(fleet.AdvanceTick(states, &batch).ok());
 
     ReportBatch expected;
+    int64_t expected_changes = 0;
     for (int64_t u = 0; u < n; ++u) {
+      Client& client = clients[static_cast<size_t>(u)];
       const std::optional<int8_t> report =
-          clients[static_cast<size_t>(u)]
-              .ObserveState(states[static_cast<size_t>(u)])
-              .ValueOrDie();
+          client.ObserveState(states[static_cast<size_t>(u)]).ValueOrDie();
       if (report.has_value()) {
         expected.push_back(ReportMessage{u, t, *report});
       }
+      expected_changes += client.changes_seen();
     }
     EXPECT_EQ(batch, expected) << "tick " << t;
+    EXPECT_EQ(fleet.changes_seen(), expected_changes) << "tick " << t;
     total_reports += static_cast<int64_t>(batch.size());
+    full_cohort_ticks += static_cast<int64_t>(batch.size()) == n ? 1 : 0;
   }
   EXPECT_EQ(fleet.current_time(), config.num_periods);
   EXPECT_EQ(fleet.reports_emitted(), total_reports);
 
-  int64_t expected_changes = 0;
   int64_t expected_overflows = 0;
   for (const Client& client : clients) {
-    expected_changes += client.changes_seen();
     expected_overflows += client.support_overflow_count();
   }
-  EXPECT_EQ(fleet.changes_seen(), expected_changes);
   EXPECT_EQ(fleet.support_overflow_count(), expected_overflows);
+  return full_cohort_ticks;
+}
+
+class FleetKindTest : public ::testing::TestWithParam<rand::RandomizerKind> {
+};
+
+TEST_P(FleetKindTest, MatchesPerClientLoopBitExactly) {
+  const ProtocolConfig config = TestConfig(GetParam());
+  for (const int64_t n : kEdgeSizes) {
+    // t = d is due for every level, so each size takes the full-cohort
+    // path at least once.
+    EXPECT_GE(ExpectMatchesPerClientLoop(config, n, 1234, nullptr), 1);
+  }
 }
 
 TEST_P(FleetKindTest, PooledMatchesSingleThreaded) {
   const ProtocolConfig config = TestConfig(GetParam());
-  const int64_t n = 96;
   ThreadPool pool(4);
-  ClientFleet pooled =
-      ClientFleet::Create(config, n, 77, &pool).ValueOrDie();
-  ClientFleet serial = ClientFleet::Create(config, n, 77).ValueOrDie();
-  EXPECT_EQ(pooled.registrations(), serial.registrations());
-
-  std::vector<int8_t> states(static_cast<size_t>(n));
-  for (int64_t t = 1; t <= config.num_periods; ++t) {
-    for (int64_t u = 0; u < n; ++u) {
-      states[static_cast<size_t>(u)] = PatternState(u, t, config.num_periods);
-    }
-    const ReportBatch a = pooled.AdvanceTick(states).ValueOrDie();
-    const ReportBatch b = serial.AdvanceTick(states).ValueOrDie();
-    EXPECT_EQ(a, b) << "tick " << t;
+  for (const int64_t n : kEdgeSizes) {
+    EXPECT_GE(ExpectMatchesPerClientLoop(config, n, 77, &pool), 1);
   }
 }
 
@@ -199,30 +207,6 @@ INSTANTIATE_TEST_SUITE_P(AllRandomizers, FleetPerLevelSupportTest,
                            return rand::RandomizerKindToString(info.param);
                          });
 
-TEST(FleetTest, DerivativeVariantMatchesStateVariant) {
-  const ProtocolConfig config =
-      TestConfig(rand::RandomizerKind::kFutureRand, 16, 2);
-  const int64_t n = 40;
-  ClientFleet by_state = ClientFleet::Create(config, n, 5).ValueOrDie();
-  ClientFleet by_derivative = ClientFleet::Create(config, n, 5).ValueOrDie();
-
-  std::vector<int8_t> states(static_cast<size_t>(n), 0);
-  std::vector<int8_t> previous(static_cast<size_t>(n), 0);
-  std::vector<int8_t> derivatives(static_cast<size_t>(n), 0);
-  for (int64_t t = 1; t <= config.num_periods; ++t) {
-    for (int64_t u = 0; u < n; ++u) {
-      const auto i = static_cast<size_t>(u);
-      states[i] = PatternState(u, t, config.num_periods);
-      derivatives[i] = static_cast<int8_t>(states[i] - previous[i]);
-      previous[i] = states[i];
-    }
-    const ReportBatch a = by_state.AdvanceTick(states).ValueOrDie();
-    const ReportBatch b =
-        by_derivative.AdvanceTickDerivatives(derivatives).ValueOrDie();
-    EXPECT_EQ(a, b) << "tick " << t;
-  }
-}
-
 TEST(FleetTest, FirstClientIdOffsetsIdsButNotRandomness) {
   const ProtocolConfig config =
       TestConfig(rand::RandomizerKind::kIndependent, 16, 2);
@@ -254,11 +238,6 @@ TEST(FleetTest, ValidatesInputsBeforeMutatingAnything) {
   // A bad state in the middle of the span.
   std::vector<int8_t> bad = {0, 1, 2, 0};
   EXPECT_FALSE(fleet.AdvanceTick(bad, &batch).ok());
-  // Bad derivatives: out of range, and one that exits {0,1}.
-  std::vector<int8_t> bad_derivative = {0, 2, 0, 0};
-  EXPECT_FALSE(fleet.AdvanceTickDerivatives(bad_derivative, &batch).ok());
-  std::vector<int8_t> exits = {0, 0, -1, 0};
-  EXPECT_FALSE(fleet.AdvanceTickDerivatives(exits, &batch).ok());
   EXPECT_EQ(fleet.current_time(), 0);
 
   // After all those rejected calls the fleet is still bit-identical to one
@@ -270,6 +249,57 @@ TEST(FleetTest, ValidatesInputsBeforeMutatingAnything) {
   }
   // And the clock is exhausted.
   EXPECT_FALSE(fleet.AdvanceTick(good, &batch).ok());
+
+  // One poisoned state at every position of every edge size, for bytes
+  // outside {0,1} of both signs and both ends: a bad byte must be caught
+  // in the validation pass's vector body and in its scalar tail. A
+  // longitudinal fleet exports its whole per-client state as bytes, so
+  // for it the rejected calls are checked byte for byte.
+  for (const rand::RandomizerKind kind :
+       {rand::RandomizerKind::kFutureRand, rand::RandomizerKind::kLGrr}) {
+    const ProtocolConfig poison_config = TestConfig(kind, 16, 2);
+    for (const int64_t n : kEdgeSizes) {
+      SCOPED_TRACE(n);
+      ClientFleet poisoned =
+          ClientFleet::Create(poison_config, n, 5).ValueOrDie();
+      ClientFleet twin = ClientFleet::Create(poison_config, n, 5).ValueOrDie();
+      std::vector<int8_t> states(static_cast<size_t>(n));
+      auto fill = [&](int64_t t) {
+        for (int64_t u = 0; u < n; ++u) {
+          states[static_cast<size_t>(u)] = PatternState(u, t, 16);
+        }
+      };
+      for (int64_t t = 1; t <= 3; ++t) {
+        fill(t);
+        ASSERT_EQ(poisoned.AdvanceTick(states).ValueOrDie(),
+                  twin.AdvanceTick(states).ValueOrDie());
+      }
+      fill(4);
+      for (const int8_t poison : {int8_t{2}, int8_t{-1}, int8_t{127},
+                                  int8_t{-128}}) {
+        for (size_t i = 0; i < states.size(); ++i) {
+          const int8_t saved = states[i];
+          states[i] = poison;
+          EXPECT_FALSE(poisoned.AdvanceTick(states, &batch).ok())
+              << "poison " << static_cast<int>(poison) << " at " << i;
+          states[i] = saved;
+        }
+      }
+      EXPECT_EQ(poisoned.current_time(), 3);
+      EXPECT_EQ(poisoned.reports_emitted(), twin.reports_emitted());
+      EXPECT_EQ(poisoned.changes_seen(), twin.changes_seen());
+      if (rand::IsLongitudinalKind(kind)) {
+        EXPECT_EQ(poisoned.EncodeLongitudinalState().ValueOrDie(),
+                  twin.EncodeLongitudinalState().ValueOrDie());
+      }
+      for (int64_t t = 4; t <= poison_config.num_periods; ++t) {
+        fill(t);
+        EXPECT_EQ(poisoned.AdvanceTick(states).ValueOrDie(),
+                  twin.AdvanceTick(states).ValueOrDie())
+            << "tick " << t;
+      }
+    }
+  }
 }
 
 TEST(FleetTest, PoisonedConfigReturnsFirstErrorPooledAndSerial) {
@@ -294,55 +324,6 @@ TEST(FleetTest, PoisonedConfigReturnsFirstErrorPooledAndSerial) {
   EXPECT_EQ(pooled.status().ToString(), serial.status().ToString());
 }
 
-TEST(FleetTest, FailedDerivativeTickLeavesFleetByteIdentical) {
-  // Regression: AdvanceTickDerivatives used to fill its next-state scratch
-  // element by element while validating, so a vector with a valid prefix
-  // and one bad entry left partial work behind. Validation is now a
-  // read-only pass over the whole tick; a failed call must leave the fleet
-  // indistinguishable from a twin that never saw it.
-  const ProtocolConfig config =
-      TestConfig(rand::RandomizerKind::kFutureRand, 16, 3);
-  const int64_t n = 70;  // straddles two AVX2 lanes plus tail
-  ClientFleet fleet = ClientFleet::Create(config, n, 11).ValueOrDie();
-  ClientFleet twin = ClientFleet::Create(config, n, 11).ValueOrDie();
-
-  // A few good derivative ticks first, so the internal state is nontrivial.
-  std::vector<int8_t> derivatives(static_cast<size_t>(n), 0);
-  for (int64_t t = 1; t <= 3; ++t) {
-    for (int64_t u = 0; u < n; ++u) {
-      derivatives[static_cast<size_t>(u)] = static_cast<int8_t>(
-          PatternState(u, t, 16) - PatternState(u, t - 1, 16));
-    }
-    ASSERT_EQ(fleet.AdvanceTickDerivatives(derivatives).ValueOrDie(),
-              twin.AdvanceTickDerivatives(derivatives).ValueOrDie());
-  }
-
-  // Valid prefix, bad tail: every element before the last is a legal step,
-  // the last is out of range — the old code had done n-1 elements of work
-  // by the time it noticed.
-  std::vector<int8_t> poisoned(static_cast<size_t>(n), 0);
-  poisoned.back() = 2;
-  ReportBatch batch;
-  EXPECT_FALSE(fleet.AdvanceTickDerivatives(poisoned, &batch).ok());
-  // And one that exits {0,1} only at the very end.
-  std::vector<int8_t> exits(static_cast<size_t>(n), 0);
-  exits.back() = static_cast<int8_t>(PatternState(n - 1, 3, 16) == 1 ? 1 : -1);
-  EXPECT_FALSE(fleet.AdvanceTickDerivatives(exits, &batch).ok());
-  EXPECT_EQ(fleet.current_time(), 3);
-
-  // The rejected calls consumed nothing: both fleets emit bit-identical
-  // reports for the rest of the horizon.
-  for (int64_t t = 4; t <= config.num_periods; ++t) {
-    for (int64_t u = 0; u < n; ++u) {
-      derivatives[static_cast<size_t>(u)] = static_cast<int8_t>(
-          PatternState(u, t, 16) - PatternState(u, t - 1, 16));
-    }
-    EXPECT_EQ(fleet.AdvanceTickDerivatives(derivatives).ValueOrDie(),
-              twin.AdvanceTickDerivatives(derivatives).ValueOrDie())
-        << "t=" << t;
-  }
-}
-
 TEST(FleetTest, EncodedConveniencesMatchSeparateCalls) {
   const ProtocolConfig config =
       TestConfig(rand::RandomizerKind::kFutureRand, /*d=*/16, /*k=*/2);
@@ -355,7 +336,8 @@ TEST(FleetTest, EncodedConveniencesMatchSeparateCalls) {
     for (int64_t u = 0; u < 12; ++u) {
       states[static_cast<size_t>(u)] = PatternState(u, t, 16);
     }
-    const auto encoded = fleet.AdvanceTickEncoded(states);
+    const auto encoded =
+        EncodeReportBatch(fleet.AdvanceTick(states).ValueOrDie());
     ASSERT_TRUE(encoded.ok());
     const auto batch = reference.AdvanceTick(states);
     ASSERT_TRUE(batch.ok());
@@ -380,7 +362,8 @@ TEST(FleetTest, EncodedTicksShipPackedAndDecodeToTheTick) {
     for (int64_t u = 0; u < kClients; ++u) {
       states[static_cast<size_t>(u)] = PatternState(u, t, 16);
     }
-    const auto encoded = fleet.AdvanceTickEncoded(states);
+    const auto encoded =
+        EncodeReportBatch(fleet.AdvanceTick(states).ValueOrDie());
     ASSERT_TRUE(encoded.ok());
     const auto batch = reference.AdvanceTick(states);
     ASSERT_TRUE(batch.ok());

@@ -159,7 +159,7 @@ ValidPayloads MakePayloads(uint64_t seed) {
     for (int64_t u = 0; u < kLongitudinalFleetSize; ++u) {
       states[static_cast<size_t>(u)] = static_cast<int8_t>((u + t / 2) % 2);
     }
-    EXPECT_TRUE(fleet.AdvanceTickEncoded(states).ok());
+    EXPECT_TRUE(fleet.AdvanceTick(states).ok());
   }
   ValidPayloads payloads;
   payloads.server_state_direct = EncodeServerState(direct_server);

@@ -15,6 +15,7 @@
 
 #include "futurerand/core/config.h"
 #include "futurerand/core/fleet.h"
+#include "futurerand/core/wire.h"
 
 namespace futurerand::rand {
 namespace {
@@ -211,7 +212,7 @@ TEST(LGrrFleetSnapshotTest, RestoreTicksBitIdenticallyToTheCaptured) {
   const int64_t n = 50;
   auto fleet = core::ClientFleet::Create(FleetConfig(), n, 41).ValueOrDie();
   for (int64_t t = 1; t <= 12; ++t) {
-    ASSERT_TRUE(fleet.AdvanceTickEncoded(TickStates(n, t)).ok());
+    ASSERT_TRUE(fleet.AdvanceTick(TickStates(n, t)).ok());
   }
   const std::string blob = fleet.EncodeLongitudinalState().ValueOrDie();
 
@@ -225,8 +226,11 @@ TEST(LGrrFleetSnapshotTest, RestoreTicksBitIdenticallyToTheCaptured) {
   EXPECT_EQ(restored.changes_seen(), fleet.changes_seen());
   for (int64_t t = 13; t <= 32; ++t) {
     const auto states = TickStates(n, t);
-    EXPECT_EQ(restored.AdvanceTickEncoded(states).ValueOrDie(),
-              fleet.AdvanceTickEncoded(states).ValueOrDie())
+    EXPECT_EQ(
+        core::EncodeReportBatch(restored.AdvanceTick(states).ValueOrDie())
+            .ValueOrDie(),
+        core::EncodeReportBatch(fleet.AdvanceTick(states).ValueOrDie())
+            .ValueOrDie())
         << "tick " << t;
   }
   // Encoding is stable: capturing the same instant twice gives equal bytes.
@@ -237,7 +241,7 @@ TEST(LGrrFleetSnapshotTest, RestoreTicksBitIdenticallyToTheCaptured) {
 TEST(LGrrFleetSnapshotTest, CorruptedOrMismatchedBlobsAreRejected) {
   const int64_t n = 20;
   auto fleet = core::ClientFleet::Create(FleetConfig(), n, 43).ValueOrDie();
-  ASSERT_TRUE(fleet.AdvanceTickEncoded(TickStates(n, 1)).ok());
+  ASSERT_TRUE(fleet.AdvanceTick(TickStates(n, 1)).ok());
   const std::string blob = fleet.EncodeLongitudinalState().ValueOrDie();
 
   std::string flipped = blob;

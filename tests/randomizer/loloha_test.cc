@@ -16,6 +16,7 @@
 
 #include "futurerand/core/config.h"
 #include "futurerand/core/fleet.h"
+#include "futurerand/core/wire.h"
 
 namespace futurerand::rand {
 namespace {
@@ -156,15 +157,18 @@ TEST(LolohaFleetSnapshotTest, RestoreTicksBitIdenticallyToTheCaptured) {
   };
   for (int64_t t = 1; t <= 10; ++t) {
     fill(t);
-    ASSERT_TRUE(fleet.AdvanceTickEncoded(states).ok());
+    ASSERT_TRUE(fleet.AdvanceTick(states).ok());
   }
   const std::string blob = fleet.EncodeLongitudinalState().ValueOrDie();
   auto restored = core::ClientFleet::Create(config, n, 424242).ValueOrDie();
   ASSERT_TRUE(restored.RestoreLongitudinalState(blob).ok());
   for (int64_t t = 11; t <= 32; ++t) {
     fill(t);
-    EXPECT_EQ(restored.AdvanceTickEncoded(states).ValueOrDie(),
-              fleet.AdvanceTickEncoded(states).ValueOrDie())
+    EXPECT_EQ(
+        core::EncodeReportBatch(restored.AdvanceTick(states).ValueOrDie())
+            .ValueOrDie(),
+        core::EncodeReportBatch(fleet.AdvanceTick(states).ValueOrDie())
+            .ValueOrDie())
         << "tick " << t;
   }
 }

@@ -13,6 +13,7 @@
 
 #include "futurerand/common/threadpool.h"
 #include "futurerand/core/fleet.h"
+#include "futurerand/core/wire.h"
 #include "futurerand/randomizer/randomizer.h"
 #include "futurerand/sim/runner.h"
 #include "futurerand/sim/workload.h"
@@ -241,8 +242,11 @@ TEST_P(LongitudinalDeterminismTest, FleetStateRestoreCycleIsInvisible) {
     for (int64_t u = 0; u < n; ++u) {
       states[static_cast<size_t>(u)] = workload.trace(u).StateAt(t);
     }
-    EXPECT_EQ(plain.AdvanceTickEncoded(states).ValueOrDie(),
-              cycled.AdvanceTickEncoded(states).ValueOrDie())
+    EXPECT_EQ(
+        core::EncodeReportBatch(plain.AdvanceTick(states).ValueOrDie())
+            .ValueOrDie(),
+        core::EncodeReportBatch(cycled.AdvanceTick(states).ValueOrDie())
+            .ValueOrDie())
         << ProtocolKindToString(GetParam()) << " tick " << t;
     if (t % 8 == 0) {
       // Capture and restore into a cold fleet with a different base seed:
