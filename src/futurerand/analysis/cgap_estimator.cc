@@ -32,15 +32,10 @@ Result<CGapEstimate> EstimateCGapMonteCarlo(rand::RandomizerKind kind,
   switch (kind) {
     case rand::RandomizerKind::kFutureRand:
     case rand::RandomizerKind::kBun: {
-      Result<rand::AnnulusSpec> spec_result =
-          kind == rand::RandomizerKind::kFutureRand
-              ? rand::MakeFutureRandSpec(max_support, epsilon)
-              : rand::MakeBunSpec(max_support, epsilon);
-      if (!spec_result.ok()) {
-        return spec_result.status();
-      }
+      FR_ASSIGN_OR_RETURN(const rand::AnnulusSpec spec,
+                          rand::MakeAnnulusSpec(kind, max_support, epsilon));
       FR_ASSIGN_OR_RETURN(rand::ComposedRandomizer composed,
-                          rand::ComposedRandomizer::Create(*spec_result));
+                          rand::ComposedRandomizer::Create(spec));
       for (int64_t s = 0; s < samples; ++s) {
         const SignVector b_tilde = composed.Apply(all_ones, &rng);
         // Per-sample agreement average: (k - 2*dist)/k, expectation c_gap.

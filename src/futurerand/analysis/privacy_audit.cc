@@ -63,16 +63,10 @@ Result<AuditResult> AuditRandomizer(rand::RandomizerKind kind,
   AuditResult audit;
   audit.nominal_epsilon = epsilon;
   switch (kind) {
-    case rand::RandomizerKind::kFutureRand: {
-      FR_ASSIGN_OR_RETURN(rand::AnnulusSpec spec,
-                          rand::MakeFutureRandSpec(max_support, epsilon));
-      audit.certified_epsilon = spec.certified_epsilon;
-      audit.normalization_error = std::abs(rand::TotalMass(spec) - 1.0);
-      break;
-    }
+    case rand::RandomizerKind::kFutureRand:
     case rand::RandomizerKind::kBun: {
-      FR_ASSIGN_OR_RETURN(rand::AnnulusSpec spec,
-                          rand::MakeBunSpec(max_support, epsilon));
+      FR_ASSIGN_OR_RETURN(const rand::AnnulusSpec spec,
+                          rand::MakeAnnulusSpec(kind, max_support, epsilon));
       audit.certified_epsilon = spec.certified_epsilon;
       audit.normalization_error = std::abs(rand::TotalMass(spec) - 1.0);
       break;
@@ -90,16 +84,9 @@ Result<AuditResult> AuditRandomizer(rand::RandomizerKind kind,
       break;
     }
     case rand::RandomizerKind::kAdaptive: {
-      FR_ASSIGN_OR_RETURN(double future_gap,
-                          rand::ExactCGap(rand::RandomizerKind::kFutureRand,
-                                          max_support, epsilon));
-      FR_ASSIGN_OR_RETURN(double independent_gap,
-                          rand::ExactCGap(rand::RandomizerKind::kIndependent,
-                                          max_support, epsilon));
-      return AuditRandomizer(future_gap >= independent_gap
-                                 ? rand::RandomizerKind::kFutureRand
-                                 : rand::RandomizerKind::kIndependent,
-                             max_support, epsilon);
+      FR_ASSIGN_OR_RETURN(const rand::RandomizerKind choice,
+                          rand::ChooseAdaptiveKind(max_support, epsilon));
+      return AuditRandomizer(choice, max_support, epsilon);
     }
     case rand::RandomizerKind::kLGrr:
     case rand::RandomizerKind::kLOlh:

@@ -5,8 +5,9 @@
 // factors for the independent one), the worst-case probability ratio over
 // all input pairs and outputs — i.e. the *actual* epsilon — is computable
 // exactly. AuditRandomizer certifies a single randomizer; AuditOnlineClient
-// exhaustively audits the full online report sequence of a FutureRand
-// client over every pair of k-sparse inputs of a given length.
+// exhaustively audits the full online report sequence of a client running
+// Algorithm 3's shell over one annulus (FutureRand's or Bun's), over every
+// pair of k-sparse inputs of a given length.
 
 #ifndef FUTURERAND_ANALYSIS_PRIVACY_AUDIT_H_
 #define FUTURERAND_ANALYSIS_PRIVACY_AUDIT_H_
@@ -40,20 +41,22 @@ struct AuditResult {
 };
 
 /// Exact audit of one sequence-randomizer construction for (k, epsilon)
-/// using its closed-form law. Supports kFutureRand, kBun and kIndependent
-/// (kAdaptive audits as whichever construction it selects). The
-/// longitudinal kinds audit their eps_perm certificate at the given
-/// `alpha` split, which covers any number of reports of one *unchanged*
-/// value: each such report is fresh-noise post-processing of the memoized
-/// first round, so the ratio is exactly the first round's ln(p1/q1). It
-/// does not cover the paper's k-change neighbour relation: after a change
-/// the replayed memo leaks through per-tick noise, so the sequence-level
-/// loss grows with d. The dyadic kinds ignore `alpha`.
+/// using its closed-form law. Supports kFutureRand, kBun and kIndependent;
+/// kAdaptive audits as rand::ChooseAdaptiveKind's pick, the construction
+/// its instances are. The longitudinal kinds audit their eps_perm
+/// certificate at the given `alpha` split, which covers any number of
+/// reports of one *unchanged* value: each such report is fresh-noise
+/// post-processing of the memoized first round, so the ratio is exactly
+/// the first round's ln(p1/q1). It does not cover the paper's k-change
+/// neighbour relation: after a change the replayed memo leaks through
+/// per-tick noise, so the sequence-level loss grows with d. The dyadic
+/// kinds ignore `alpha`.
 Result<AuditResult> AuditRandomizer(rand::RandomizerKind kind,
                                     int64_t max_support, double epsilon,
                                     double alpha = 0.5);
 
-/// Exhaustive audit of a full online FutureRand client sequence: for every
+/// Exhaustive audit of a full online client sequence over `spec` (any
+/// rand::MakeAnnulusSpec result, run in Algorithm 3's shell): for every
 /// pair of {-1,0,+1}^length inputs with at most spec.k non-zero entries and
 /// every output in {-1,+1}^length, forms the exact probability ratio.
 /// Exponential in `length` (cost ~ 6^length); intended for length <= 10.

@@ -108,9 +108,8 @@ Status ClientFleet::AdvanceTick(std::span<const int8_t> states,
   if (time_ >= config_.num_periods) {
     return Status::OutOfRange("all d time periods already ingested");
   }
-  // The three column passes below are plain loops with no early exit, so
-  // the compiler vectorizes them at the baseline ISA. A byte outside {0,1}
-  // has a bit set above bit 0.
+  // A plain loop with no early exit, so the compiler vectorizes it at the
+  // baseline ISA. A byte outside {0,1} has a bit set above bit 0.
   const size_t n = states.size();
   uint8_t invalid = 0;
   for (size_t i = 0; i < n; ++i) {
@@ -126,15 +125,6 @@ Status ClientFleet::AdvanceTick(std::span<const int8_t> states,
   if (n == 0) {
     return Status::OK();
   }
-
-  // Change detection, then the state refresh. The count fits in 32 bits
-  // because Create caps a fleet at 2^31 - 1 clients.
-  const int8_t* current = current_states_.data();
-  uint32_t changes = 0;
-  for (size_t i = 0; i < n; ++i) {
-    changes += static_cast<uint32_t>(states[i] != current[i]);
-  }
-  changes_total_ += changes;
   std::memcpy(current_states_.data(), states.data(), n);
 
   // The reporting cohort depends only on countr_zero(t) (clamped: every
@@ -145,53 +135,35 @@ Status ClientFleet::AdvanceTick(std::span<const int8_t> states,
   const std::vector<int32_t>& cohort = cohort_by_tz_[z];
   batch->resize(cohort.size());
 
-  if (cohort.size() == n) {
-    // Everyone reports (t a multiple of the deepest interval): telescoping
-    // (Observation 3.7: the partial sum is st[t] - st[t - 2^h]) and the
-    // boundary refresh are contiguous column ops.
-    partial_scratch_.resize(n);
-    const int8_t* boundary = boundary_states_.data();
-    int8_t* partial = partial_scratch_.data();
-    for (size_t i = 0; i < n; ++i) {
-      partial[i] = static_cast<int8_t>(current[i] - boundary[i]);
+  // Gather per member: telescoping (Observation 3.7: the partial sum is
+  // st[t] - st[t - 2^h]), then the boundary refresh. Each member touches
+  // only its own slots (cohort positions are distinct), so the loop
+  // parallelizes with no synchronization and stays bit-identical to the
+  // serial order. The columns are read through local pointers: through the
+  // members, every byte store and Randomize call would force the compiler
+  // to reload each vector's data pointer.
+  const int32_t* members = cohort.data();
+  const int8_t* current = current_states_.data();
+  int8_t* boundary = boundary_states_.data();
+  ReportMessage* out = batch->data();
+  const std::unique_ptr<rand::SequenceRandomizer>* clients =
+      randomizers_.data();
+  const int64_t first_id = first_client_id_;
+  auto randomize_range = [=](int64_t begin, int64_t end) {
+    for (int64_t j = begin; j < end; ++j) {
+      const auto i = static_cast<size_t>(members[j]);
+      const int8_t state = current[i];
+      const auto partial_sum = static_cast<int8_t>(state - boundary[i]);
+      boundary[i] = state;
+      out[j] = ReportMessage{first_id + static_cast<int64_t>(i), t,
+                             clients[i]->Randomize(partial_sum)};
     }
-    std::memcpy(boundary_states_.data(), current_states_.data(), n);
-    auto randomize_range = [&](int64_t begin, int64_t end) {
-      for (int64_t u = begin; u < end; ++u) {
-        const auto i = static_cast<size_t>(u);
-        (*batch)[i] = ReportMessage{
-            first_client_id_ + u, t,
-            randomizers_[i]->Randomize(partial_scratch_[i])};
-      }
-    };
-    if (pool_ != nullptr && n > 1) {
-      pool_->ParallelFor(static_cast<int64_t>(n), randomize_range);
-    } else {
-      randomize_range(0, static_cast<int64_t>(n));
-    }
+  };
+  const auto cohort_size = static_cast<int64_t>(cohort.size());
+  if (pool_ != nullptr && cohort_size > 1) {
+    pool_->ParallelFor(cohort_size, randomize_range);
   } else {
-    // Sparse cohort: gather per member. Each member touches only its own
-    // slots (cohort positions are distinct), so the loop parallelizes with
-    // no synchronization and stays bit-identical to the serial order.
-    auto randomize_range = [&](int64_t begin, int64_t end) {
-      for (int64_t j = begin; j < end; ++j) {
-        const auto i =
-            static_cast<size_t>(cohort[static_cast<size_t>(j)]);
-        const int8_t state = current_states_[i];
-        const auto partial_sum =
-            static_cast<int8_t>(state - boundary_states_[i]);
-        boundary_states_[i] = state;
-        (*batch)[static_cast<size_t>(j)] = ReportMessage{
-            first_client_id_ + static_cast<int64_t>(i), t,
-            randomizers_[i]->Randomize(partial_sum)};
-      }
-    };
-    const auto cohort_size = static_cast<int64_t>(cohort.size());
-    if (pool_ != nullptr && cohort_size > 1) {
-      pool_->ParallelFor(cohort_size, randomize_range);
-    } else {
-      randomize_range(0, cohort_size);
-    }
+    randomize_range(0, cohort_size);
   }
   reports_emitted_ += static_cast<int64_t>(batch->size());
   return Status::OK();
@@ -243,7 +215,13 @@ Result<std::string> ClientFleet::EncodeLongitudinalState() const {
   // Fleet clock.
   wire_internal::PutVarint64(static_cast<uint64_t>(time_), &out);
   wire_internal::PutVarint64(static_cast<uint64_t>(reports_emitted_), &out);
-  wire_internal::PutVarint64(static_cast<uint64_t>(changes_total_), &out);
+  // changes_total: the sum of the per-client counts written below (a
+  // longitudinal client's support_used() is its change count).
+  uint64_t changes_total = 0;
+  for (const auto& randomizer : randomizers_) {
+    changes_total += static_cast<uint64_t>(randomizer->support_used());
+  }
+  wire_internal::PutVarint64(changes_total, &out);
   // Per-client memoization state, in client-id order. Every longitudinal
   // client sits at level 0, so position == time_ fleet-wide and is not
   // repeated per client.
@@ -386,7 +364,6 @@ Status ClientFleet::RestoreLongitudinalState(std::string_view bytes) {
   }
   time_ = time;
   reports_emitted_ = static_cast<int64_t>(raw_reports);
-  changes_total_ = static_cast<int64_t>(raw_changes);
   for (size_t i = 0; i < n; ++i) {
     // Level-0 clients hit a dyadic boundary every tick, so the integrated
     // state and the boundary state coincide at every snapshot point.
@@ -395,8 +372,6 @@ Status ClientFleet::RestoreLongitudinalState(std::string_view bytes) {
   }
   return Status::OK();
 }
-
-int64_t ClientFleet::changes_seen() const { return changes_total_; }
 
 int64_t ClientFleet::support_overflow_count() const {
   int64_t total = 0;

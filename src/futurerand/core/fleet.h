@@ -97,10 +97,6 @@ class ClientFleet {
   /// Reports emitted so far, summed over the fleet.
   int64_t reports_emitted() const { return reports_emitted_; }
 
-  /// Value changes observed so far, summed over the fleet (st[0] = 0
-  /// convention).
-  int64_t changes_seen() const;
-
   /// Non-zero partial sums clamped by the randomizers' sparsity budget,
   /// summed over the fleet. 0 for contract-abiding inputs.
   int64_t support_overflow_count() const;
@@ -131,7 +127,6 @@ class ClientFleet {
   int64_t first_client_id_;
   int64_t time_ = 0;
   int64_t reports_emitted_ = 0;
-  int64_t changes_total_ = 0;
 
   // Structure-of-arrays client state, all indexed by client position.
   std::vector<int> levels_;
@@ -146,7 +141,6 @@ class ClientFleet {
   std::vector<std::vector<int32_t>> cohort_by_tz_;
 
   std::vector<RegistrationMessage> registrations_;
-  std::vector<int8_t> partial_scratch_;  // telescoped partial sums per tick
 };
 
 }  // namespace futurerand::core

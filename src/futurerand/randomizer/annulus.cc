@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "futurerand/common/macros.h"
@@ -133,6 +134,7 @@ Status FinalizeSpec(AnnulusSpec* spec) {
 Result<AnnulusSpec> MakeFutureRandSpec(int64_t k, double epsilon) {
   FR_RETURN_NOT_OK(ValidateInputs(k, epsilon));
   AnnulusSpec spec;
+  spec.name = "future_rand";
   spec.k = k;
   spec.epsilon = epsilon;
   const double sqrt_k = std::sqrt(static_cast<double>(k));
@@ -151,6 +153,7 @@ Result<AnnulusSpec> MakeFutureRandSpec(int64_t k, double epsilon) {
 Result<AnnulusSpec> MakeBunSpec(int64_t k, double epsilon) {
   FR_RETURN_NOT_OK(ValidateInputs(k, epsilon));
   AnnulusSpec spec;
+  spec.name = "bun";
   spec.k = k;
   spec.epsilon = epsilon;
 
@@ -186,6 +189,22 @@ Result<AnnulusSpec> MakeBunSpec(int64_t k, double epsilon) {
   spec.ub_real = kd * spec.p + radius;
   FR_RETURN_NOT_OK(internal::FinalizeSpec(&spec));
   return spec;
+}
+
+Result<AnnulusSpec> MakeAnnulusSpec(RandomizerKind kind, int64_t k,
+                                    double epsilon) {
+  switch (kind) {
+    case RandomizerKind::kFutureRand:
+      return MakeFutureRandSpec(k, epsilon);
+    case RandomizerKind::kBun:
+      return MakeBunSpec(k, epsilon);
+    default: {
+      std::string message = "randomizer kind ";
+      message += RandomizerKindToString(kind);
+      message += " has no annulus spec";
+      return Status::InvalidArgument(message);
+    }
+  }
 }
 
 }  // namespace futurerand::rand

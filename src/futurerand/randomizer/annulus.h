@@ -22,14 +22,16 @@
 #include <string>
 
 #include "futurerand/common/result.h"
+#include "futurerand/randomizer/randomizer.h"
 
 namespace futurerand::rand {
 
 /// Fully resolved parameters of one composed-randomizer instance.
 struct AnnulusSpec {
   // Inputs.
-  int64_t k = 0;        // number of composed coordinates
-  double epsilon = 0;   // total privacy budget the construction certifies
+  const char* name = "";  // the construction: "future_rand" or "bun"
+  int64_t k = 0;          // number of composed coordinates
+  double epsilon = 0;     // total privacy budget the construction certifies
 
   // Basic-randomizer parameters.
   double eps_tilde = 0;  // per-coordinate RR parameter
@@ -78,6 +80,12 @@ Result<AnnulusSpec> MakeFutureRandSpec(int64_t k, double epsilon);
 /// (lambda, eps~) constraint system of Fact A.6 by fixed-point iteration.
 /// Requires k >= 1 and 0 < epsilon <= 1.
 Result<AnnulusSpec> MakeBunSpec(int64_t k, double epsilon);
+
+/// The annulus spec of a composed construction: MakeFutureRandSpec for
+/// kFutureRand, MakeBunSpec for kBun. Every other kind has no annulus and
+/// is an InvalidArgument error.
+Result<AnnulusSpec> MakeAnnulusSpec(RandomizerKind kind, int64_t k,
+                                    double epsilon);
 
 namespace internal {
 

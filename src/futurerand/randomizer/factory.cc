@@ -1,9 +1,8 @@
 #include <memory>
 #include <utility>
 
-#include "futurerand/randomizer/adaptive.h"
+#include "futurerand/randomizer/annulus.h"
 #include "futurerand/randomizer/basic.h"
-#include "futurerand/randomizer/bun.h"
 #include "futurerand/randomizer/composed.h"
 #include "futurerand/randomizer/future_rand.h"
 #include "futurerand/randomizer/independent.h"
@@ -50,12 +49,16 @@ Result<RandomizerFactory> RandomizerFactory::Create(RandomizerKind kind,
                                                     double epsilon,
                                                     double alpha) {
   switch (kind) {
-    case RandomizerKind::kFutureRand: {
-      FR_ASSIGN_OR_RETURN(std::shared_ptr<const ComposedRandomizer> sampler,
-                          FutureRandRandomizer::Resolve(max_support, epsilon));
+    case RandomizerKind::kFutureRand:
+    case RandomizerKind::kBun: {
+      FR_ASSIGN_OR_RETURN(const AnnulusSpec spec,
+                          MakeAnnulusSpec(kind, max_support, epsilon));
+      FR_ASSIGN_OR_RETURN(ComposedRandomizer composed,
+                          ComposedRandomizer::Create(spec));
+      auto sampler =
+          std::make_shared<const ComposedRandomizer>(std::move(composed));
       return RandomizerFactory(
-          max_support, sampler->spec().c_gap,
-          [sampler](int64_t length, uint64_t seed) {
+          max_support, spec.c_gap, [sampler](int64_t length, uint64_t seed) {
             return FutureRandRandomizer::Make(sampler, length, seed);
           });
     }
@@ -69,28 +72,10 @@ Result<RandomizerFactory> RandomizerFactory::Create(RandomizerKind kind,
                                                epsilon, seed);
           });
     }
-    case RandomizerKind::kBun: {
-      FR_ASSIGN_OR_RETURN(std::shared_ptr<const ComposedRandomizer> sampler,
-                          BunRandomizer::Resolve(max_support, epsilon));
-      return RandomizerFactory(
-          max_support, sampler->spec().c_gap,
-          [sampler](int64_t length, uint64_t seed) {
-            return BunRandomizer::Make(sampler, length, seed);
-          });
-    }
     case RandomizerKind::kAdaptive: {
-      // The c_gap comparison is decided here, once; Make only wraps an
-      // instance of the winner.
       FR_ASSIGN_OR_RETURN(const RandomizerKind choice,
-                          AdaptiveRandomizer::Choose(max_support, epsilon));
-      FR_ASSIGN_OR_RETURN(RandomizerFactory chosen,
-                          Create(choice, max_support, epsilon));
-      const double c_gap = chosen.c_gap();
-      return RandomizerFactory(
-          max_support, c_gap,
-          [chosen = std::move(chosen)](int64_t length, uint64_t seed) {
-            return AdaptiveRandomizer::Make(chosen.Make(length, seed));
-          });
+                          ChooseAdaptiveKind(max_support, epsilon));
+      return Create(choice, max_support, epsilon);
     }
     case RandomizerKind::kLGrr:
     case RandomizerKind::kLOlh:
@@ -106,6 +91,16 @@ Result<RandomizerFactory> RandomizerFactory::Create(RandomizerKind kind,
     }
   }
   return Status::InvalidArgument("unknown randomizer kind");
+}
+
+Result<RandomizerKind> ChooseAdaptiveKind(int64_t max_support,
+                                          double epsilon) {
+  FR_ASSIGN_OR_RETURN(const AnnulusSpec future,
+                      MakeFutureRandSpec(max_support, epsilon));
+  FR_ASSIGN_OR_RETURN(const BasicRandomizer independent,
+                      IndependentRandomizer::Resolve(max_support, epsilon));
+  return future.c_gap >= independent.c_gap() ? RandomizerKind::kFutureRand
+                                              : RandomizerKind::kIndependent;
 }
 
 std::unique_ptr<SequenceRandomizer> RandomizerFactory::Make(

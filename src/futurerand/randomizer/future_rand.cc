@@ -19,24 +19,15 @@ Result<std::unique_ptr<FutureRandRandomizer>> FutureRandRandomizer::Create(
   if (length < 1) {
     return Status::InvalidArgument("sequence length must be >= 1");
   }
-  FR_ASSIGN_OR_RETURN(std::shared_ptr<const ComposedRandomizer> sampler,
-                      Resolve(max_support, epsilon));
-  return Make(std::move(sampler), length, seed);
-}
-
-Result<std::shared_ptr<const ComposedRandomizer>>
-FutureRandRandomizer::Resolve(int64_t max_support, double epsilon) {
   // k may exceed L (a client whose level gives it few reports still runs the
   // randomizer parameterized by the global sparsity budget; Section 5.4's
   // bounded-support analysis covers any support up to min(k, L)).
-  if (max_support < 1) {
-    return Status::InvalidArgument("require k >= 1");
-  }
-  FR_ASSIGN_OR_RETURN(AnnulusSpec spec,
+  FR_ASSIGN_OR_RETURN(const AnnulusSpec spec,
                       MakeFutureRandSpec(max_support, epsilon));
   FR_ASSIGN_OR_RETURN(ComposedRandomizer sampler,
                       ComposedRandomizer::Create(spec));
-  return std::make_shared<const ComposedRandomizer>(std::move(sampler));
+  return Make(std::make_shared<const ComposedRandomizer>(std::move(sampler)),
+              length, seed);
 }
 
 std::unique_ptr<FutureRandRandomizer> FutureRandRandomizer::Make(

@@ -5,6 +5,11 @@
 // the j-th non-zero input v is answered with v * b~_nnz and zero inputs with
 // a uniform sign. Sections 5.3-5.4 show this preserves Properties I-III for
 // any support size up to k.
+//
+// The shell holds for any composed randomizer R~, so it is also how Bun et
+// al.'s construction runs online (Appendix A.2): kBun is this class over
+// MakeBunSpec's annulus, with c_gap in O(eps/sqrt(k ln(k/eps)) +
+// (eps/(k ln(k/eps)))^{2/3}) (Theorem A.8). The spec names the construction.
 
 #ifndef FUTURERAND_RANDOMIZER_FUTURE_RAND_H_
 #define FUTURERAND_RANDOMIZER_FUTURE_RAND_H_
@@ -23,22 +28,19 @@
 namespace futurerand::rand {
 
 /// The paper's randomizer M (Algorithm 3). See SequenceRandomizer for the
-/// contract; this construction achieves c_gap in Omega(eps / sqrt k).
+/// contract; over FutureRand's annulus it achieves c_gap in
+/// Omega(eps / sqrt k).
 class FutureRandRandomizer final : public SequenceRandomizer {
  public:
-  /// Pre-computes b~ = R~(1^k). `length` is L, `max_support` is k (both
-  /// >= 1, k <= L); 0 < epsilon <= 1. All randomness derives from `seed`.
+  /// Pre-computes b~ = R~(1^k) over FutureRand's annulus. `length` is L,
+  /// `max_support` is k (both >= 1, k <= L); 0 < epsilon <= 1. All
+  /// randomness derives from `seed`.
   static Result<std::unique_ptr<FutureRandRandomizer>> Create(
       int64_t length, int64_t max_support, double epsilon, uint64_t seed);
 
-  /// Everything b~'s draw depends on except the seed: the annulus spec for
-  /// (k, eps) and its sampler R~. Resolved once and shared by every
-  /// instance with the same (k, eps) (see RandomizerFactory).
-  static Result<std::shared_ptr<const ComposedRandomizer>> Resolve(
-      int64_t max_support, double epsilon);
-
-  /// Pre-computes b~ = R~(1^k) with a resolved sampler. Cannot fail;
-  /// requires length >= 1.
+  /// Pre-computes b~ = R~(1^k) with a resolved sampler, which every
+  /// instance with the same (kind, k, eps) shares (see RandomizerFactory).
+  /// Cannot fail; requires length >= 1.
   static std::unique_ptr<FutureRandRandomizer> Make(
       std::shared_ptr<const ComposedRandomizer> sampler, int64_t length,
       uint64_t seed);
@@ -53,7 +55,7 @@ class FutureRandRandomizer final : public SequenceRandomizer {
   int64_t support_overflow_count() const override {
     return support_overflow_count_;
   }
-  std::string name() const override { return "future_rand"; }
+  std::string name() const override { return spec().name; }
 
   /// The exact privacy ratio ln(p'_max/p'_min) this instance certifies
   /// (always <= epsilon; Lemma 5.2).

@@ -75,8 +75,8 @@ class SequenceRandomizer {
 enum class RandomizerKind {
   kFutureRand,   // Section 5 (Algorithm 3): composed + pre-computation
   kIndependent,  // Example 4.2: per-coordinate RR(eps/k)
-  kBun,          // Appendix A.2: Bun et al. composed randomizer
-  kAdaptive,     // max-c_gap choice among certified constructions
+  kBun,          // Appendix A.2: Bun et al.'s annulus in FutureRand's shell
+  kAdaptive,     // kFutureRand or kIndependent, whichever has the larger c_gap
   // The Arcolezi-line memoized longitudinal constructions (see
   // randomizer/longitudinal.h): level-0 clients, every-tick reports, and a
   // direct (non-dyadic) server estimator with offset u0 and gap u1 - u0.
@@ -121,17 +121,19 @@ Result<RandomizerKind> ParseRandomizerKind(const std::string& name);
 ///
 /// Everything an instance depends on except its length and seed is a
 /// function of these parameters alone: the annulus spec and sampler of
-/// FutureRand and Bun, Example 4.2's RR(eps/k), the adaptive kind's c_gap
-/// comparison, the longitudinal kinds' LongitudinalSpec. Create does all
-/// of that work — and every fallible check — once; Make then only draws
-/// the seeded per-instance state (FutureRand's b~, for instance), and the
-/// instances share the resolved parameters read-only. Copyable; Make is
-/// const and safe to call from many threads at once.
+/// FutureRand and Bun, Example 4.2's RR(eps/k), the longitudinal kinds'
+/// LongitudinalSpec. Create does all of that work — and every fallible
+/// check — once; Make then only draws the seeded per-instance state
+/// (FutureRand's b~, for instance), and the instances share the resolved
+/// parameters read-only. Copyable; Make is const and safe to call from
+/// many threads at once.
 class RandomizerFactory {
  public:
   /// Same parameter contract and errors as MakeSequenceRandomizer, minus
   /// the length: 0 < epsilon <= 1; `alpha` only matters for the
-  /// longitudinal kinds, which ignore max_support.
+  /// longitudinal kinds, which ignore max_support. kAdaptive returns the
+  /// factory of ChooseAdaptiveKind's pick, so its instances are plain
+  /// FutureRand or Independent randomizers.
   static Result<RandomizerFactory> Create(RandomizerKind kind,
                                           int64_t max_support, double epsilon,
                                           double alpha = 0.5);
@@ -159,6 +161,15 @@ class RandomizerFactory {
   double c_gap_;
   MakeFn make_;  // captures the resolved parameters by shared value
 };
+
+/// The kind kAdaptive builds for (k, epsilon): kFutureRand when its exact
+/// c_gap is at least Example 4.2's, else kIndependent. An extension beyond
+/// the paper: FutureRand's c_gap in Omega(eps/sqrt k) only beats the
+/// independent Theta(eps/k) once k is moderately large (the constant 5 in
+/// eps~ = eps/(5 sqrt k) costs a factor ~10 at small k). Both certify
+/// eps-LDP, so the larger gap costs no privacy.
+Result<RandomizerKind> ChooseAdaptiveKind(int64_t max_support,
+                                          double epsilon);
 
 /// Creates a randomizer of the given kind for a length-L sequence with at
 /// most k non-zero entries under budget epsilon (0 < epsilon <= 1, the

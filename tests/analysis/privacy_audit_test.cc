@@ -40,6 +40,15 @@ TEST_P(RandomizerAuditGridTest, AdaptivePassesAudit) {
       AuditRandomizer(rand::RandomizerKind::kAdaptive, k(), epsilon())
           .ValueOrDie();
   EXPECT_TRUE(audit.satisfied) << audit.ToString();
+  // Adaptive audits exactly as the construction its instances are.
+  const rand::RandomizerKind choice =
+      rand::ChooseAdaptiveKind(k(), epsilon()).ValueOrDie();
+  const AuditResult expected =
+      AuditRandomizer(choice, k(), epsilon()).ValueOrDie();
+  EXPECT_EQ(audit.certified_epsilon, expected.certified_epsilon);
+  EXPECT_EQ(audit.nominal_epsilon, expected.nominal_epsilon);
+  EXPECT_EQ(audit.satisfied, expected.satisfied);
+  EXPECT_EQ(audit.normalization_error, expected.normalization_error);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -43,17 +43,16 @@ uint64_t ClientSeed(uint64_t base_seed, int64_t client_id) {
   return Rng(base_seed).Fork(static_cast<uint64_t>(client_id)).NextUint64();
 }
 
-// Fleet sizes around the widths a compiler vectorizes the tick's column
-// passes to (16, 32 and 64 bytes), plus one large fleet: the validation,
-// change-count and telescoping loops must agree with the per-client
+// Fleet sizes around the widths a compiler vectorizes the tick's
+// validation pass to (16, 32 and 64 bytes), plus one large fleet: the
+// validation loop and the cohort gather must agree with the per-client
 // reference in their vector bodies and in their scalar tails.
 constexpr int64_t kEdgeSizes[] = {1, 3, 15, 16, 17, 31, 32, 33,
                                   63, 64, 65, 1000};
 
 // Ticks a fleet of n clients through every period next to n core::Client
-// instances with the same seeds, comparing each tick's batch and the
-// running change count. Returns the number of ticks at which the whole
-// fleet reported (the telescoped full-cohort path).
+// instances with the same seeds, comparing each tick's batch. Returns the
+// number of ticks at which the whole fleet reported (the full cohort).
 int64_t ExpectMatchesPerClientLoop(const ProtocolConfig& config, int64_t n,
                                    uint64_t base_seed, ThreadPool* pool) {
   SCOPED_TRACE(n);
@@ -84,7 +83,6 @@ int64_t ExpectMatchesPerClientLoop(const ProtocolConfig& config, int64_t n,
     EXPECT_TRUE(fleet.AdvanceTick(states, &batch).ok());
 
     ReportBatch expected;
-    int64_t expected_changes = 0;
     for (int64_t u = 0; u < n; ++u) {
       Client& client = clients[static_cast<size_t>(u)];
       const std::optional<int8_t> report =
@@ -92,10 +90,8 @@ int64_t ExpectMatchesPerClientLoop(const ProtocolConfig& config, int64_t n,
       if (report.has_value()) {
         expected.push_back(ReportMessage{u, t, *report});
       }
-      expected_changes += client.changes_seen();
     }
     EXPECT_EQ(batch, expected) << "tick " << t;
-    EXPECT_EQ(fleet.changes_seen(), expected_changes) << "tick " << t;
     total_reports += static_cast<int64_t>(batch.size());
     full_cohort_ticks += static_cast<int64_t>(batch.size()) == n ? 1 : 0;
   }
@@ -116,8 +112,8 @@ class FleetKindTest : public ::testing::TestWithParam<rand::RandomizerKind> {
 TEST_P(FleetKindTest, MatchesPerClientLoopBitExactly) {
   const ProtocolConfig config = TestConfig(GetParam());
   for (const int64_t n : kEdgeSizes) {
-    // t = d is due for every level, so each size takes the full-cohort
-    // path at least once.
+    // t = d is due for every level, so each size gathers the full cohort
+    // at least once.
     EXPECT_GE(ExpectMatchesPerClientLoop(config, n, 1234, nullptr), 1);
   }
 }
@@ -287,7 +283,6 @@ TEST(FleetTest, ValidatesInputsBeforeMutatingAnything) {
       }
       EXPECT_EQ(poisoned.current_time(), 3);
       EXPECT_EQ(poisoned.reports_emitted(), twin.reports_emitted());
-      EXPECT_EQ(poisoned.changes_seen(), twin.changes_seen());
       if (rand::IsLongitudinalKind(kind)) {
         EXPECT_EQ(poisoned.EncodeLongitudinalState().ValueOrDie(),
                   twin.EncodeLongitudinalState().ValueOrDie());

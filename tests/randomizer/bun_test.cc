@@ -1,30 +1,38 @@
-#include "futurerand/randomizer/bun.h"
+// kBun is FutureRand's online shell over Bun et al.'s annulus (Appendix
+// A.2), built through the same factory route as every other kind.
 
 #include <memory>
 
 #include <gtest/gtest.h>
 
 #include "futurerand/randomizer/annulus.h"
+#include "futurerand/randomizer/future_rand.h"
+#include "futurerand/randomizer/randomizer.h"
 
 namespace futurerand::rand {
 namespace {
 
-std::unique_ptr<BunRandomizer> Make(int64_t length, int64_t k, double eps,
-                                    uint64_t seed) {
-  return BunRandomizer::Create(length, k, eps, seed).ValueOrDie();
+std::unique_ptr<SequenceRandomizer> Make(int64_t length, int64_t k,
+                                         double eps, uint64_t seed) {
+  return RandomizerFactory::Create(RandomizerKind::kBun, k, eps)
+      .ValueOrDie()
+      .Make(length, seed);
 }
 
 TEST(BunRandomizerTest, RejectsInvalidParameters) {
-  EXPECT_FALSE(BunRandomizer::Create(0, 1, 1.0, 1).ok());
-  EXPECT_FALSE(BunRandomizer::Create(8, 0, 1.0, 1).ok());
-  EXPECT_FALSE(BunRandomizer::Create(8, 2, 0.0, 1).ok());
+  EXPECT_FALSE(MakeSequenceRandomizer(RandomizerKind::kBun, 0, 1, 1.0, 1).ok());
+  EXPECT_FALSE(MakeSequenceRandomizer(RandomizerKind::kBun, 8, 0, 1.0, 1).ok());
+  EXPECT_FALSE(MakeSequenceRandomizer(RandomizerKind::kBun, 8, 2, 0.0, 1).ok());
 }
 
 TEST(BunRandomizerTest, UsesBunSpecParameters) {
   const auto randomizer = Make(32, 64, 1.0, 1);
+  const auto* shell = dynamic_cast<const FutureRandRandomizer*>(
+      randomizer.get());
+  ASSERT_NE(shell, nullptr);
   const AnnulusSpec expected = MakeBunSpec(64, 1.0).ValueOrDie();
-  EXPECT_DOUBLE_EQ(randomizer->spec().lambda, expected.lambda);
-  EXPECT_DOUBLE_EQ(randomizer->spec().eps_tilde, expected.eps_tilde);
+  EXPECT_DOUBLE_EQ(shell->spec().lambda, expected.lambda);
+  EXPECT_DOUBLE_EQ(shell->spec().eps_tilde, expected.eps_tilde);
   EXPECT_DOUBLE_EQ(randomizer->c_gap(), expected.c_gap);
 }
 

@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include "futurerand/randomizer/annulus.h"
-#include "futurerand/randomizer/bun.h"
 #include "futurerand/randomizer/future_rand.h"
 #include "futurerand/randomizer/randomizer.h"
 
@@ -53,9 +52,9 @@ TEST(ConstructionGoldenTest, EveryKindsOutputsArePinned) {
       {RandomizerKind::kIndependent, 4, 1.0, 0.5, 102, "independent",
        "--+++++--+++-+-+"},
       {RandomizerKind::kBun, 4, 1.0, 0.5, 103, "bun", "------+++-++--+-"},
-      {RandomizerKind::kAdaptive, 4, 1.0, 0.5, 104, "adaptive(independent)",
+      {RandomizerKind::kAdaptive, 4, 1.0, 0.5, 104, "independent",
        "-+-+++--+-+++++-"},
-      {RandomizerKind::kAdaptive, 64, 1.0, 0.5, 105, "adaptive(future_rand)",
+      {RandomizerKind::kAdaptive, 64, 1.0, 0.5, 105, "future_rand",
        "+--++-+++++---+-"},
       {RandomizerKind::kLGrr, 4, 1.0, 0.5, 106, "lgrr", "++--+++-+---++++"},
       {RandomizerKind::kLOlh, 4, 1.0, 0.4, 107, "lolh", "++-+-++++-++-+++"},
@@ -151,8 +150,9 @@ TEST(ConstructionGoldenTest, BunPrecomputedNoiseIsPinned) {
   ASSERT_FALSE(spec.complement_empty);
   std::vector<std::string> pinned;
   for (const NoiseCase& c : cases) {
-    std::unique_ptr<BunRandomizer> randomizer =
-        BunRandomizer::Create(kNoiseK, kNoiseK, kNoiseEps, c.seed)
+    std::unique_ptr<SequenceRandomizer> randomizer =
+        MakeSequenceRandomizer(RandomizerKind::kBun, kNoiseK, kNoiseK,
+                               kNoiseEps, c.seed)
             .ValueOrDie();
     std::vector<int8_t> noise;
     for (int64_t j = 0; j < kNoiseK; ++j) {

@@ -70,6 +70,30 @@ TEST(FactoryTest, ExactCGapAdaptiveIsMax) {
   }
 }
 
+TEST(FactoryTest, AdaptiveIsItsChoiceBitForBit) {
+  // Adaptive builds the chosen kind's factory, so an instance draws the
+  // same Rng stream in the same order as that kind at the same seed.
+  constexpr int64_t kLength = 64;
+  for (int64_t k : {1, 4, 64, 1024}) {
+    for (double eps : {0.5, 1.0}) {
+      SCOPED_TRACE(::testing::Message() << "k=" << k << " eps=" << eps);
+      const RandomizerKind choice = ChooseAdaptiveKind(k, eps).ValueOrDie();
+      const uint64_t seed = 1000 + static_cast<uint64_t>(k);
+      auto adaptive = MakeSequenceRandomizer(RandomizerKind::kAdaptive,
+                                             kLength, k, eps, seed)
+                          .ValueOrDie();
+      auto chosen =
+          MakeSequenceRandomizer(choice, kLength, k, eps, seed).ValueOrDie();
+      EXPECT_EQ(adaptive->c_gap(), chosen->c_gap());
+      EXPECT_EQ(adaptive->name(), chosen->name());
+      for (int64_t j = 0; j < kLength; ++j) {
+        const auto v = static_cast<int8_t>(j % 3 - 1);  // -1, 0, +1, ...
+        ASSERT_EQ(adaptive->Randomize(v), chosen->Randomize(v)) << "j=" << j;
+      }
+    }
+  }
+}
+
 TEST(FactoryTest, SqrtKAdvantageMaterializesAtLargeK) {
   // The paper's central quantitative claim at the randomizer level: the
   // FutureRand gap beats the naive eps/k composition by a growing factor.

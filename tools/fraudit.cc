@@ -4,8 +4,9 @@
 //
 // Prints the randomizer's resolved parameters (annulus, P*_out, exact
 // c_gap) and the exact certified epsilon; optionally runs the exhaustive
-// online-client audit. Exit code 0 iff every audit passes — usable as a
-// deployment pre-flight check.
+// online-client audit, for any construction with an annulus (future_rand,
+// bun, and adaptive when it picks future_rand). Exit code 0 iff every audit
+// passes — usable as a deployment pre-flight check.
 
 #include <cstdio>
 
@@ -52,36 +53,33 @@ int Run(int argc, char** argv) {
     return 2;
   }
 
-  // Parameter dump for the composed constructions.
-  if (*kind == rand::RandomizerKind::kFutureRand ||
-      *kind == rand::RandomizerKind::kBun) {
-    const auto spec = *kind == rand::RandomizerKind::kFutureRand
-                          ? rand::MakeFutureRandSpec(k, eps)
-                          : rand::MakeBunSpec(k, eps);
-    if (!spec.ok()) {
-      std::fprintf(stderr, "%s\n", spec.status().ToString().c_str());
-      return 2;
-    }
-    std::printf("%s\n", spec->ToString().c_str());
-  }
-
   const auto audit = analysis::AuditRandomizer(*kind, k, eps);
   if (!audit.ok()) {
     std::fprintf(stderr, "%s\n", audit.status().ToString().c_str());
     return 2;
   }
+  // The audit has validated (k, eps), so a missing spec means the audited
+  // construction has no annulus: independent, a longitudinal kind, or
+  // adaptive when it picks independent.
+  rand::RandomizerKind audited = *kind;
+  if (audited == rand::RandomizerKind::kAdaptive) {
+    audited = rand::ChooseAdaptiveKind(k, eps).ValueOrDie();
+    std::printf("adaptive picks %s\n", rand::RandomizerKindToString(audited));
+  }
+  const auto spec = rand::MakeAnnulusSpec(audited, k, eps);
+  if (spec.ok()) {
+    std::printf("%s\n", spec->ToString().c_str());
+  }
   std::printf("randomizer audit: %s\n", audit->ToString().c_str());
   bool all_passed = audit->satisfied;
 
   if (online_length > 0) {
-    if (*kind != rand::RandomizerKind::kFutureRand) {
-      std::fprintf(stderr,
-                   "online audit is implemented for --kind=future_rand\n");
-      return 2;
-    }
-    const auto spec = rand::MakeFutureRandSpec(k, eps);
     if (!spec.ok()) {
-      std::fprintf(stderr, "%s\n", spec.status().ToString().c_str());
+      std::fprintf(stderr,
+                   "online audit needs an annulus construction "
+                   "(future_rand, bun, or adaptive picking future_rand): "
+                   "%s\n",
+                   spec.status().ToString().c_str());
       return 2;
     }
     const auto online = analysis::AuditOnlineClient(*spec, online_length);
